@@ -8,6 +8,7 @@ for throughput (gradient checks are only reliable in 64-bit).
 
 from __future__ import annotations
 
+import functools
 import struct
 from contextlib import contextmanager
 
@@ -131,10 +132,6 @@ def as_tensor(value, dtype=None):
     if isinstance(value, Tensor):
         return value
     return Tensor(value, dtype=dtype)
-
-
-def constant(value, dtype=None):
-    return as_tensor(value, dtype=dtype)
 
 
 def _make(data, parents, vjp):
@@ -335,35 +332,45 @@ def rows(a, indices):
 
 def take_pairs(a, row_idx, col_idx):
     """Gather a[row_i, col_i] for paired index vectors (2-D input)."""
-    a = as_tensor(a)
-    r = np.asarray(row_idx, dtype=np.intp)
-    c = np.asarray(col_idx, dtype=np.intp)
-    out = a.data[r, c]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (r, c), g)
-        return (ga,)
-
-    return _make(out, (a,), vjp)
+    return take(a, (np.asarray(row_idx, dtype=np.intp),
+                    np.asarray(col_idx, dtype=np.intp)))
 
 
-def aggregate_rows(values, dst, weights, num_rows):
-    """Weighted scatter-add of rows: out[dst[e]] += weights[e] * values[e].
+class SegmentPlan:
+    """A constant sparse map ``out[seg[e]] += weights[e] * x[src[e]]``.
 
-    Used for per-relation graph message aggregation; ``weights`` carries the
-    1/degree normalization and is treated as constant.
+    Edges are kept stably sorted by segment, so applying the plan is one
+    gather and one ``np.add.reduceat``; ``T`` is the transposed plan.
     """
-    values = as_tensor(values)
-    dst = np.asarray(dst, dtype=np.intp)
-    w = np.asarray(weights, dtype=values.data.dtype).reshape(-1, 1)
-    out = np.zeros((num_rows, values.data.shape[1]), dtype=values.data.dtype)
-    np.add.at(out, dst, values.data * w)
 
-    def vjp(g):
-        return (g[dst] * w,)
+    def __init__(self, src, seg, weights, num_segments, num_sources):
+        src, seg = np.asarray(src, np.intp), np.asarray(seg, np.intp)
+        weights = np.asarray(weights, np.float64)
+        order = np.argsort(seg, kind="stable")
+        self._gather, self._w = src[order], weights[order].reshape(-1, 1)
+        self._starts = np.flatnonzero(np.diff(seg[order], prepend=-1))
+        self._targets = seg[order][self._starts]
+        self.num_segments = num_segments
+        self._transposed = (seg, src, weights, num_sources, num_segments)
 
-    return _make(out, (values,), vjp)
+    @functools.cached_property
+    def T(self):
+        return SegmentPlan(*self._transposed)
+
+    def apply(self, x):
+        """Plain-array forward on (num_sources, d) rows, in ``x``'s dtype."""
+        out = np.zeros((self.num_segments, x.shape[1]), dtype=x.dtype)
+        vals = np.take(x, self._gather, axis=0)
+        vals *= self._w.astype(x.dtype, copy=False)
+        out[self._targets] = np.add.reduceat(vals, self._starts, axis=0)
+        return out
+
+
+def segment_sum(x, plan):
+    """Rows of ``x`` summed under a ``SegmentPlan``; the VJP is the same op
+    on the transposed plan."""
+    x = as_tensor(x)
+    return _make(plan.apply(x.data), (x,), lambda g: (plan.T.apply(g),))
 
 
 # -- softmax family ----------------------------------------------------------
@@ -511,10 +518,6 @@ class ParamStore:
                 raise ValueError(f"shape mismatch for {name!r}: "
                                  f"{arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
-
-    def zero_grads(self):
-        for p in self._params.values():
-            p.grad = None
 
     def checksum(self):
         import hashlib

@@ -132,11 +132,15 @@ def edited_prompts(state, instance, sim):
 
 def default_reward_fn(rec_model, kg):
     """Mean recommendation loss over a realized dialogue's samples; dialogues
-    with no item recommendation score 0 (and are logged)."""
-    with ad.no_grad():
-        table = rec_model.entity_embeddings()
+    with no item recommendation score 0 (and are logged). The recommender's
+    table is computed on the first call and reused: keep it frozen."""
+    table = None
 
     def reward(realized):
+        nonlocal table
+        if table is None:
+            with ad.no_grad():
+                table = rec_model.entity_embeddings()
         samples = rz.to_rec_samples(realized, kg, source="simulated")
         if not samples:
             logger.info("rollout %s produced no recommendation samples",
@@ -340,6 +344,7 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
     def course_fn(course, lam, rng):
         nonlocal baseline
         rec_before = rec_model.store.checksum()
+        reward_fn = default_reward_fn(rec_model, sim.hkg.base)
         dialogues, rewards, norms = [], [], []
         chosen = rng.choice(len(pairs),
                             size=min(cfg.pairs_per_course, len(pairs)),
@@ -351,7 +356,7 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
             for _ in range(cfg.edit_steps):
                 stats = reinforce_step(
                     state, sim, rec_model, lam, cfg.alpha, cfg.rollouts, rng,
-                    temperature=cfg.temperature,
+                    temperature=cfg.temperature, reward_fn=reward_fn,
                     reward_baseline=baseline if cfg.use_baseline else 0.0)
             rewards.append(stats["mean_reward"])
             norms.append(stats["edit_norm"])

@@ -7,9 +7,13 @@ self-connection,
 
     h'_n = act( sum_r sum_{m in N_r(n)} (1/c_{n,r}) W_r h_m + W_self h_n ),
 
-with W_r = sum_b a_{r,b} V_b. Nodes with no neighbors under a relation simply
-skip that relation's term. User preference is the attention-weighted
-combination of the user's interacted-entity embeddings,
+with W_r = sum_b a_{r,b} V_b. A layer aggregates, then transforms: one
+segment sum (``HeterogeneousKG.rgcn_plan``) lays each node's R mean neighbor
+vectors side by side in an (n, R*d) matrix, and one matmul with the stacked
+weight [W_0; ...; W_{R-1}] of shape (R*d, d) applies every relation. A
+relation under which a node has no neighbors adds a zero block. User
+preference is the attention-weighted combination of the user's
+interacted-entity embeddings,
 
     alpha = softmax(b^T tanh(W_a E_u^T)),   e_u = E_u^T alpha.
 """
@@ -53,42 +57,24 @@ def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
     return store
 
 
-def _relation_edges(hkg):
-    edges = []
-    for name, src, dst in hkg.rgcn_relations():
-        if len(src) == 0:
-            edges.append((name, src, dst, None))
-            continue
-        counts = np.bincount(dst, minlength=hkg.num_nodes).astype(np.float64)
-        inv = 1.0 / counts[dst]
-        edges.append((name, src, dst, inv))
-    return edges
-
-
 def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", activation="tanh"):
     """Return the (num_nodes, d_e) embedding table after message passing.
 
     Differentiable w.r.t. the node table and all layer weights in ``store``.
     """
     h = store[f"{prefix}.node_emb"]
-    acts = {"tanh": ad.tanh, "relu": ad.relu, "linear": lambda t: t}
-    act = acts[activation]
-    edges = _relation_edges(hkg)
-    n = hkg.num_nodes
+    act = {"tanh": ad.tanh, "relu": ad.relu, "linear": lambda t: t}[activation]
+    plan = hkg.rgcn_plan()
     for layer in range(num_layers):
         bases = store[f"{prefix}.l{layer}.bases"]
         coeffs = store[f"{prefix}.l{layer}.coeffs"]
         w_self = store[f"{prefix}.l{layer}.w_self"]
         nb, d_in, d_out = bases.shape
-        flat = ad.reshape(bases, (nb, d_in * d_out))
-        total = h @ w_self
-        for rid, (_, src, dst, inv) in enumerate(edges):
-            if inv is None:
-                continue
-            w_r = ad.reshape(ad.rows(coeffs, [rid]) @ flat, (d_in, d_out))
-            msgs = ad.rows(h @ w_r, src)
-            total = total + ad.aggregate_rows(msgs, dst, inv, n)
-        h = act(total)
+        num_rel = coeffs.shape[0]
+        w_rel = ad.reshape(coeffs @ ad.reshape(bases, (nb, d_in * d_out)),
+                           (num_rel * d_in, d_out))
+        msgs = ad.reshape(ad.segment_sum(h, plan), (-1, num_rel * d_in))
+        h = act(h @ w_self + msgs @ w_rel)
     return h
 
 

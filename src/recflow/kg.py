@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import SegmentPlan
+
 INTERACTED = "interacted"
 
 
@@ -197,6 +199,7 @@ class HeterogeneousKG:
     interactions: dict[str, list[int]]   # user -> ordered entity ids
 
     _hood_cache: dict = field(default_factory=dict, repr=False)
+    _plan: SegmentPlan = field(default=None, repr=False, compare=False)
 
     @property
     def num_nodes(self):
@@ -204,15 +207,9 @@ class HeterogeneousKG:
 
     @property
     def user_edges(self):
-        edges = []
-        for ui, user in enumerate(self.users):
-            node = self.base.num_entities + ui
-            for eid in self.interactions[user]:
-                edges.append((node, eid))
-        return edges
-
-    def user_node(self, user):
-        return self.base.num_entities + self.users.index(user)
+        first = self.base.num_entities
+        return [(first + ui, eid) for ui, user in enumerate(self.users)
+                for eid in self.interactions[user]]
 
     def rgcn_relations(self):
         """Directed edge lists per aggregation relation.
@@ -221,25 +218,31 @@ class HeterogeneousKG:
         their forward direction and an inverse, so messages flow both ways.
         Returns [(name, src_array, dst_array), ...].
         """
-        by_rel = [([], []) for _ in self.base.relation_names]
-        for h, r, t in self.base.triples:
-            by_rel[r][0].append(h)
-            by_rel[r][1].append(t)
+        triples = np.array(self.base.triples, dtype=np.intp).reshape(-1, 3)
         out = []
         for rid, name in enumerate(self.base.relation_names):
-            src = np.array(by_rel[rid][0], dtype=np.intp)
-            dst = np.array(by_rel[rid][1], dtype=np.intp)
+            src, _, dst = triples[triples[:, 1] == rid].T
             out.append((name, src, dst))
             out.append((name + "^inv", dst, src))
-        u_src, u_dst = [], []
-        for unode, eid in self.user_edges:
-            u_src.append(unode)
-            u_dst.append(eid)
-        u_src = np.array(u_src, dtype=np.intp)
-        u_dst = np.array(u_dst, dtype=np.intp)
+        users = np.array(self.user_edges, dtype=np.intp).reshape(-1, 2)
+        u_src, u_dst = users.T
         out.append((INTERACTED, u_src, u_dst))
         out.append((INTERACTED + "^inv", u_dst, u_src))
         return out
+
+    def rgcn_plan(self):
+        """``rgcn_relations`` fused into one ``SegmentPlan`` from node rows
+        to (node, relation) segments ``dst * R + r``, each edge weighted by
+        1/deg_r(dst). Built on first use and kept on the instance."""
+        if self._plan is None:
+            rels = self.rgcn_relations()
+            n, num_rel = self.num_nodes, len(rels)
+            src = np.concatenate([s for _, s, _ in rels])
+            seg = np.concatenate([d * num_rel + r
+                                  for r, (_, _, d) in enumerate(rels)])
+            deg = np.bincount(seg, minlength=n * num_rel)
+            self._plan = SegmentPlan(src, seg, 1.0 / deg[seg], n * num_rel, n)
+        return self._plan
 
     def neighborhood(self, entity_id, hop_limit):
         """Entities reachable from ``entity_id`` within hop_limit undirected

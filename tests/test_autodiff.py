@@ -211,10 +211,39 @@ def test_take_and_aggregate_gradients():
     idx = np.array([0, 2, 2, 4])
     dst = np.array([0, 1, 1, 0])
     w = np.array([1.0, 0.5, 0.5, 1.0])
+    plan = ad.SegmentPlan(idx, dst, w, num_segments=2, num_sources=5)
 
     def f(s):
-        msgs = ad.rows(s["E"], idx)
-        agg = ad.aggregate_rows(msgs, dst, w, 2)
-        return ad.tensor_sum(ad.tanh(agg))
+        agg = ad.segment_sum(s["E"], plan)
+        return ad.tensor_sum(ad.tanh(ad.rows(agg, [1, 1, 0])))
 
     assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+def test_segment_sum_matches_scatter_and_keeps_f32():
+    rng = np.random.default_rng(4)
+    src = np.array([3, 0, 3, 1, 2, 3])
+    seg = np.array([2, 0, 0, 2, 5, 2])
+    w = rng.uniform(0.1, 1.0, size=6)
+    plan = ad.SegmentPlan(src, seg, w, num_segments=6, num_sources=4)
+    x = rng.normal(size=(4, 3))
+    expected = np.zeros((6, 3))
+    np.add.at(expected, seg, w[:, None] * x[src])
+    assert np.allclose(plan.apply(x), expected, atol=1e-12, rtol=0)
+
+    store = ad.ParamStore()
+    store.add("x", x, dtype=np.float32)
+    out = ad.segment_sum(store["x"], plan)
+    assert out.data.dtype == np.float32
+    grads = ad.backward(ad.tensor_sum(out * out), store)
+    assert grads["x"].dtype == np.float32
+
+
+def test_segment_sum_empty_plan_gives_zeros():
+    plan = ad.SegmentPlan([], [], [], num_segments=3, num_sources=2)
+    store = ad.ParamStore()
+    store.add("x", np.ones((2, 4)))
+    out = ad.segment_sum(store["x"], plan)
+    assert np.array_equal(out.data, np.zeros((3, 4)))
+    grads = ad.backward(ad.tensor_sum(out), store)
+    assert np.array_equal(grads["x"], np.zeros((2, 4)))

@@ -406,6 +406,60 @@ def test_train_augmented_seed_reproducible(mini):
     assert sums[0] == sums[1]
 
 
+def test_train_augmented_one_rgcn_forward_per_edit_phase(mini, monkeypatch):
+    rec = mini.fresh_rec()
+    forwards, steps = [], []
+    rgcn_forward, reinforce_step = emb.rgcn_forward, cf.reinforce_step
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(1)
+        return rgcn_forward(*args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return reinforce_step(*args, **kwargs)
+
+    monkeypatch.setattr(emb, "rgcn_forward", counting_forward)
+    monkeypatch.setattr(cf, "reinforce_step", counting_step)
+    # no fine-tuning steps and no validation: only the edit phase reads
+    # the recommender
+    cfg = cf.TrainConfig(courses=2, rollouts=2, edit_steps=2,
+                         pairs_per_course=2, sims_per_pair=1, rec_steps=0,
+                         seed=5)
+    cf.train_augmented(rec, mini.sim, mini.pairs, mini.train_samples, [],
+                       cfg)
+    assert len(steps) == 2 * 2 * 2
+    assert len(forwards) == 2
+
+
+def test_per_course_reward_matches_fresh_reward_fn(mini, monkeypatch):
+    rec = mini.fresh_rec()
+    default_reward_fn = cf.default_reward_fn
+    pairs = []
+
+    def checked_reward_fn(rec_model, kg):
+        shared = default_reward_fn(rec_model, kg)
+
+        def reward(realized):
+            value = shared(realized)
+            pairs.append((value, default_reward_fn(rec_model, kg)(realized)))
+            return value
+
+        return reward
+
+    monkeypatch.setattr(cf, "default_reward_fn", checked_reward_fn)
+    # fine-tuning between the two courses changes the recommender, so the
+    # second course must see a new table
+    cfg = cf.TrainConfig(courses=2, rollouts=2, edit_steps=2,
+                         pairs_per_course=2, sims_per_pair=1, rec_steps=3,
+                         rec_lr=1e-2, seed=6)
+    cf.train_augmented(rec, mini.sim, mini.pairs, mini.train_samples, [],
+                       cfg)
+    assert len(pairs) == 2 * 2 * 2 * 2
+    assert any(shared != 0.0 for shared, _ in pairs)
+    assert all(shared == fresh for shared, fresh in pairs)
+
+
 def test_train_eda_runs(mini):
     rec = mini.fresh_rec()
     flow_pool = [ex for ex, _ in pl.corpus_flows(mini.world.train,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +78,60 @@ def test_rgcn_matches_dense_oracle():
     out = emb.rgcn_forward(hkg, store, num_layers=2, activation="tanh")
     oracle = dense_rgcn_oracle(hkg, store, num_layers=2, activation="tanh")
     assert np.max(np.abs(out.data - oracle)) < 1e-10
+
+
+def test_rgcn_matches_dense_oracle_with_edgeless_relation():
+    # no users attached, so the "interacted" relation and its inverse have
+    # no edges and contribute nothing
+    triples = [("a", "r1", "b"), ("b", "r1", "c"), ("c", "r2", "a"),
+               ("a", "r2", "c"), ("d", "r2", "b")]
+    hkg = build_hkg(triples, {x: "item" for x in "abcd"})
+    assert any(len(src) == 0 for _, src, _ in hkg.rgcn_relations())
+    store = ad.ParamStore()
+    emb.init_rgcn_params(store, hkg, d_e=4, num_layers=2, num_bases=3,
+                         rng=np.random.default_rng(8))
+    out = emb.rgcn_forward(hkg, store, num_layers=2, activation="tanh")
+    oracle = dense_rgcn_oracle(hkg, store, num_layers=2, activation="tanh")
+    assert np.max(np.abs(out.data - oracle)) < 1e-10
+
+
+def test_rgcn_plan_built_once_per_graph(monkeypatch):
+    hkg = build_hkg([("a", "r1", "b"), ("b", "r2", "c")],
+                    {"a": "item", "b": "genre", "c": "item"}, {"u": ["a"]})
+    store = ad.ParamStore()
+    emb.init_rgcn_params(store, hkg, d_e=3, num_layers=2, num_bases=2,
+                         rng=np.random.default_rng(0))
+    calls = []
+    relations = hkg.rgcn_relations
+    monkeypatch.setattr(hkg, "rgcn_relations",
+                        lambda: calls.append(1) or relations())
+    first = emb.rgcn_forward(hkg, store, num_layers=2).data
+    for _ in range(4):
+        again = emb.rgcn_forward(hkg, store, num_layers=2).data
+        assert np.array_equal(again, first)
+    assert len(calls) == 1
+
+
+def test_rgcn_plan_lives_and_dies_with_its_graph():
+    # the plan is kept on the graph: a cache keyed by id() would outlive the
+    # graph and could hand its plan to a new graph that reuses the id
+    dead = []
+    for size in range(2, 7):
+        names = [f"e{i}" for i in range(size)]
+        triples = [(a, "r", b) for a, b in zip(names, names[1:])]
+        hkg = build_hkg(triples, {x: "item" for x in names},
+                        {"u": names[:size // 2]})
+        assert hkg.rgcn_plan() is hkg.rgcn_plan()
+        store = ad.ParamStore()
+        emb.init_rgcn_params(store, hkg, d_e=3, num_layers=1, num_bases=2,
+                             rng=np.random.default_rng(size))
+        out = emb.rgcn_forward(hkg, store, num_layers=1)
+        oracle = dense_rgcn_oracle(hkg, store, num_layers=1)
+        assert np.max(np.abs(out.data - oracle)) < 1e-10
+        dead.append(weakref.ref(hkg.rgcn_plan()))
+        del hkg, out
+        gc.collect()
+        assert dead[-1]() is None
 
 
 def test_rgcn_rejects_excess_bases():

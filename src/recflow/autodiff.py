@@ -375,6 +375,11 @@ def segment_sum(x, plan):
 
 # -- softmax family ----------------------------------------------------------
 
+# Additive logit mask for excluded entries: finite, so a fully masked row
+# still normalises instead of producing NaN.
+MASK_NEG = -1e30
+
+
 def softmax(a, axis=-1):
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,27 +108,28 @@ def build_rec(cfg, hkg):
                        num_bases=cfg.rgcn_bases, seed=cfg.seed)
 
 
+# SimulatorConfig and TrainConfig fields whose RunConfig field is named
+# differently; every other field copies the RunConfig field of its own name.
+_RUN_FIELD = {"d_model": "flm_d_model", "n_layers": "flm_layers",
+              "n_heads": "flm_heads", "ff_mult": "flm_ff_mult",
+              "rec_steps": "course_rec_steps"}
+
+
+def _derived(cls, cfg):
+    """``cls`` filled from ``cfg``; fields RunConfig lacks keep defaults."""
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    names = {f.name: _RUN_FIELD.get(f.name, f.name)
+             for f in dataclasses.fields(cls)}
+    return cls(**{name: getattr(cfg, run) for name, run in names.items()
+                  if run in run_fields})
+
+
 def sim_config(cfg):
-    return pl.SimulatorConfig(
-        d_model=cfg.flm_d_model, n_layers=cfg.flm_layers,
-        n_heads=cfg.flm_heads, ff_mult=cfg.flm_ff_mult, max_len=cfg.max_len,
-        min_support=cfg.min_support, hop_limit=cfg.hop_limit,
-        connectivity_mask=cfg.connectivity_mask,
-        pseudo_ratio=cfg.pseudo_ratio, flm_epochs=cfg.flm_epochs,
-        flm_batch=cfg.flm_batch, flm_lr=cfg.flm_lr, clf_steps=cfg.clf_steps,
-        clf_lr=cfg.clf_lr, seed=cfg.seed)
+    return _derived(pl.SimulatorConfig, cfg)
 
 
 def train_config(cfg):
-    return cf.TrainConfig(
-        courses=cfg.courses, rho=cfg.rho, delta=cfg.delta, alpha=cfg.alpha,
-        rollouts=cfg.rollouts, edit_steps=cfg.edit_steps,
-        k_edits=cfg.k_edits, pairs_per_course=cfg.pairs_per_course,
-        sims_per_pair=cfg.sims_per_pair, mix_ratio=cfg.mix_ratio,
-        rec_steps=cfg.course_rec_steps, rec_lr=cfg.rec_lr,
-        rec_batch=cfg.rec_batch, patience=cfg.patience,
-        temperature=cfg.temperature, use_baseline=cfg.use_baseline,
-        seed=cfg.seed)
+    return _derived(cf.TrainConfig, cfg)
 
 
 def _pretrain_rec(cfg, ws, tracker):
@@ -154,45 +156,15 @@ def _load_or_pretrain_rec(cfg, ws, tracker):
 def _build_simulator(cfg, ws, rec, tracker):
     sim = pl.build_simulator(ws.hkg, ws.train, rec.entity_embeddings_array(),
                              sim_config(cfg))
-    ad.save_checkpoint(tracker.path("flm.ckpt"), sim.flm.store)
-    ad.save_checkpoint(tracker.path("clf.ckpt"), sim.clf_store)
-    ad.save_checkpoint(tracker.path("sim_emb.ckpt"),
-                       {"entity_emb": sim.entity_emb})
-    tracker.write_text("catalog.json", sim.catalog.to_json() + "\n")
+    pl.save_simulator(sim, tracker.path)
     return sim
 
 
-def _load_simulator(cfg, ws):
-    out = cfg.out_dir
-    with open(os.path.join(out, "catalog.json"), encoding="utf-8") as fh:
-        catalog = sc.SchemaCatalog.from_json(fh.read(),
-                                             min_support=cfg.min_support,
-                                             max_len=cfg.max_len)
-    emb_arr = ad.load_checkpoint(os.path.join(out, "sim_emb.ckpt"))
-    entity_emb = emb_arr["entity_emb"]
-    model = flmm.FlowLM(ws.hkg, flmm.FlowLMConfig(
-        d_model=cfg.flm_d_model, n_layers=cfg.flm_layers,
-        n_heads=cfg.flm_heads, ff_mult=cfg.flm_ff_mult,
-        d_e=entity_emb.shape[1], max_len=cfg.max_len,
-        connectivity_mask=cfg.connectivity_mask, hop_limit=cfg.hop_limit,
-        seed=cfg.seed))
-    model.store.load_values(ad.load_checkpoint(os.path.join(out,
-                                                            "flm.ckpt")))
-    clf_store = ad.ParamStore()
-    sc.init_classifier_params(clf_store, d_e=entity_emb.shape[1],
-                              num_schemas=len(catalog),
-                              rng=np.random.default_rng(cfg.seed))
-    clf_store.load_values(ad.load_checkpoint(os.path.join(out, "clf.ckpt")))
-    bank = rz.build_template_bank(ws.train, ws.kg)
-    return pl.SimulatorBundle(flm=model, catalog=catalog,
-                              clf_store=clf_store, bank=bank,
-                              entity_emb=entity_emb, hkg=ws.hkg)
-
-
 def _load_or_build_simulator(cfg, ws, rec, tracker):
-    needed = ("flm.ckpt", "clf.ckpt", "sim_emb.ckpt", "catalog.json")
-    if all(os.path.exists(os.path.join(cfg.out_dir, n)) for n in needed):
-        return _load_simulator(cfg, ws)
+    def saved(name):
+        return os.path.join(cfg.out_dir, name)
+    if all(os.path.exists(saved(n)) for n in pl.SIMULATOR_FILES):
+        return pl.load_simulator(ws.hkg, ws.train, saved, sim_config(cfg))
     return _build_simulator(cfg, ws, rec, tracker)
 
 

@@ -94,11 +94,6 @@ class ConversationFlow:
         return len(self.entities)
 
 
-# A flow schema is the parallel tuple of type names; kept as a plain tuple so
-# it can key dicts and Counter during mining.
-Schema = tuple
-
-
 @dataclass
 class Template:
     """A delexicalized turn. ``segments`` are the text pieces around the
@@ -244,8 +239,3 @@ def derive_interactions(dialogues):
                 if m.entity not in bucket:
                     bucket.append(m.entity)
     return interactions
-
-
-def dialogue_user_pairs(dialogues):
-    """(seeker, recommender) user ids per dialogue, in corpus order."""
-    return [(d.user_of(SEEKER), d.user_of(RECOMMENDER)) for d in dialogues]

@@ -9,6 +9,10 @@ previously emitted entity, so generated flows stay on the graph. When a
 teacher-forced target falls outside the connectivity set (real corpora are
 not always graph-consistent), scoring widens that step to the full type
 class; generated tokens never need the widening.
+
+One batched scorer computes a flow's per-step log-probabilities under these
+masks. Teacher-forced pre-training, the REINFORCE policy gradient of the
+counterfactual edits and single-flow scoring are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import numpy as np
 from . import autodiff as ad
 from . import embeddings as emb
 from .kg import sample_path
-
-MASK_NEG = -1e30
 
 
 class AllSchemasUnreachable(RuntimeError):
@@ -162,7 +164,7 @@ class FlowLM:
         allowed = self.allowed_entities(type_name, prev_entity)
         if target is not None and target not in allowed:
             allowed = tuple(self._type_entities(type_name))
-        mask = np.full(self.vocab_size, MASK_NEG)
+        mask = np.full(self.vocab_size, ad.MASK_NEG)
         mask[list(allowed)] = 0.0
         return mask
 
@@ -223,7 +225,7 @@ class FlowLM:
         x = ad.reshape(ad.rows(s["flm.tok_emb"], token_ids.reshape(-1)),
                        (b, n, cfg.d_model))
         x = x + ad.rows(s["flm.pos_dec"], np.arange(n))
-        causal = np.triu(np.full((n, n), MASK_NEG), k=1)
+        causal = np.triu(np.full((n, n), ad.MASK_NEG), k=1)
         for layer in range(cfg.n_layers):
             base = f"flm.dec.l{layer}"
             h = self._ln(x, f"{base}.ln0")
@@ -250,28 +252,44 @@ class FlowLM:
         return np.array([kg.type_id(t) for t in schema], dtype=np.intp)
 
 
-def flow_step_log_probs(flm, prompt, flow):
-    """Per-step log-probabilities of ``flow`` under the masked decoder.
+def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows):
+    """Per-step log-probabilities, shape (len(flows), n), of same-length
+    flows under the masked decoder.
 
-    Differentiable w.r.t. the model parameters and the prompt tensors, which
-    is the gradient path preference edits rely on.
+    ``schemas`` holds one schema per flow, or one shared by all flows;
+    ``prompts_*`` hold as many d_e-vectors as ``schemas``. A shared prompt
+    is encoded once and broadcast in cross-attention, so its gradients
+    accumulate across the flows. Differentiable w.r.t. the model parameters
+    and the prompt tensors, which is the gradient path preference edits
+    rely on.
     """
-    flm.check_flow(flow, prompt.schema)
-    n = len(flow)
-    e_u = ad.reshape(ad.as_tensor(prompt.e_u), (1, -1))
-    e_v = ad.reshape(ad.as_tensor(prompt.e_v), (1, -1))
-    enc = flm.encode(e_u, e_v, flm.type_ids(prompt.schema)[None, :])
-    dec_in = np.array([[flm.bos] + list(flow[:-1])], dtype=np.intp)
+    t, n, rows = len(flows), len(flows[0]), len(schemas)
+    row_schemas = schemas if rows == t else schemas * t
+    for f, schema in zip(flows, row_schemas):
+        flm.check_flow(f, schema)
+    enc = flm.encode(ad.reshape(ad.as_tensor(prompts_u), (rows, -1)),
+                     ad.reshape(ad.as_tensor(prompts_v), (rows, -1)),
+                     np.stack([flm.type_ids(s) for s in schemas]))
+    dec_in = np.array([[flm.bos] + list(f[:-1]) for f in flows],
+                      dtype=np.intp)
     logits = flm.decode(dec_in, enc)
     masks = np.stack([
-        flm.step_mask(prompt.schema[j],
-                      prev_entity=flow[j - 1] if j else None,
-                      target=flow[j])
-        for j in range(n)
+        [flm.step_mask(schema[j], prev_entity=f[j - 1] if j else None,
+                       target=f[j]) for j in range(n)]
+        for f, schema in zip(flows, row_schemas)
     ])
-    logp = ad.log_softmax(logits + ad.Tensor(masks[None, :, :]), axis=-1)
-    return ad.take_pairs(ad.reshape(logp, (n, flm.vocab_size)),
-                         np.arange(n), np.asarray(flow, dtype=np.intp))
+    logp = ad.log_softmax(logits + ad.Tensor(masks), axis=-1)
+    flat = ad.reshape(logp, (t * n, flm.vocab_size))
+    targets = np.concatenate([list(f) for f in flows]).astype(np.intp)
+    picked = ad.take_pairs(flat, np.arange(t * n), targets)
+    return ad.reshape(picked, (t, n))
+
+
+def flow_step_log_probs(flm, prompt, flow):
+    """Per-step log-probabilities of ``flow`` under the masked decoder."""
+    steps = _flow_log_probs(flm, prompt.e_u, prompt.e_v, [prompt.schema],
+                            [flow])
+    return ad.reshape(steps, (len(flow),))
 
 
 def flow_log_prob(flm, prompt, flow):
@@ -285,27 +303,9 @@ def flow_log_probs_batch(flm, prompt, flows):
     Returns a (len(flows),) tensor sharing the prompt subgraph, so gradients
     w.r.t. the prompt tensors accumulate across the batch.
     """
-    n = len(prompt.schema)
-    for f in flows:
-        flm.check_flow(f, prompt.schema)
-    t = len(flows)
-    e_u = ad.reshape(ad.as_tensor(prompt.e_u), (1, -1))
-    e_v = ad.reshape(ad.as_tensor(prompt.e_v), (1, -1))
-    enc = flm.encode(e_u, e_v, flm.type_ids(prompt.schema)[None, :])
-    dec_in = np.array([[flm.bos] + list(f[:-1]) for f in flows],
-                      dtype=np.intp)
-    logits = flm.decode(dec_in, enc)
-    masks = np.stack([
-        [flm.step_mask(prompt.schema[j],
-                       prev_entity=f[j - 1] if j else None,
-                       target=f[j]) for j in range(n)]
-        for f in flows
-    ])
-    logp = ad.log_softmax(logits + ad.Tensor(masks), axis=-1)
-    flat = ad.reshape(logp, (t * n, flm.vocab_size))
-    targets = np.concatenate([list(f) for f in flows]).astype(np.intp)
-    picked = ad.take_pairs(flat, np.arange(t * n), targets)
-    return ad.tensor_sum(ad.reshape(picked, (t, n)), axis=1)
+    steps = _flow_log_probs(flm, prompt.e_u, prompt.e_v, [prompt.schema],
+                            flows)
+    return ad.tensor_sum(steps, axis=1)
 
 
 def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
@@ -439,26 +439,12 @@ def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
 
 def _batch_nll(flm, batch, entity_emb):
     """Mean per-flow negative log-likelihood of a same-length batch."""
-    b = len(batch)
-    n = len(batch[0].entities)
-    prompts_u = ad.concat([ad.reshape(user_prompt(flm, ex.seeker_entities,
-                                                  entity_emb), (1, -1))
-                           for ex in batch], axis=0)
-    prompts_v = ad.concat([ad.reshape(user_prompt(flm, ex.recommender_entities,
-                                                  entity_emb), (1, -1))
-                           for ex in batch], axis=0)
-    type_ids = np.stack([flm.type_ids(ex.schema) for ex in batch])
-    enc = flm.encode(prompts_u, prompts_v, type_ids)
-    dec_in = np.stack([[flm.bos] + list(ex.entities[:-1]) for ex in batch])
-    logits = flm.decode(dec_in.astype(np.intp), enc)
-    masks = np.stack([
-        [flm.step_mask(ex.schema[j],
-                       prev_entity=ex.entities[j - 1] if j else None,
-                       target=ex.entities[j]) for j in range(n)]
-        for ex in batch
-    ])
-    logp = ad.log_softmax(logits + ad.Tensor(masks), axis=-1)
-    flat = ad.reshape(logp, (b * n, flm.vocab_size))
-    targets = np.concatenate([ex.entities for ex in batch]).astype(np.intp)
-    picked = ad.take_pairs(flat, np.arange(b * n), targets)
-    return -ad.mul(ad.tensor_sum(picked), 1.0 / b)
+    def stacked(entity_lists):
+        return ad.concat([ad.reshape(user_prompt(flm, ids, entity_emb),
+                                     (1, -1)) for ids in entity_lists],
+                         axis=0)
+    steps = _flow_log_probs(
+        flm, stacked([ex.seeker_entities for ex in batch]),
+        stacked([ex.recommender_entities for ex in batch]),
+        [ex.schema for ex in batch], [ex.entities for ex in batch])
+    return -ad.mul(ad.tensor_sum(steps), 1.0 / len(batch))

@@ -1,5 +1,6 @@
 """Assembly helpers shared by the CLI and the training loops: corpus
-artifacts, simulator construction, and sample extraction."""
+artifacts, sample extraction, and the simulator, which this module alone
+builds, saves and loads (it owns the simulator's file names)."""
 
 from __future__ import annotations
 
@@ -124,6 +125,24 @@ def build_user_pairs(dialogues, hkg):
     return pairs
 
 
+SIMULATOR_FILES = ("flm.ckpt", "clf.ckpt", "sim_emb.ckpt", "catalog.json")
+
+
+def _flow_model(hkg, cfg, d_e):
+    return flmm.FlowLM(hkg, flmm.FlowLMConfig(
+        d_model=cfg.d_model, n_layers=cfg.n_layers, n_heads=cfg.n_heads,
+        ff_mult=cfg.ff_mult, d_e=d_e, max_len=cfg.max_len,
+        connectivity_mask=cfg.connectivity_mask, hop_limit=cfg.hop_limit,
+        seed=cfg.seed))
+
+
+def _classifier_store(cfg, d_e, num_schemas):
+    store = ad.ParamStore()
+    sc.init_classifier_params(store, d_e=d_e, num_schemas=num_schemas,
+                              rng=np.random.default_rng(cfg.seed))
+    return store
+
+
 def build_simulator(hkg, train_dialogues, entity_emb, cfg=None):
     """Mine schemas, pre-train the flow model on real + pseudo flows, train
     the schema classifier, and collect the template bank.
@@ -143,11 +162,7 @@ def build_simulator(hkg, train_dialogues, entity_emb, cfg=None):
     if len(catalog) == 0:
         raise DataError(f"no schema reaches min_support={cfg.min_support}")
 
-    model = flmm.FlowLM(hkg, flmm.FlowLMConfig(
-        d_model=cfg.d_model, n_layers=cfg.n_layers, n_heads=cfg.n_heads,
-        ff_mult=cfg.ff_mult, d_e=entity_emb.shape[1], max_len=cfg.max_len,
-        connectivity_mask=cfg.connectivity_mask, hop_limit=cfg.hop_limit,
-        seed=cfg.seed))
+    model = _flow_model(hkg, cfg, entity_emb.shape[1])
 
     pseudo = [flmm.sample_pseudo_flow(hkg, catalog, rng,
                                       hop_limit=cfg.hop_limit)
@@ -158,10 +173,7 @@ def build_simulator(hkg, train_dialogues, entity_emb, cfg=None):
                                 batch_size=cfg.flm_batch, lr=cfg.flm_lr,
                                 seed=cfg.seed)
 
-    clf_store = ad.ParamStore()
-    sc.init_classifier_params(clf_store, d_e=entity_emb.shape[1],
-                              num_schemas=len(catalog),
-                              rng=np.random.default_rng(cfg.seed))
+    clf_store = _classifier_store(cfg, entity_emb.shape[1], len(catalog))
     pairs = []
     for ex, d in real:
         gold = catalog.index_of(ex.schema)
@@ -180,3 +192,29 @@ def build_simulator(hkg, train_dialogues, entity_emb, cfg=None):
     return SimulatorBundle(flm=model, catalog=catalog, clf_store=clf_store,
                            bank=bank, entity_emb=np.array(entity_emb),
                            hkg=hkg, pretrain_history=history)
+
+
+def save_simulator(sim, path):
+    """Write the simulator's files; ``path(name)`` gives each file's path."""
+    ad.save_checkpoint(path("flm.ckpt"), sim.flm.store)
+    ad.save_checkpoint(path("clf.ckpt"), sim.clf_store)
+    ad.save_checkpoint(path("sim_emb.ckpt"), {"entity_emb": sim.entity_emb})
+    with open(path("catalog.json"), "w", encoding="utf-8") as fh:
+        fh.write(sim.catalog.to_json() + "\n")
+
+
+def load_simulator(hkg, train_dialogues, path, cfg):
+    """Rebuild a simulator from the files ``save_simulator`` wrote; the
+    template bank is collected again from ``train_dialogues``."""
+    with open(path("catalog.json"), encoding="utf-8") as fh:
+        catalog = sc.SchemaCatalog.from_json(fh.read(),
+                                             min_support=cfg.min_support,
+                                             max_len=cfg.max_len)
+    entity_emb = ad.load_checkpoint(path("sim_emb.ckpt"))["entity_emb"]
+    model = _flow_model(hkg, cfg, entity_emb.shape[1])
+    model.store.load_values(ad.load_checkpoint(path("flm.ckpt")))
+    clf_store = _classifier_store(cfg, entity_emb.shape[1], len(catalog))
+    clf_store.load_values(ad.load_checkpoint(path("clf.ckpt")))
+    bank = rz.build_template_bank(train_dialogues, hkg.base)
+    return SimulatorBundle(flm=model, catalog=catalog, clf_store=clf_store,
+                           bank=bank, entity_emb=entity_emb, hkg=hkg)

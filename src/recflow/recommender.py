@@ -20,8 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from . import embeddings as emb
 
-MASK_NEG = -1e30
-
 
 class LabelNotItem(ValueError):
     def __init__(self, label):
@@ -137,7 +135,7 @@ class RecModel:
         b = len(contexts)
         pad = max(max((len(c) for c in contexts), default=1), 1)
         ids = np.zeros((b, pad), dtype=np.intp)
-        mask = np.full((b, pad), MASK_NEG)
+        mask = np.full((b, pad), ad.MASK_NEG)
         nonempty = np.zeros((b, 1))
         for i, ctx in enumerate(contexts):
             if len(ctx):

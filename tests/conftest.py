@@ -19,6 +19,7 @@ class MiniWorld:
     rec_d_e: int
     rec_snapshot: dict
     sim: object
+    sim_cfg: object
     pairs: list
     train_samples: list
     val_samples: list
@@ -43,14 +44,15 @@ def mini():
     rec = rc.RecModel(hkg, d_e=16, seed=0)
     rc.pretrain_recommender(rec, train_samples, val_samples, steps=200,
                             batch_size=32, lr=3e-3, eval_every=50, seed=0)
+    sim_cfg = pl.SimulatorConfig(d_model=16, n_layers=1, n_heads=2,
+                                 ff_mult=2, min_support=2, pseudo_ratio=2,
+                                 flm_epochs=2, flm_batch=8, clf_steps=100,
+                                 seed=0)
     sim = pl.build_simulator(hkg, world.train, rec.entity_embeddings_array(),
-                             pl.SimulatorConfig(d_model=16, n_layers=1,
-                                                n_heads=2, ff_mult=2,
-                                                min_support=2, pseudo_ratio=2,
-                                                flm_epochs=2, flm_batch=8,
-                                                clf_steps=100, seed=0))
+                             sim_cfg)
     pairs = pl.build_user_pairs(world.train, hkg)
     return MiniWorld(world=world, hkg=hkg, rec_seed=0, rec_d_e=16,
                      rec_snapshot=rec.store.values_dict(), sim=sim,
-                     pairs=pairs, train_samples=train_samples,
+                     sim_cfg=sim_cfg, pairs=pairs,
+                     train_samples=train_samples,
                      val_samples=val_samples, test_samples=test_samples)

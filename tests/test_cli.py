@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,6 +6,8 @@ import pytest
 
 from recflow import cli
 from recflow import corpus as cp
+from recflow import counterfactual as cf
+from recflow import pipeline as pl
 from recflow import synthetic as syn
 from recflow.config import ConfigError, RunConfig
 
@@ -242,3 +245,58 @@ def test_full_pipeline_deterministic_across_runs(tmp_path, world_files):
         })
     for name, blob in digests[0].items():
         assert blob == digests[1][name], f"{name} differs between runs"
+
+
+def test_simulate_reuses_saved_simulator(tmp_path, world_files, monkeypatch):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("simulator rebuilt instead of loaded")
+
+    monkeypatch.setattr(pl, "build_simulator", no_rebuild)
+    assert cli.main(["simulate", "--config", cfg_path]) == 0
+    assert len(cp.load_dialogues_file(out / "simulated.jsonl")) == 5
+    # loaded files are inputs of this run, not outputs
+    outputs = read_manifest(out)["outputs"]
+    assert not set(pl.SIMULATOR_FILES) & set(outputs)
+
+
+def test_derived_configs_draw_each_field_from_one_run_field():
+    def bumped(value):
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, (int, float)):
+            return value * 2 + 3
+        if isinstance(value, str):
+            return value + "x"
+        return list(value) + [0.5]
+
+    base = RunConfig()
+    sim_renames = {"d_model": "flm_d_model", "n_layers": "flm_layers",
+                   "n_heads": "flm_heads", "ff_mult": "flm_ff_mult"}
+    train_renames = {"rec_steps": "course_rec_steps"}
+    for cls, derive, renames in (
+            (pl.SimulatorConfig, cli.sim_config, sim_renames),
+            (cf.TrainConfig, cli.train_config, train_renames)):
+        before = derive(base)
+        assert type(before) is cls
+        sources = {}
+        for run_field in dataclasses.fields(RunConfig):
+            changed = dataclasses.replace(
+                base, **{run_field.name: bumped(getattr(base,
+                                                        run_field.name))})
+            after = derive(changed)
+            for f in dataclasses.fields(cls):
+                if getattr(after, f.name) != getattr(before, f.name):
+                    assert getattr(after, f.name) == getattr(
+                        changed, run_field.name)
+                    sources.setdefault(f.name, []).append(run_field.name)
+        expected = {f.name for f in dataclasses.fields(cls)} - {"ks"}
+        assert set(sources) == expected
+        assert all(len(runs) == 1 for runs in sources.values()), sources
+        drawn = {name: runs[0] for name, runs in sources.items()}
+        assert len(set(drawn.values())) == len(drawn)
+        assert {k: v for k, v in drawn.items() if k != v} == renames
+    assert cli.train_config(base).ks == cf.TrainConfig().ks

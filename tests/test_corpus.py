@@ -215,7 +215,7 @@ def test_save_load_round_trip(tmp_path, movie_kg):
     assert d2.to_record() == d.to_record()
 
 
-def test_dialogue_user_pairs_fallback_naming():
+def test_user_of_fallback_naming():
     d = load_one(mk_dialogue("d7", [("seeker", "hi", [])]))
-    (pair,) = cp.dialogue_user_pairs([d])
-    assert pair == ("d7:seeker", "d7:recommender")
+    assert d.user_of(cp.SEEKER) == "d7:seeker"
+    assert d.user_of(cp.RECOMMENDER) == "d7:recommender"

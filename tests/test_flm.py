@@ -236,6 +236,43 @@ def test_batch_log_probs_match_single_scorer(full_hkg):
     assert np.allclose(grads_b["e_u"], total_u, atol=1e-12)
 
 
+def test_batch_nll_matches_single_scorer_on_mixed_prompts(full_hkg):
+    flm = make_flm(full_hkg)
+    randomize_head(flm, 29)
+    kg = full_hkg.base
+    g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
+    m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
+    a1 = kg.entity_id("a1")
+    emb_table = np.random.default_rng(4).normal(
+        size=(full_hkg.num_nodes, flm.cfg.d_e)) * 0.5
+    # same length, different schemas and prompts (one side empty)
+    batch = [
+        flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1]),
+        flmm.FlowExample([m2, g2], ("item", "genre"), [m2, g2], []),
+        flmm.FlowExample([a1, m2], ("actor", "item"), [m2], [a1]),
+    ]
+    loss = flmm._batch_nll(flm, batch, emb_table)
+    grads_b = ad.backward(loss, flm.store)
+
+    total = 0.0
+    grads_s = {}
+    for ex in batch:
+        bundle = flmm.PromptBundle(
+            flmm.user_prompt(flm, ex.seeker_entities, emb_table),
+            flmm.user_prompt(flm, ex.recommender_entities, emb_table),
+            ex.schema)
+        nll = ad.mul(-flmm.flow_log_prob(flm, bundle, ex.entities),
+                     1.0 / len(batch))
+        total += nll.item()
+        for name, g in ad.backward(nll, flm.store).items():
+            grads_s[name] = grads_s.get(name, 0.0) + g
+    assert abs(loss.item() - total) <= 1e-12
+    assert set(grads_b) == set(grads_s)
+    assert "flm.attn.w" in grads_b  # the prompt encoder is on the path
+    for name, g in grads_b.items():
+        assert np.allclose(g, grads_s[name], rtol=0, atol=1e-12), name
+
+
 def test_swapped_prompts_change_encoder_output(full_hkg):
     flm = make_flm(full_hkg, seed=5)
     rng = np.random.default_rng(2)

@@ -1,0 +1,27 @@
+import numpy as np
+
+from recflow import pipeline as pl
+
+
+def test_saved_simulator_reloads_bit_for_bit(mini, tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    pl.save_simulator(mini.sim, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        pl.SIMULATOR_FILES)
+    loaded = pl.load_simulator(mini.hkg, mini.world.train, path,
+                               mini.sim_cfg)
+    assert loaded.catalog.schemas == mini.sim.catalog.schemas
+    assert loaded.flm.cfg == mini.sim.flm.cfg
+    for pair in mini.pairs[:4]:
+        outs = []
+        for sim in (mini.sim, loaded):
+            e_u, e_v = sim.prompt(pair.u_entities), sim.prompt(pair.v_entities)
+            rng = np.random.default_rng(17)
+            out = sim.simulate(e_u, e_v, rng, user_pair=(pair.user_u,
+                                                         pair.user_v))
+            outs.append((e_u.data.tobytes(), e_v.data.tobytes(),
+                         out.schema, out.flow_entities,
+                         out.dialogue.to_record()))
+        assert outs[0] == outs[1]

@@ -85,23 +85,23 @@ class RunConfig:
                          "sims_per_pair", "patience", "n_simulate")
         for name in positive_ints:
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ConfigError(name, f"must be a positive integer, got {v!r}")
         non_negative_ints = ("rec_steps", "courses", "course_rec_steps",
                              "seed", "workers", "pseudo_ratio")
         for name in non_negative_ints:
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ConfigError(name, f"must be a non-negative integer, got {v!r}")
         for name in ("rec_lr", "flm_lr", "clf_lr", "alpha", "temperature"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not v > 0:
+            if type(v) not in (int, float) or not v > 0:
                 raise ConfigError(name, f"must be positive, got {v!r}")
         for name in ("rho", "mix_ratio"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or v < 0:
+            if type(v) not in (int, float) or not v >= 0:
                 raise ConfigError(name, f"must be >= 0, got {v!r}")
-        if not 0 < self.delta <= 1:
+        if type(self.delta) not in (int, float) or not 0 < self.delta <= 1:
             raise ConfigError("delta", f"must be in (0, 1], got {self.delta!r}")
         if self.precision not in ("f64", "f32"):
             raise ConfigError("precision", f"must be f64 or f32, got "

@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import embeddings as emb
 from . import flm as flmm
+from . import pipeline as pl
 from . import realization as rz
 from . import recommender as rc
 
@@ -372,10 +373,8 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
             baseline = 0.9 * baseline + 0.1 * float(np.mean(rewards))
         assert rec_model.store.checksum() == rec_before, \
             "edit phase must not write recommender parameters"
-        samples = []
-        for realized in dialogues:
-            samples.extend(rz.to_rec_samples(realized, sim.hkg.base,
-                                             source="simulated"))
+        samples = pl.samples_from_dialogues(dialogues, sim.hkg.base,
+                                            source="simulated")
         return dialogues, samples, {
             "mean_reward": float(np.mean(rewards)) if rewards else 0.0,
             "edit_norm": float(np.mean(norms)) if norms else 0.0}
@@ -401,10 +400,7 @@ def train_eda(rec_model, bank, hkg, flow_pool, real_train, val_samples, cfg):
                 continue
             dialogues.append(rz.realize(flow, schema, bank, kg, rng,
                                         dialogue_id=f"eda-c{course}-{j}"))
-        samples = []
-        for realized in dialogues:
-            samples.extend(rz.to_rec_samples(realized, kg,
-                                             source="simulated"))
+        samples = pl.samples_from_dialogues(dialogues, kg, source="simulated")
         return dialogues, samples, {}
 
     return curriculum_train(rec_model, real_train, val_samples, cfg,

@@ -15,7 +15,10 @@ relation under which a node has no neighbors adds a zero block. User
 preference is the attention-weighted combination of the user's
 interacted-entity embeddings,
 
-    alpha = softmax(b^T tanh(W_a E_u^T)),   e_u = E_u^T alpha.
+    alpha = softmax(b^T tanh(W_a E_u^T)),   e_u = E_u^T alpha,
+
+pooled for a batch of ragged id lists as one padded, masked block
+(``pool_entities``; an empty list pools to zero).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ class EmptyEntitySet(ValueError):
 class UserPreference:
     e_u: ad.Tensor        # (d_e,) via reshape of (1, d_e)
     alpha: ad.Tensor      # (n,)
-    entity_matrix: ad.Tensor  # (n, d_e) view the attention ran over
 
 
 def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
@@ -98,4 +100,24 @@ def encode_user(entity_matrix, w_attn, b_attn):
     alpha = ad.softmax(ad.reshape(scores, (-1,)), axis=-1)
     n = entity_matrix.shape[0]
     e_u = ad.reshape(ad.reshape(alpha, (1, n)) @ entity_matrix, (-1,))
-    return UserPreference(e_u=e_u, alpha=alpha, entity_matrix=entity_matrix)
+    return UserPreference(e_u=e_u, alpha=alpha)
+
+
+def pool_entities(table, id_lists, w_attn, b_attn):
+    """Attention-pool the rows of ``table`` (a Tensor, or a frozen ndarray)
+    named by each id list into (B, d_e); an empty list gives a zero row."""
+    lens = np.array([len(c) for c in id_lists], dtype=np.intp)
+    b, pad, d_e = len(lens), max(int(lens.max(initial=0)), 1), table.shape[1]
+    ids = np.zeros((b, pad), dtype=np.intp)
+    for i, ctx in enumerate(id_lists):
+        ids[i, :len(ctx)] = ctx
+    # an empty list keeps slot 0 open (a harmless row the gate zeroes)
+    mask = np.where(np.arange(pad) < np.maximum(lens, 1)[:, None], 0.0,
+                    ad.MASK_NEG)
+    nonempty = (lens > 0).astype(np.float64)[:, None]
+    rows = ad.reshape(ad.rows(table, ids.reshape(-1)), (b, pad, d_e))
+    scores = ad.reshape(ad.tanh(rows @ ad.transpose(w_attn)) @ b_attn,
+                        (b, pad))
+    alpha = ad.softmax(scores + ad.Tensor(mask), axis=-1)
+    pooled = ad.reshape(ad.reshape(alpha, (b, 1, pad)) @ rows, (b, d_e))
+    return ad.mul(pooled, ad.Tensor(nonempty))

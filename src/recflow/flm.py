@@ -13,6 +13,8 @@ class; generated tokens never need the widening.
 One batched scorer computes a flow's per-step log-probabilities under these
 masks. Teacher-forced pre-training, the REINFORCE policy gradient of the
 counterfactual edits and single-flow scoring are thin wrappers around it.
+Pre-training pools a batch's seeker prompts as one padded block, and its
+recommender prompts as another (``embeddings.pool_entities``).
 """
 
 from __future__ import annotations
@@ -390,15 +392,16 @@ def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2, retry_budget=50,
         f"no schema produced a path in {max_schema_tries} tries")
 
 
-def user_prompt(flm, entity_ids, entity_emb):
-    """Preference vector for an interaction list under the model's own
+def user_prompts(flm, id_lists, entity_emb):
+    """(len(id_lists), d_e) preference vectors under the model's own
     attention parameters; an empty list maps to the zero vector."""
-    if len(entity_ids) == 0:
-        return ad.Tensor(np.zeros(flm.cfg.d_e))
-    mat = entity_emb[np.asarray(entity_ids, dtype=np.intp)]
-    pref = emb.encode_user(ad.Tensor(mat), flm.store["flm.attn.w"],
-                           flm.store["flm.attn.b"])
-    return pref.e_u
+    return emb.pool_entities(entity_emb, id_lists, flm.store["flm.attn.w"],
+                             flm.store["flm.attn.b"])
+
+
+def user_prompt(flm, entity_ids, entity_emb):
+    """Preference vector, shape (d_e,), for one interaction list."""
+    return ad.reshape(user_prompts(flm, [entity_ids], entity_emb), (-1,))
 
 
 def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
@@ -439,12 +442,10 @@ def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
 
 def _batch_nll(flm, batch, entity_emb):
     """Mean per-flow negative log-likelihood of a same-length batch."""
-    def stacked(entity_lists):
-        return ad.concat([ad.reshape(user_prompt(flm, ids, entity_emb),
-                                     (1, -1)) for ids in entity_lists],
-                         axis=0)
     steps = _flow_log_probs(
-        flm, stacked([ex.seeker_entities for ex in batch]),
-        stacked([ex.recommender_entities for ex in batch]),
+        flm, user_prompts(flm, [ex.seeker_entities for ex in batch],
+                          entity_emb),
+        user_prompts(flm, [ex.recommender_entities for ex in batch],
+                     entity_emb),
         [ex.schema for ex in batch], [ex.entities for ex in batch])
     return -ad.mul(ad.tensor_sum(steps), 1.0 / len(batch))

@@ -214,7 +214,10 @@ def load_simulator(hkg, train_dialogues, path, cfg):
     model = _flow_model(hkg, cfg, entity_emb.shape[1])
     model.store.load_values(ad.load_checkpoint(path("flm.ckpt")))
     clf_store = _classifier_store(cfg, entity_emb.shape[1], len(catalog))
-    clf_store.load_values(ad.load_checkpoint(path("clf.ckpt")))
+    try:
+        clf_store.load_values(ad.load_checkpoint(path("clf.ckpt")))
+    except ValueError as err:  # catalog.json re-mined since the save
+        raise DataError(f"clf.ckpt does not fit catalog.json: {err}") from err
     bank = rz.build_template_bank(train_dialogues, hkg.base)
     return SimulatorBundle(flm=model, catalog=catalog, clf_store=clf_store,
                            bank=bank, entity_emb=entity_emb, hkg=hkg)

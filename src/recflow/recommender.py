@@ -2,8 +2,8 @@
 pooling, inner-product scoring over the item set, plus the ranking and
 diversity metric suite.
 
-The context encoder is the same attention form as the user-preference
-encoder, applied to the entities mentioned so far (with its own parameters).
+The context encoder pools the mentioned entities with the user-preference
+attention pool (``embeddings.pool_entities``), under its own parameters.
 Scores are context . item + item_bias; an empty context falls back to the
 learned item prior (the bias), which starts uniform.
 """
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import embeddings as emb
+from .realization import ITEM_TYPE
 
 
 class LabelNotItem(ValueError):
@@ -97,7 +98,7 @@ class RecModel:
     """Graph entity encoder + attention context pooling + item scorer."""
 
     def __init__(self, hkg, d_e=64, num_layers=1, num_bases=8, seed=0,
-                 item_type="item", activation="tanh"):
+                 item_type=ITEM_TYPE, activation="tanh"):
         self.hkg = hkg
         self.d_e = d_e
         self.num_layers = num_layers
@@ -129,33 +130,9 @@ class RecModel:
         with ad.no_grad():
             return self.entity_embeddings().data.copy()
 
-    def context_vectors(self, table, contexts):
-        """Pool each context entity list into a vector; empty contexts map
-        to zero. Returns a (B, d_e) tensor."""
-        b = len(contexts)
-        pad = max(max((len(c) for c in contexts), default=1), 1)
-        ids = np.zeros((b, pad), dtype=np.intp)
-        mask = np.full((b, pad), ad.MASK_NEG)
-        nonempty = np.zeros((b, 1))
-        for i, ctx in enumerate(contexts):
-            if len(ctx):
-                ids[i, :len(ctx)] = ctx
-                mask[i, :len(ctx)] = 0.0
-                nonempty[i, 0] = 1.0
-            else:
-                mask[i, 0] = 0.0  # harmless row; zeroed by the gate below
-        rows = ad.reshape(ad.rows(table, ids.reshape(-1)),
-                          (b, pad, self.d_e))
-        scores = ad.reshape(
-            ad.tanh(rows @ ad.transpose(self.store["rec.attn.w"]))
-            @ self.store["rec.attn.b"], (b, pad))
-        alpha = ad.softmax(scores + ad.Tensor(mask), axis=-1)
-        pooled = ad.reshape(ad.reshape(alpha, (b, 1, pad)) @ rows,
-                            (b, self.d_e))
-        return ad.mul(pooled, ad.Tensor(nonempty))
-
     def item_logits(self, table, contexts):
-        ctx = self.context_vectors(table, contexts)
+        ctx = emb.pool_entities(table, contexts, self.store["rec.attn.w"],
+                                self.store["rec.attn.b"])
         items = ad.rows(table, self.item_ids)
         return ctx @ ad.transpose(items) + self.store["rec.item_bias"]
 

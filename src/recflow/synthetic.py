@@ -17,6 +17,7 @@ import numpy as np
 
 from . import corpus as cp
 from . import kg as kgm
+from .realization import ITEM_TYPE
 
 DECORATIVE_TYPES = (["mood", "era", "country", "studio"]
                     + [f"tag{i}" for i in range(12)])
@@ -117,7 +118,7 @@ def make_world(seed=0, num_clusters=5, items_per_cluster=20,
         cluster_items = []
         for j in range(items_per_cluster):
             name = f"item{c * items_per_cluster + j}"
-            types[name] = "item"
+            types[name] = ITEM_TYPE
             cluster_items.append(name)
             item_genres[name] = list(genres[c])
             for g in genres[c]:

@@ -65,6 +65,13 @@ def test_config_validates_ranges():
         RunConfig.from_dict({"rollouts": 0})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"precision": "f16"})
+    # bools are ints in Python but never a valid number here; NaN compares
+    # false with every bound, so it must fail the check rather than pass it
+    for bad in ({"d_e": True}, {"rollouts": True}, {"temperature": True},
+                {"mix_ratio": False}, {"delta": "x"},
+                {"mix_ratio": float("nan")}, {"rho": float("nan")}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(bad)
 
 
 def test_cli_unknown_key_exits_2(tmp_path, world_files):
@@ -261,6 +268,17 @@ def test_simulate_reuses_saved_simulator(tmp_path, world_files, monkeypatch):
     # loaded files are inputs of this run, not outputs
     outputs = read_manifest(out)["outputs"]
     assert not set(pl.SIMULATOR_FILES) & set(outputs)
+
+
+def test_simulate_after_remined_catalog_exits_3(tmp_path, world_files):
+    # mine-schemas rewrites the simulator's catalog.json with fewer schemas
+    # than the saved classifier was trained on
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
+    assert cli.main(["mine-schemas", "--config", cfg_path,
+                     "--set", "min_support=12"]) == 0
+    assert cli.main(["simulate", "--config", cfg_path]) == 3
 
 
 def test_derived_configs_draw_each_field_from_one_run_field():

@@ -231,3 +231,48 @@ def test_alpha_is_a_distribution():
                                store["attn.w"], store["attn.b"])
         assert np.all(pref.alpha.data >= 0)
         assert abs(pref.alpha.data.sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("d_e", [8, 32, 128])
+def test_pool_entities_one_list_is_bit_equal_to_encode_user(d_e):
+    rng = np.random.default_rng(d_e)
+    store = ad.ParamStore()
+    emb.init_attention_params(store, d_e=d_e, rng=rng)
+    table = rng.normal(size=(30, d_e))
+    for n in (1, 2, 5, 11):
+        ids = [int(i) for i in rng.integers(0, 30, size=n)]
+        pooled = emb.pool_entities(table, [ids], store["attn.w"],
+                                   store["attn.b"])
+        pref = emb.encode_user(ad.Tensor(table[ids]), store["attn.w"],
+                               store["attn.b"])
+        assert pooled.shape == (1, d_e)
+        assert pooled.data[0].tobytes() == pref.e_u.data.tobytes()
+
+
+def test_pool_entities_ragged_batch_matches_per_list_encode_user():
+    rng = np.random.default_rng(12)
+    d_e = 6
+    store = ad.ParamStore()
+    emb.init_attention_params(store, d_e=d_e, rng=rng)
+    table = rng.normal(size=(20, d_e))
+    id_lists = [[3, 7, 7, 1], [], [5], [0, 19, 2, 8, 4, 11, 6, 9, 13], [2, 2]]
+    weights = rng.normal(size=(len(id_lists), d_e))
+
+    pooled = emb.pool_entities(table, id_lists, store["attn.w"],
+                               store["attn.b"])
+    grads_b = ad.backward(ad.tensor_sum(pooled * ad.Tensor(weights)), store)
+
+    assert np.all(pooled.data[1] == 0.0)
+    grads_s = {name: np.zeros_like(store[name].data)
+               for name in ("attn.w", "attn.b")}
+    for i, ids in enumerate(id_lists):
+        if not ids:
+            continue
+        e_u = emb.encode_user(ad.Tensor(table[ids]), store["attn.w"],
+                              store["attn.b"]).e_u
+        assert np.allclose(pooled.data[i], e_u.data, rtol=0, atol=1e-12)
+        g = ad.backward(ad.tensor_sum(e_u * ad.Tensor(weights[i])), store)
+        for name in grads_s:
+            grads_s[name] += g[name]
+    for name, g in grads_s.items():
+        assert np.allclose(grads_b[name], g, rtol=0, atol=1e-12), name

@@ -273,6 +273,27 @@ def test_batch_nll_matches_single_scorer_on_mixed_prompts(full_hkg):
         assert np.allclose(g, grads_s[name], rtol=0, atol=1e-12), name
 
 
+def test_batch_nll_tape_size_does_not_grow_with_batch(full_hkg):
+    # both sides' prompts are pooled as one padded block per batch, so the
+    # tape is the same size for 2 flows and for 16
+    flm = make_flm(full_hkg)
+    kg = full_hkg.base
+    g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
+    m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
+    emb_table = np.random.default_rng(6).normal(
+        size=(full_hkg.num_nodes, flm.cfg.d_e))
+    pool = [
+        flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1]),
+        flmm.FlowExample([m2, g2], ("item", "genre"), [m2, g2], []),
+        flmm.FlowExample([g2, m2], ("genre", "item"), [], [g2, m2, g1]),
+        flmm.FlowExample([m1, g1], ("item", "genre"), [m1], [g1]),
+    ]
+    sizes = [len(ad._topo_order(flmm._batch_nll(flm, (pool * 4)[:b],
+                                                emb_table)))
+             for b in (2, 16)]
+    assert sizes[0] == sizes[1]
+
+
 def test_swapped_prompts_change_encoder_output(full_hkg):
     flm = make_flm(full_hkg, seed=5)
     rng = np.random.default_rng(2)

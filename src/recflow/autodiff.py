@@ -2,8 +2,9 @@
 
 Small tape-based engine: every operation returns a ``Tensor`` that remembers
 its parents and a vector-Jacobian closure. ``backward`` walks the tape in
-reverse topological order. 64-bit floats are the default; 32-bit is allowed
-for throughput (gradient checks are only reliable in 64-bit).
+reverse topological order. Every tensor holds 64-bit floats: gradient checks
+and bit-reproducible runs rely on it. Checkpoints may still carry 32-bit
+arrays; loading them into a ``ParamStore`` widens them.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
-
-DEFAULT_DTYPE = np.float64
-PARAM_DTYPE = np.float64
 
 _F64_TAG = 0
 _F32_TAG = 1
@@ -43,13 +41,6 @@ class DuplicateParameter(ValueError):
 _grad_enabled = True
 
 
-def set_param_dtype(dtype):
-    """Storage dtype for newly registered parameters (the 32-bit speed
-    path); gradient checks remain reliable only in 64-bit."""
-    global PARAM_DTYPE
-    PARAM_DTYPE = np.dtype(dtype).type
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (forward-only evaluation)."""
@@ -65,13 +56,8 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_vjp", "requires_grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(dtype or DEFAULT_DTYPE)
-        elif dtype is not None and arr.dtype != dtype:
-            arr = arr.astype(dtype)
-        self.data = arr
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = ()
         self._vjp = None
@@ -128,10 +114,10 @@ class Tensor:
         return take(self, key)
 
 
-def as_tensor(value, dtype=None):
+def as_tensor(value):
     if isinstance(value, Tensor):
         return value
-    return Tensor(value, dtype=dtype)
+    return Tensor(value)
 
 
 def _make(data, parents, vjp):
@@ -358,10 +344,10 @@ class SegmentPlan:
         return SegmentPlan(*self._transposed)
 
     def apply(self, x):
-        """Plain-array forward on (num_sources, d) rows, in ``x``'s dtype."""
-        out = np.zeros((self.num_segments, x.shape[1]), dtype=x.dtype)
+        """Plain-array forward on (num_sources, d) rows."""
+        out = np.zeros((self.num_segments, x.shape[1]))
         vals = np.take(x, self._gather, axis=0)
-        vals *= self._w.astype(x.dtype, copy=False)
+        vals *= self._w
         out[self._targets] = np.add.reduceat(vals, self._starts, axis=0)
         return out
 
@@ -489,11 +475,10 @@ class ParamStore:
         self._state = {}
         self.step_count = 0
 
-    def add(self, name, value, dtype=None):
+    def add(self, name, value):
         if name in self._params:
             raise DuplicateParameter(name)
-        t = Tensor(np.array(value, copy=True), requires_grad=True,
-                   dtype=dtype or PARAM_DTYPE)
+        t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -518,7 +503,7 @@ class ParamStore:
     def load_values(self, values):
         for name, arr in values.items():
             p = self._params[name]
-            arr = np.asarray(arr, dtype=p.data.dtype)
+            arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name!r}: "
                                  f"{arr.shape} vs {p.data.shape}")
@@ -546,7 +531,6 @@ def optimizer_step(store, grads, lr, weight_decay=0.0,
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(name)
         p = store[name]
-        g = g.astype(p.data.dtype, copy=False)  # params keep their dtype
         st = store._state.get(name)
         if st is None:
             st = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
@@ -628,20 +612,32 @@ def save_checkpoint(path, store):
             fh.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
 
 
+def _read_exact(fh, n):
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated checkpoint: expected {n} more bytes, "
+                         f"got {len(data)}")
+    return data
+
+
 def load_checkpoint(path):
-    """Read a checkpoint into an ordered name -> ndarray mapping."""
+    """Read a checkpoint into an ordered name -> ndarray mapping.
+
+    A file that ends early raises ValueError.
+    """
     out = {}
     with open(path, "rb") as fh:
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", _read_exact(fh, 8))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            tag, rank = struct.unpack("<BB", fh.read(2))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
+            name = _read_exact(fh, name_len).decode("utf-8")
+            tag, rank = struct.unpack("<BB", _read_exact(fh, 2))
+            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
             dt = np.dtype("<f4") if tag == _F32_TAG else np.dtype("<f8")
             n = int(np.prod(dims)) if dims else 1
-            arr = np.frombuffer(fh.read(n * dt.itemsize), dtype=dt).reshape(dims)
+            arr = np.frombuffer(_read_exact(fh, n * dt.itemsize),
+                                dtype=dt).reshape(dims)
             out[name] = arr.astype(dt.base, copy=True)
     return out

@@ -148,7 +148,7 @@ def _load_or_pretrain_rec(cfg, ws, tracker):
     path = os.path.join(cfg.out_dir, "rec.ckpt")
     if os.path.exists(path):
         rec = build_rec(cfg, ws.hkg)
-        rec.store.load_values(ad.load_checkpoint(path))
+        pl.read_checkpoint(path, rec.store)
         return rec
     return _pretrain_rec(cfg, ws, tracker)
 
@@ -180,7 +180,7 @@ def _test_report(cfg, ws, rec, simulated):
         test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
         if test_samples:
             report = rc.evaluate(rec, test_samples, ks=(10, 50),
-                                 workers=cfg.resolved_workers())
+                                 workers=cfg.workers)
     if report is not None and simulated:
         responses = [t.text for r in simulated for t in r.dialogue.turns
                      if t.speaker == cp.RECOMMENDER]
@@ -349,10 +349,9 @@ def cmd_evaluate(cfg, checkpoint=None, responses=None):
                 break
     if ckpt is None:
         raise pl.DataError("no recommender checkpoint found to evaluate")
-    rec.store.load_values(ad.load_checkpoint(ckpt))
+    pl.read_checkpoint(ckpt, rec.store)
     test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
-    report = rc.evaluate(rec, test_samples, ks=(10, 50),
-                         workers=cfg.resolved_workers())
+    report = rc.evaluate(rec, test_samples, ks=(10, 50), workers=cfg.workers)
     if responses:
         texts = [t.text for d in cp.load_dialogues_file(responses)
                  for t in d.turns if t.speaker == cp.RECOMMENDER]
@@ -388,7 +387,8 @@ def cmd_sweep(cfg):
                        "courses_run": len(log)}
                 eval_samples = test_samples or val_samples
                 if eval_samples:
-                    report = rc.evaluate(rec, eval_samples, ks=(10, 50))
+                    report = rc.evaluate(rec, eval_samples, ks=(10, 50),
+                                         workers=cfg.workers)
                     row["recall@10"] = report.recall[10]
                     row["recall@50"] = report.recall[50]
                 rows.append(row)
@@ -461,8 +461,6 @@ def main(argv=None):
         if args.seed is not None:
             overrides["seed"] = args.seed
         cfg = RunConfig.load(args.config, overrides)
-        ad.set_param_dtype(np.float32 if cfg.precision == "f32"
-                           else np.float64)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, checkpoint=args.checkpoint,
                                 responses=args.responses)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 
@@ -69,7 +68,6 @@ class RunConfig:
     use_baseline: bool = False
     # misc
     seed: int = 0
-    precision: str = "f64"
     workers: int = 0
     n_simulate: int = 100
     sweep_rho: list = field(default_factory=lambda: [0.1, 0.01, 0.001])
@@ -103,9 +101,6 @@ class RunConfig:
                 raise ConfigError(name, f"must be >= 0, got {v!r}")
         if type(self.delta) not in (int, float) or not 0 < self.delta <= 1:
             raise ConfigError("delta", f"must be in (0, 1], got {self.delta!r}")
-        if self.precision not in ("f64", "f32"):
-            raise ConfigError("precision", f"must be f64 or f32, got "
-                                           f"{self.precision!r}")
         if self.flm_d_model % self.flm_heads:
             raise ConfigError("flm_heads", "must divide flm_d_model")
         return self
@@ -129,11 +124,6 @@ class RunConfig:
         if overrides:
             data.update(overrides)
         return cls.from_dict(data)
-
-    def resolved_workers(self):
-        if self.workers > 0:
-            return self.workers
-        return int(os.environ.get("RECFLOW_WORKERS", "1"))
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)

@@ -41,21 +41,21 @@ class UserPreference:
 
 
 def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
-                     rng=None, prefix="rgcn", dtype=None):
+                     rng=None, prefix="rgcn"):
     """Register the node table and per-layer relational weights."""
     rng = rng or np.random.default_rng(0)
     num_rel = len(hkg.rgcn_relations())
     if num_bases > num_rel:
         raise ValueError(f"num_bases {num_bases} exceeds relation count {num_rel}")
     store.add(f"{prefix}.node_emb",
-              ad.xavier_uniform((hkg.num_nodes, d_e), rng), dtype=dtype)
+              ad.xavier_uniform((hkg.num_nodes, d_e), rng))
     for layer in range(num_layers):
         store.add(f"{prefix}.l{layer}.bases",
-                  ad.xavier_uniform((num_bases, d_e, d_e), rng), dtype=dtype)
+                  ad.xavier_uniform((num_bases, d_e, d_e), rng))
         store.add(f"{prefix}.l{layer}.coeffs",
-                  ad.xavier_uniform((num_rel, num_bases), rng), dtype=dtype)
+                  ad.xavier_uniform((num_rel, num_bases), rng))
         store.add(f"{prefix}.l{layer}.w_self",
-                  ad.xavier_uniform((d_e, d_e), rng), dtype=dtype)
+                  ad.xavier_uniform((d_e, d_e), rng))
     return store
 
 
@@ -80,10 +80,10 @@ def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", activation="tanh"):
     return h
 
 
-def init_attention_params(store, d_e, rng=None, prefix="attn", dtype=None):
+def init_attention_params(store, d_e, rng=None, prefix="attn"):
     rng = rng or np.random.default_rng(0)
-    store.add(f"{prefix}.w", ad.xavier_uniform((d_e, d_e), rng), dtype=dtype)
-    store.add(f"{prefix}.b", ad.xavier_uniform((d_e, 1), rng), dtype=dtype)
+    store.add(f"{prefix}.w", ad.xavier_uniform((d_e, d_e), rng))
+    store.add(f"{prefix}.b", ad.xavier_uniform((d_e, 1), rng))
     return store
 
 

@@ -175,14 +175,15 @@ def build_simulator(hkg, train_dialogues, entity_emb, cfg=None):
 
     clf_store = _classifier_store(cfg, entity_emb.shape[1], len(catalog))
     pairs = []
-    for ex, d in real:
-        gold = catalog.index_of(ex.schema)
-        if gold is None:
-            continue
-        e_u = flmm.user_prompt(model, ex.seeker_entities, entity_emb).data
-        e_v = flmm.user_prompt(model, ex.recommender_entities,
-                               entity_emb).data
-        pairs.append((e_u, e_v, gold))
+    with ad.no_grad():
+        for ex, d in real:
+            gold = catalog.index_of(ex.schema)
+            if gold is None:
+                continue
+            e_u = flmm.user_prompt(model, ex.seeker_entities, entity_emb).data
+            e_v = flmm.user_prompt(model, ex.recommender_entities,
+                                   entity_emb).data
+            pairs.append((e_u, e_v, gold))
     if pairs:
         sc.train_schema_classifier(pairs, clf_store, catalog,
                                    steps=cfg.clf_steps, lr=cfg.clf_lr,
@@ -203,6 +204,20 @@ def save_simulator(sim, path):
         fh.write(sim.catalog.to_json() + "\n")
 
 
+def read_checkpoint(path, store=None):
+    """The arrays of checkpoint ``path``, loaded into ``store`` when one is
+    given. A file that does not parse, or does not fit ``store`` (another
+    ``d_e``, or a ``catalog.json`` re-mined since the save), is a
+    DataError."""
+    try:
+        values = ad.load_checkpoint(path)
+        if store is not None:
+            store.load_values(values)
+    except (ValueError, KeyError) as err:
+        raise DataError(f"cannot load checkpoint {path}: {err}") from err
+    return values
+
+
 def load_simulator(hkg, train_dialogues, path, cfg):
     """Rebuild a simulator from the files ``save_simulator`` wrote; the
     template bank is collected again from ``train_dialogues``."""
@@ -210,14 +225,12 @@ def load_simulator(hkg, train_dialogues, path, cfg):
         catalog = sc.SchemaCatalog.from_json(fh.read(),
                                              min_support=cfg.min_support,
                                              max_len=cfg.max_len)
-    entity_emb = ad.load_checkpoint(path("sim_emb.ckpt"))["entity_emb"]
+    entity_emb = np.asarray(
+        read_checkpoint(path("sim_emb.ckpt"))["entity_emb"], dtype=np.float64)
     model = _flow_model(hkg, cfg, entity_emb.shape[1])
-    model.store.load_values(ad.load_checkpoint(path("flm.ckpt")))
+    read_checkpoint(path("flm.ckpt"), model.store)
     clf_store = _classifier_store(cfg, entity_emb.shape[1], len(catalog))
-    try:
-        clf_store.load_values(ad.load_checkpoint(path("clf.ckpt")))
-    except ValueError as err:  # catalog.json re-mined since the save
-        raise DataError(f"clf.ckpt does not fit catalog.json: {err}") from err
+    read_checkpoint(path("clf.ckpt"), clf_store)
     bank = rz.build_template_bank(train_dialogues, hkg.base)
     return SimulatorBundle(flm=model, catalog=catalog, clf_store=clf_store,
                            bank=bank, entity_emb=entity_emb, hkg=hkg)

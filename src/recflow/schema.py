@@ -74,16 +74,15 @@ def mine_schemas(type_sequences, min_support=5, max_len=16):
 
 
 def init_classifier_params(store, d_e, num_schemas, hidden=None, rng=None,
-                           prefix="schema_clf", dtype=None):
+                           prefix="schema_clf"):
     """One-hidden-layer MLP over [e_u, e_v]; the output head starts at zero
     so an untrained classifier is exactly uniform."""
     rng = rng or np.random.default_rng(0)
     hidden = hidden or 2 * d_e
-    store.add(f"{prefix}.w1", ad.xavier_uniform((hidden, 2 * d_e), rng),
-              dtype=dtype)
-    store.add(f"{prefix}.b1", np.zeros((1, hidden)), dtype=dtype)
-    store.add(f"{prefix}.w2", np.zeros((num_schemas, hidden)), dtype=dtype)
-    store.add(f"{prefix}.b2", np.zeros((1, num_schemas)), dtype=dtype)
+    store.add(f"{prefix}.w1", ad.xavier_uniform((hidden, 2 * d_e), rng))
+    store.add(f"{prefix}.b1", np.zeros((1, hidden)))
+    store.add(f"{prefix}.w2", np.zeros((num_schemas, hidden)))
+    store.add(f"{prefix}.b2", np.zeros((1, num_schemas)))
     return store
 
 

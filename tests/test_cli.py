@@ -2,8 +2,10 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
+from recflow import autodiff as ad
 from recflow import cli
 from recflow import corpus as cp
 from recflow import counterfactual as cf
@@ -77,9 +79,11 @@ def test_config_validates_ranges():
 def test_cli_unknown_key_exits_2(tmp_path, world_files):
     cfg_path = write_config(tmp_path,
                             fast_config(world_files, tmp_path / "out"))
-    code = cli.main(["mine-schemas", "--config", cfg_path,
-                     "--set", "bogus_key=1"])
-    assert code == 2
+    # precision is a removed field: a stale config fails like a typo
+    for override in ("bogus_key=1", "precision=f32"):
+        code = cli.main(["mine-schemas", "--config", cfg_path,
+                         "--set", override])
+        assert code == 2, override
 
 
 def test_cli_missing_file_exits_3(tmp_path, world_files):
@@ -224,17 +228,39 @@ def test_flag_overrides_config_field(tmp_path, world_files):
         assert len(json.load(fh)) > 0
 
 
-def test_precision_flag_stores_f32_checkpoints(tmp_path, world_files):
-    from recflow import autodiff as ad
+def test_evaluate_loads_f32_checkpoint(tmp_path, world_files):
+    # earlier versions could store parameters in 32-bit
     out = tmp_path / "out"
-    cfg = fast_config(world_files, out, precision="f32", rec_steps=20)
-    try:
-        assert cli.main(["pretrain-rec", "--config",
-                         write_config(tmp_path, cfg)]) == 0
-    finally:
-        ad.set_param_dtype("float64")
-    loaded = ad.load_checkpoint(out / "rec.ckpt")
-    assert all(arr.dtype == "float32" for arr in loaded.values())
+    cfg_path = write_config(tmp_path,
+                            fast_config(world_files, out, rec_steps=20))
+    assert cli.main(["pretrain-rec", "--config", cfg_path]) == 0
+    values = ad.load_checkpoint(out / "rec.ckpt")
+    ad.save_checkpoint(out / "rec.ckpt",
+                       {k: v.astype(np.float32) for k, v in values.items()})
+    assert all(v.dtype == np.float32
+               for v in ad.load_checkpoint(out / "rec.ckpt").values())
+    assert cli.main(["evaluate", "--config", cfg_path]) == 0
+
+
+@pytest.mark.parametrize("command, override, truncate", [
+    ("evaluate", "d_e=16", False),
+    ("pretrain-flm", "d_e=16", False),
+    ("evaluate", None, True),
+    ("train", None, True),
+])
+def test_unloadable_rec_checkpoint_exits_3(tmp_path, world_files, command,
+                                           override, truncate):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, fast_config(world_files, out, d_e=8,
+                                                  rec_steps=20))
+    assert cli.main(["pretrain-rec", "--config", cfg_path]) == 0
+    if truncate:
+        blob = (out / "rec.ckpt").read_bytes()
+        (out / "rec.ckpt").write_bytes(blob[:len(blob) // 2])
+    argv = [command, "--config", cfg_path]
+    if override:
+        argv += ["--set", override]
+    assert cli.main(argv) == 3
 
 
 def test_full_pipeline_deterministic_across_runs(tmp_path, world_files):
@@ -278,6 +304,17 @@ def test_simulate_after_remined_catalog_exits_3(tmp_path, world_files):
     assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
     assert cli.main(["mine-schemas", "--config", cfg_path,
                      "--set", "min_support=12"]) == 0
+    assert cli.main(["simulate", "--config", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("name", ["flm.ckpt", "sim_emb.ckpt"])
+def test_simulate_with_truncated_simulator_file_exits_3(tmp_path,
+                                                        world_files, name):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
+    blob = (out / name).read_bytes()
+    (out / name).write_bytes(blob[:len(blob) // 2])
     assert cli.main(["simulate", "--config", cfg_path]) == 3
 
 

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 
+from recflow import autodiff as ad
+from recflow import flm as flmm
 from recflow import pipeline as pl
 
 
@@ -25,3 +29,23 @@ def test_saved_simulator_reloads_bit_for_bit(mini, tmp_path):
                          out.schema, out.flow_entities,
                          out.dialogue.to_record()))
         assert outs[0] == outs[1]
+
+
+def test_build_simulator_records_no_tape_for_classifier_prompts(mini,
+                                                                monkeypatch):
+    real_user_prompt = flmm.user_prompt
+    returned = []
+
+    def recording(*args, **kwargs):
+        out = real_user_prompt(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(flmm, "user_prompt", recording)
+    cfg = dataclasses.replace(mini.sim_cfg, pseudo_ratio=0, flm_epochs=1,
+                              clf_steps=1)
+    pl.build_simulator(mini.hkg, mini.world.train,
+                       mini.fresh_rec().entity_embeddings_array(), cfg)
+    assert returned
+    assert all(isinstance(t, ad.Tensor) for t in returned)
+    assert not any(t.requires_grad for t in returned)

@@ -81,34 +81,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
 
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -196,36 +179,6 @@ def tanh(a):
 
     def vjp(g):
         return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), vjp)
-
-
-def relu(a):
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (a.data > 0.0),)
-
-    return _make(out, (a,), vjp)
-
-
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _make(out, (a,), vjp)
-
-
-def log(a):
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
 
     return _make(out, (a,), vjp)
 

@@ -398,6 +398,19 @@ def cmd_sweep(cfg):
     return 0
 
 
+HANDLERS = {
+    "ingest": cmd_ingest,
+    "mine-schemas": cmd_mine_schemas,
+    "pretrain-rec": cmd_pretrain_rec,
+    "pretrain-flm": cmd_pretrain_flm,
+    "train": cmd_train,
+    "simulate": cmd_simulate,
+    "evaluate": cmd_evaluate,
+    "eda-baseline": cmd_eda_baseline,
+    "sweep": cmd_sweep,
+}
+
+
 # -- argument parsing -----------------------------------------------------------
 
 def _parse_override(pair):
@@ -417,9 +430,7 @@ def build_parser():
         description="Counterfactual dialogue simulation and augmentation "
                     "for conversational recommenders.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("ingest", "mine-schemas", "pretrain-rec", "pretrain-flm",
-                "train", "simulate", "evaluate", "eda-baseline", "sweep")
-    for name in commands:
+    for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="JSON config file (flags override fields)")
@@ -433,19 +444,6 @@ def build_parser():
             p.add_argument("--responses", default=None,
                            help="corpus JSONL for distinct-n diversity")
     return parser
-
-
-HANDLERS = {
-    "ingest": cmd_ingest,
-    "mine-schemas": cmd_mine_schemas,
-    "pretrain-rec": cmd_pretrain_rec,
-    "pretrain-flm": cmd_pretrain_flm,
-    "train": cmd_train,
-    "simulate": cmd_simulate,
-    "evaluate": cmd_evaluate,
-    "eda-baseline": cmd_eda_baseline,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv=None):

@@ -65,7 +65,6 @@ class RunConfig:
     course_rec_steps: int = 50
     patience: int = 3
     temperature: float = 1.0
-    use_baseline: bool = False
     # misc
     seed: int = 0
     workers: int = 0
@@ -75,6 +74,11 @@ class RunConfig:
     sweep_mix: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
 
     def validate(self):
+        for name in ("kg_path", "types_path", "dialogues_path", "val_path",
+                     "test_path", "out_dir"):
+            v = getattr(self, name)
+            if type(v) is not str:
+                raise ConfigError(name, f"must be a string path, got {v!r}")
         positive_ints = ("d_e", "rgcn_layers", "rgcn_bases", "flm_d_model",
                          "flm_layers", "flm_heads", "flm_ff_mult",
                          "min_support", "max_len", "hop_limit", "rec_batch",
@@ -118,7 +122,11 @@ class RunConfig:
         data = {}
         if path:
             with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+                try:
+                    data = json.load(fh)
+                except ValueError as err:  # bad JSON or bad UTF-8
+                    raise ConfigError("<root>",
+                                      f"not valid JSON: {err}") from err
             if not isinstance(data, dict):
                 raise ConfigError("<root>", "config must be a JSON object")
         if overrides:

@@ -43,7 +43,6 @@ class NonFiniteUpdate(FloatingPointError):
 class CurriculumSchedule:
     rho: float
     delta: float
-    max_courses: int = 20
 
 
 def curriculum_lambda(schedule, k):
@@ -154,7 +153,7 @@ def default_reward_fn(rec_model, kg):
 
 
 def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
-                   temperature=1.0, reward_fn=None, reward_baseline=0.0):
+                   temperature=1.0, reward_fn=None):
     """One score-function ascent step on the pair's disturbance vectors.
 
     The simulator and recommender are read, never written. Returns the
@@ -179,8 +178,7 @@ def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
         all_rewards.extend(rewards)
         logps = flmm.flow_log_probs_batch(
             sim.flm, flmm.PromptBundle(e_u, e_v, schema), flows)
-        weights = np.asarray(rewards) - reward_baseline
-        term = ad.tensor_sum(logps * ad.Tensor(weights))
+        term = ad.tensor_sum(logps * ad.Tensor(rewards))
         objective = term if objective is None else objective + term
     grads = ad.backward(objective, state.store)
     for name in ("delta_u", "delta_v"):
@@ -267,7 +265,6 @@ class TrainConfig:
     rec_batch: int = 64
     patience: int = 3
     temperature: float = 1.0
-    use_baseline: bool = False   # moving-average reward baseline
     seed: int = 0
     ks: tuple = (10, 50)
 
@@ -289,7 +286,7 @@ def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
     Returns (log entries, all simulated dialogues).
     """
     rng = np.random.default_rng(cfg.seed)
-    sched = CurriculumSchedule(cfg.rho, cfg.delta, cfg.courses)
+    sched = CurriculumSchedule(cfg.rho, cfg.delta)
     log, simulated = [], []
     best, best_metric, misses = None, -np.inf, 0
     top_k = max(cfg.ks)
@@ -340,10 +337,8 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
     if not pairs:
         raise ValueError("need at least one user pair")
     d_e = sim.entity_emb.shape[1]
-    baseline = 0.0
 
     def course_fn(course, lam, rng):
-        nonlocal baseline
         rec_before = rec_model.store.checksum()
         reward_fn = default_reward_fn(rec_model, sim.hkg.base)
         dialogues, rewards, norms = [], [], []
@@ -357,8 +352,7 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
             for _ in range(cfg.edit_steps):
                 stats = reinforce_step(
                     state, sim, rec_model, lam, cfg.alpha, cfg.rollouts, rng,
-                    temperature=cfg.temperature, reward_fn=reward_fn,
-                    reward_baseline=baseline if cfg.use_baseline else 0.0)
+                    temperature=cfg.temperature, reward_fn=reward_fn)
             rewards.append(stats["mean_reward"])
             norms.append(stats["edit_norm"])
             for j in range(cfg.sims_per_pair):
@@ -369,8 +363,6 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
                     temperature=cfg.temperature,
                     user_pair=(pair.user_u, pair.user_v))
                 dialogues.append(realized)
-        if cfg.use_baseline and rewards:
-            baseline = 0.9 * baseline + 0.1 * float(np.mean(rewards))
         assert rec_model.store.checksum() == rec_before, \
             "edit phase must not write recommender parameters"
         samples = pl.samples_from_dialogues(dialogues, sim.hkg.base,

@@ -5,7 +5,7 @@ The relational graph encoder follows the basis-decomposition formulation:
 per layer, node n receives mean-normalized messages per relation plus a
 self-connection,
 
-    h'_n = act( sum_r sum_{m in N_r(n)} (1/c_{n,r}) W_r h_m + W_self h_n ),
+    h'_n = tanh( sum_r sum_{m in N_r(n)} (1/c_{n,r}) W_r h_m + W_self h_n ),
 
 with W_r = sum_b a_{r,b} V_b. A layer aggregates, then transforms: one
 segment sum (``HeterogeneousKG.rgcn_plan``) lays each node's R mean neighbor
@@ -59,13 +59,12 @@ def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
     return store
 
 
-def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", activation="tanh"):
+def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn"):
     """Return the (num_nodes, d_e) embedding table after message passing.
 
     Differentiable w.r.t. the node table and all layer weights in ``store``.
     """
     h = store[f"{prefix}.node_emb"]
-    act = {"tanh": ad.tanh, "relu": ad.relu, "linear": lambda t: t}[activation]
     plan = hkg.rgcn_plan()
     for layer in range(num_layers):
         bases = store[f"{prefix}.l{layer}.bases"]
@@ -76,7 +75,7 @@ def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", activation="tanh"):
         w_rel = ad.reshape(coeffs @ ad.reshape(bases, (nb, d_in * d_out)),
                            (num_rel * d_in, d_out))
         msgs = ad.reshape(ad.segment_sum(h, plan), (-1, num_rel * d_in))
-        h = act(h @ w_self + msgs @ w_rel)
+        h = ad.tanh(h @ w_self + msgs @ w_rel)
     return h
 
 

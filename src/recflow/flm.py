@@ -405,7 +405,7 @@ def user_prompt(flm, entity_ids, entity_emb):
 
 
 def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
-                 lr=1e-3, weight_decay=0.0, seed=0):
+                 lr=1e-3, seed=0):
     """Teacher-forced cross-entropy pre-training on a flow collection.
 
     ``entity_emb`` is the frozen (num_nodes, d_e) table prompts are built
@@ -432,8 +432,7 @@ def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
             batch = batches[bi]
             loss = _batch_nll(flm, batch, entity_emb)
             grads = ad.backward(loss, flm.store)
-            ad.optimizer_step(flm.store, grads, lr=lr,
-                              weight_decay=weight_decay)
+            ad.optimizer_step(flm.store, grads, lr=lr)
             total_nll += loss.item() * len(batch)
             total_flows += len(batch)
         history.append(total_nll / max(total_flows, 1))

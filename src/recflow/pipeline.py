@@ -207,11 +207,14 @@ def save_simulator(sim, path):
 def read_checkpoint(path, store=None):
     """The arrays of checkpoint ``path``, loaded into ``store`` when one is
     given. A file that does not parse, or does not fit ``store`` (another
-    ``d_e``, or a ``catalog.json`` re-mined since the save), is a
-    DataError."""
+    ``d_e`` or ``rgcn_layers``, or a ``catalog.json`` re-mined since the
+    save), is a DataError."""
     try:
         values = ad.load_checkpoint(path)
         if store is not None:
+            missing = sorted(set(store.names()) - set(values))
+            if missing:
+                raise ValueError(f"no values for {', '.join(missing)}")
             store.load_values(values)
     except (ValueError, KeyError) as err:
         raise DataError(f"cannot load checkpoint {path}: {err}") from err

@@ -53,14 +53,12 @@ class TemplateBank:
     use is logged.
     """
 
-    def __init__(self, templates, type_names=(), item_type=ITEM_TYPE,
-                 add_fallbacks=True):
-        self.item_type = item_type
+    def __init__(self, templates, type_names=(), add_fallbacks=True):
         self.templates = list(templates)
         self.fallback_ids = set()
         if add_fallbacks:
             for tname in type_names:
-                if tname == item_type:
+                if tname == ITEM_TYPE:
                     text_parts = ("What about ", "?")
                     role = cp.RECOMMENDER
                 else:
@@ -71,38 +69,29 @@ class TemplateBank:
                     speaker=role, segments=text_parts, signature=(tname,),
                     dialogue_id="fallback"))
         self.by_signature = {}
-        self.chitchat_ids = []
         for i, tpl in enumerate(self.templates):
             if tpl.signature:
                 self.by_signature.setdefault(tpl.signature, []).append(i)
-            else:
-                self.chitchat_ids.append(i)
         self.max_signature = max((len(s) for s in self.by_signature), default=0)
 
     def candidates(self, signature):
         return self.by_signature.get(tuple(signature), [])
 
 
-def build_template_bank(dialogues, kg, add_fallbacks=True,
-                        item_type=ITEM_TYPE, keep_chitchat=True):
-    templates = []
-    for d in dialogues:
-        for tpl in cp.extract_templates(d, kg):
-            if tpl.signature or keep_chitchat:
-                templates.append(tpl)
+def build_template_bank(dialogues, kg, add_fallbacks=True):
+    templates = [tpl for d in dialogues for tpl in cp.extract_templates(d, kg)]
     return TemplateBank(templates, type_names=kg.type_names,
-                        item_type=item_type, add_fallbacks=add_fallbacks)
+                        add_fallbacks=add_fallbacks)
 
 
 def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
-            user_pair=None, chitchat_prob=0.0):
+            user_pair=None):
     """Fill templates with the flow's entities, left to right.
 
     The tiling picks the longest template signature matching the upcoming
     schema slice; among templates sharing that signature, item-bearing ones
     prefer the recommender role and the rest prefer the seeker role, with a
-    uniform choice inside the preferred group. ``chitchat_prob`` optionally
-    interleaves mention-free connective turns (off by default).
+    uniform choice inside the preferred group.
     """
     if len(flow_entities) != len(schema):
         raise ValueError("flow and schema must have equal length")
@@ -111,14 +100,6 @@ def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
     pos = 0
     n = len(schema)
     while pos < n:
-        if (chitchat_prob > 0.0 and bank.chitchat_ids
-                and rng.uniform() < chitchat_prob):
-            tpl_id = bank.chitchat_ids[int(rng.integers(
-                len(bank.chitchat_ids)))]
-            tpl = bank.templates[tpl_id]
-            turns.append(cp.Turn(speaker=tpl.speaker, text=tpl.fill([])[0],
-                                 mentions=[]))
-            template_ids.append(tpl_id)
         chosen = None
         for width in range(min(bank.max_signature, n - pos), 0, -1):
             sig = tuple(schema[pos:pos + width])
@@ -129,7 +110,7 @@ def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
         if chosen is None:
             raise NoCoveringSegmentation(tuple(schema), pos)
         sig, cands = chosen
-        preferred = cp.RECOMMENDER if bank.item_type in sig else cp.SEEKER
+        preferred = cp.RECOMMENDER if ITEM_TYPE in sig else cp.SEEKER
         by_role = [i for i in cands if bank.templates[i].speaker == preferred]
         pool = by_role or cands
         tpl_id = pool[int(rng.integers(len(pool)))]
@@ -154,7 +135,7 @@ def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
                             user_pair=user_pair)
 
 
-def to_rec_samples(dialogue, kg, source="real", item_type=ITEM_TYPE):
+def to_rec_samples(dialogue, kg, source="real"):
     """One sample per fresh item mention in a recommender turn.
 
     The context is every mention strictly before the label mention, in flow
@@ -169,7 +150,7 @@ def to_rec_samples(dialogue, kg, source="real", item_type=ITEM_TYPE):
         for m in turn.mentions:
             eid = kg.entity_id(m.entity)
             if (turn.speaker == cp.RECOMMENDER
-                    and kg.type_name_of(eid) == item_type
+                    and kg.type_name_of(eid) == ITEM_TYPE
                     and eid not in context):
                 samples.append(RecSample(context=tuple(context), label=eid,
                                          source=source,

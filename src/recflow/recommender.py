@@ -10,7 +10,6 @@ learned item prior (the bias), which starts uniform.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -97,15 +96,11 @@ def distinct_n(responses, n):
 class RecModel:
     """Graph entity encoder + attention context pooling + item scorer."""
 
-    def __init__(self, hkg, d_e=64, num_layers=1, num_bases=8, seed=0,
-                 item_type=ITEM_TYPE, activation="tanh"):
+    def __init__(self, hkg, d_e=64, num_layers=1, num_bases=8, seed=0):
         self.hkg = hkg
         self.d_e = d_e
         self.num_layers = num_layers
-        self.item_type = item_type
-        self.activation = activation
-        kg = hkg.base
-        self.item_ids = np.array(kg.entities_of_type(item_type),
+        self.item_ids = np.array(hkg.base.entities_of_type(ITEM_TYPE),
                                  dtype=np.intp)
         self.item_index = {int(e): i for i, e in enumerate(self.item_ids)}
         rng = np.random.default_rng(seed)
@@ -124,7 +119,7 @@ class RecModel:
     def entity_embeddings(self):
         return emb.rgcn_forward(self.hkg, self.store,
                                 num_layers=self.num_layers,
-                                prefix="rec.rgcn", activation=self.activation)
+                                prefix="rec.rgcn")
 
     def entity_embeddings_array(self):
         with ad.no_grad():
@@ -217,19 +212,9 @@ def evaluate(model, samples, ks=(10, 50), workers=1):
                         n_samples=n)
 
 
-def split_by_dialogue(samples, val_fraction=0.1):
-    """Deterministic dialogue-id hash split (stable across runs)."""
-    train, val = [], []
-    cut = int(val_fraction * 100)
-    for s in samples:
-        digest = hashlib.md5(s.dialogue_id.encode("utf-8")).hexdigest()
-        (val if int(digest, 16) % 100 < cut else train).append(s)
-    return train, val
-
-
 def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
-                         batch_size=64, lr=1e-3, weight_decay=0.0,
-                         eval_every=50, patience=3, seed=0, ks=(10, 50)):
+                         batch_size=64, lr=1e-3, eval_every=50, patience=3,
+                         seed=0, ks=(10, 50)):
     """Cross-entropy training of the scorer jointly with the graph encoder.
 
     Early-stops on validation Recall@50 with the given patience (measured in
@@ -249,8 +234,7 @@ def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
         batch = [train_samples[i] for i in idx]
         loss = rec_loss(model, batch)
         grads = ad.backward(loss, model.store)
-        ad.optimizer_step(model.store, grads, lr=lr,
-                          weight_decay=weight_decay)
+        ad.optimizer_step(model.store, grads, lr=lr)
         history["loss"].append(loss.item())
         if val_samples and (step + 1) % eval_every == 0:
             report = evaluate(model, val_samples, ks=ks)

@@ -73,26 +73,30 @@ def mine_schemas(type_sequences, min_support=5, max_len=16):
                          min_support=min_support, max_len=max_len)
 
 
-def init_classifier_params(store, d_e, num_schemas, hidden=None, rng=None,
-                           prefix="schema_clf"):
-    """One-hidden-layer MLP over [e_u, e_v]; the output head starts at zero
-    so an untrained classifier is exactly uniform."""
+CLF_PREFIX = "schema_clf"
+
+
+def init_classifier_params(store, d_e, num_schemas, rng=None):
+    """One-hidden-layer MLP over [e_u, e_v] with a hidden width of 2 * d_e;
+    the output head starts at zero so an untrained classifier is exactly
+    uniform."""
     rng = rng or np.random.default_rng(0)
-    hidden = hidden or 2 * d_e
-    store.add(f"{prefix}.w1", ad.xavier_uniform((hidden, 2 * d_e), rng))
-    store.add(f"{prefix}.b1", np.zeros((1, hidden)))
-    store.add(f"{prefix}.w2", np.zeros((num_schemas, hidden)))
-    store.add(f"{prefix}.b2", np.zeros((1, num_schemas)))
+    hidden = 2 * d_e
+    store.add(f"{CLF_PREFIX}.w1", ad.xavier_uniform((hidden, 2 * d_e), rng))
+    store.add(f"{CLF_PREFIX}.b1", np.zeros((1, hidden)))
+    store.add(f"{CLF_PREFIX}.w2", np.zeros((num_schemas, hidden)))
+    store.add(f"{CLF_PREFIX}.b2", np.zeros((1, num_schemas)))
     return store
 
 
-def _classifier_logits(pair_matrix, store, prefix="schema_clf"):
-    h = ad.tanh(pair_matrix @ ad.transpose(store[f"{prefix}.w1"])
-                + store[f"{prefix}.b1"])
-    return h @ ad.transpose(store[f"{prefix}.w2"]) + store[f"{prefix}.b2"]
+def _classifier_logits(pair_matrix, store):
+    h = ad.tanh(pair_matrix @ ad.transpose(store[f"{CLF_PREFIX}.w1"])
+                + store[f"{CLF_PREFIX}.b1"])
+    return (h @ ad.transpose(store[f"{CLF_PREFIX}.w2"])
+            + store[f"{CLF_PREFIX}.b2"])
 
 
-def predict_schema(e_u, e_v, store, catalog, prefix="schema_clf"):
+def predict_schema(e_u, e_v, store, catalog):
     """Distribution over the catalog plus the argmax schema index.
 
     Ties break toward the lower catalog index (the catalog is sorted by
@@ -102,15 +106,14 @@ def predict_schema(e_u, e_v, store, catalog, prefix="schema_clf"):
         raise EmptyCatalog("cannot predict over an empty schema catalog")
     e_u, e_v = ad.as_tensor(e_u), ad.as_tensor(e_v)
     pair = ad.reshape(ad.concat([e_u, e_v], axis=0), (1, -1))
-    logits = _classifier_logits(pair, store, prefix)
+    logits = _classifier_logits(pair, store)
     probs = ad.softmax(logits, axis=-1)
     best = int(np.argmax(probs.data[0]))
     return ad.reshape(probs, (-1,)), best
 
 
-def train_schema_classifier(pairs, store, catalog, prefix="schema_clf",
-                            lr=1e-3, weight_decay=0.0, steps=200,
-                            batch_size=32, val_fraction=0.1, seed=0):
+def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
+                            val_fraction=0.1, seed=0):
     """Cross-entropy training of the schema classifier.
 
     ``pairs`` is a list of (e_u, e_v, gold_index). Returns the best-validation
@@ -132,10 +135,10 @@ def train_schema_classifier(pairs, store, catalog, prefix="schema_clf",
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) == 0:
         train_idx = order
-    clf_names = [k for k in store.names() if k.startswith(prefix + ".")]
+    clf_names = [k for k in store.names() if k.startswith(CLF_PREFIX + ".")]
 
     def batch_loss(idx):
-        logits = _classifier_logits(ad.Tensor(x[idx]), store, prefix)
+        logits = _classifier_logits(ad.Tensor(x[idx]), store)
         logp = ad.log_softmax(logits, axis=-1)
         picked = ad.take_pairs(logp, np.arange(len(idx)), y[idx])
         return -ad.mean(picked)
@@ -144,12 +147,12 @@ def train_schema_classifier(pairs, store, catalog, prefix="schema_clf",
     best_val = np.inf
     history = []
     for step in range(steps):
-        idx = train_idx[rng.integers(0, len(train_idx), size=min(batch_size,
-                                                                 len(train_idx)))]
+        idx = train_idx[rng.integers(0, len(train_idx),
+                                     size=min(32, len(train_idx)))]
         loss = batch_loss(idx)
         grads = ad.backward(loss, store)
         grads = {k: v for k, v in grads.items() if k in clf_names}
-        ad.optimizer_step(store, grads, lr=lr, weight_decay=weight_decay)
+        ad.optimizer_step(store, grads, lr=lr)
         history.append(loss.item())
         if len(val_idx) and (step + 1) % 20 == 0:
             with ad.no_grad():

@@ -71,7 +71,8 @@ def test_config_validates_ranges():
     # false with every bound, so it must fail the check rather than pass it
     for bad in ({"d_e": True}, {"rollouts": True}, {"temperature": True},
                 {"mix_ratio": False}, {"delta": "x"},
-                {"mix_ratio": float("nan")}, {"rho": float("nan")}):
+                {"mix_ratio": float("nan")}, {"rho": float("nan")},
+                {"out_dir": 5}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
 
@@ -79,11 +80,19 @@ def test_config_validates_ranges():
 def test_cli_unknown_key_exits_2(tmp_path, world_files):
     cfg_path = write_config(tmp_path,
                             fast_config(world_files, tmp_path / "out"))
-    # precision is a removed field: a stale config fails like a typo
-    for override in ("bogus_key=1", "precision=f32"):
+    # precision and use_baseline are removed fields: a stale config fails
+    # like a typo
+    for override in ("bogus_key=1", "precision=f32", "use_baseline=true"):
         code = cli.main(["mine-schemas", "--config", cfg_path,
                          "--set", override])
         assert code == 2, override
+
+
+def test_cli_malformed_config_exits_2(tmp_path, world_files):
+    text = json.dumps(fast_config(world_files, tmp_path / "out"))
+    cut = tmp_path / "cut.json"
+    cut.write_text(text[:len(text) // 2])
+    assert cli.main(["mine-schemas", "--config", str(cut)]) == 2
 
 
 def test_cli_missing_file_exits_3(tmp_path, world_files):
@@ -247,6 +256,9 @@ def test_evaluate_loads_f32_checkpoint(tmp_path, world_files):
     ("pretrain-flm", "d_e=16", False),
     ("evaluate", None, True),
     ("train", None, True),
+    # a second R-GCN layer the one-layer checkpoint has no values for
+    ("evaluate", "rgcn_layers=2", False),
+    ("train", "rgcn_layers=2", False),
 ])
 def test_unloadable_rec_checkpoint_exits_3(tmp_path, world_files, command,
                                            override, truncate):

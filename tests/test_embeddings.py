@@ -16,8 +16,7 @@ def build_hkg(triples, types, interactions=None):
     return kgm.attach_users(g, interactions or {})
 
 
-def dense_rgcn_oracle(hkg, store, num_layers, activation="tanh",
-                      prefix="rgcn"):
+def dense_rgcn_oracle(hkg, store, num_layers, prefix="rgcn"):
     """Independent dense-matrix implementation of the same update rule."""
     h = store[f"{prefix}.node_emb"].data.copy()
     n = hkg.num_nodes
@@ -36,12 +35,7 @@ def dense_rgcn_oracle(hkg, store, num_layers, activation="tanh",
             deg = adj.sum(axis=1, keepdims=True)
             adj = np.divide(adj, deg, out=np.zeros_like(adj), where=deg > 0)
             total += adj @ h @ w_r
-        if activation == "tanh":
-            h = np.tanh(total)
-        elif activation == "linear":
-            h = total
-        else:
-            h = np.maximum(total, 0.0)
+        h = np.tanh(total)
     return h
 
 
@@ -52,8 +46,8 @@ def test_rgcn_single_node_identity_self_loop():
                          rng=np.random.default_rng(0))
     store["rgcn.l0.w_self"].data = np.eye(3)
     store["rgcn.l0.coeffs"].data = np.zeros_like(store["rgcn.l0.coeffs"].data)
-    out = emb.rgcn_forward(hkg, store, num_layers=1, activation="linear")
-    assert np.allclose(out.data, store["rgcn.node_emb"].data)
+    out = emb.rgcn_forward(hkg, store, num_layers=1)
+    assert np.allclose(out.data, np.tanh(store["rgcn.node_emb"].data))
 
 
 def test_rgcn_zero_message_weights_leave_only_self_path():
@@ -62,8 +56,9 @@ def test_rgcn_zero_message_weights_leave_only_self_path():
     emb.init_rgcn_params(store, hkg, d_e=4, num_layers=1, num_bases=2,
                          rng=np.random.default_rng(1))
     store["rgcn.l0.coeffs"].data = np.zeros_like(store["rgcn.l0.coeffs"].data)
-    out = emb.rgcn_forward(hkg, store, num_layers=1, activation="linear")
-    expected = store["rgcn.node_emb"].data @ store["rgcn.l0.w_self"].data
+    out = emb.rgcn_forward(hkg, store, num_layers=1)
+    expected = np.tanh(store["rgcn.node_emb"].data
+                       @ store["rgcn.l0.w_self"].data)
     assert np.allclose(out.data, expected)
 
 
@@ -75,8 +70,8 @@ def test_rgcn_matches_dense_oracle():
     store = ad.ParamStore()
     emb.init_rgcn_params(store, hkg, d_e=5, num_layers=2, num_bases=3,
                          rng=np.random.default_rng(7))
-    out = emb.rgcn_forward(hkg, store, num_layers=2, activation="tanh")
-    oracle = dense_rgcn_oracle(hkg, store, num_layers=2, activation="tanh")
+    out = emb.rgcn_forward(hkg, store, num_layers=2)
+    oracle = dense_rgcn_oracle(hkg, store, num_layers=2)
     assert np.max(np.abs(out.data - oracle)) < 1e-10
 
 
@@ -90,8 +85,8 @@ def test_rgcn_matches_dense_oracle_with_edgeless_relation():
     store = ad.ParamStore()
     emb.init_rgcn_params(store, hkg, d_e=4, num_layers=2, num_bases=3,
                          rng=np.random.default_rng(8))
-    out = emb.rgcn_forward(hkg, store, num_layers=2, activation="tanh")
-    oracle = dense_rgcn_oracle(hkg, store, num_layers=2, activation="tanh")
+    out = emb.rgcn_forward(hkg, store, num_layers=2)
+    oracle = dense_rgcn_oracle(hkg, store, num_layers=2)
     assert np.max(np.abs(out.data - oracle)) < 1e-10
 
 

@@ -5,13 +5,28 @@ its parents and a vector-Jacobian closure. ``backward`` walks the tape in
 reverse topological order. Every tensor holds 64-bit floats: gradient checks
 and bit-reproducible runs rely on it. Checkpoints may still carry 32-bit
 arrays; loading them into a ``ParamStore`` widens them.
+
+The transformer's hot paths are fused, so each costs one tape node with a
+hand-written VJP instead of a chain of small ones:
+
+- ``layer_norm``: normalise, scale and shift, with the closed-form backward
+  of Ba et al. (2016).
+- ``attention``: multi-head scaled dot-product attention with its four
+  projections and an optional additive mask; the keys and values may come
+  from a batch-1 tensor shared by every row.
+- ``matmul`` of an N-D tensor by a 2-D one runs forward and backward as one
+  2-D GEMM over the flattened rows.
+
+VJPs return None for a parent that needs no gradient (a frozen table, a
+mask), and ``backward`` skips it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -132,7 +147,8 @@ def add(a, b):
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -142,32 +158,37 @@ def mul(a, b):
     out = a.data * b.data
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape)
+                if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
-
-
-def power(a, exponent):
-    a = as_tensor(a)
-    c = float(exponent)
-    out = a.data ** c
-
-    def vjp(g):
-        return (g * c * a.data ** (c - 1.0),)
-
-    return _make(out, (a,), vjp)
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
+    if a.ndim > 2 and b.ndim == 2:
+        # (..., k) @ (k, n) is one GEMM over the flattened rows
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ b.data.T).reshape(a.data.shape)
+                    if a.requires_grad else None,
+                    a2.T @ g2 if b.requires_grad else None)
+
+        return _make(out, (a, b), vjp)
     out = a.data @ b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+              if a.requires_grad else None)
+        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _make(out, (a, b), vjp)
@@ -346,11 +367,84 @@ def log_softmax(a, axis=-1):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    scale = 1.0 / x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale
+           + eps) ** -0.5
+    xhat = centered * inv
+    out = xhat * gain.data + bias.data
+
+    def vjp(g):
+        gx = None
+        if x.requires_grad:
+            gh = g * gain.data
+            gx = inv * (gh - gh.sum(axis=-1, keepdims=True) * scale
+                        - xhat * ((gh * xhat).sum(axis=-1, keepdims=True)
+                                  * scale))
+        return (gx,
+                _unbroadcast(g * xhat, gain.data.shape)
+                if gain.requires_grad else None,
+                _unbroadcast(g, bias.data.shape)
+                if bias.requires_grad else None)
+
+    return _make(out, (x, gain, bias), vjp)
+
+
+def attention(x, kv, wq, wk, wv, wo, n_heads, mask=None):
+    """Multi-head scaled dot-product attention of ``x`` (b, tq, d) over
+    ``kv`` (b or 1, tk, d), with (d, d) projections and ``mask`` an additive
+    logit array broadcastable to (b, n_heads, tq, tk). A batch-1 ``kv`` is
+    shared by every row of ``x``, and its gradients sum over the rows."""
+    x, kv = as_tensor(x), as_tensor(kv)
+    wq, wk, wv, wo = (as_tensor(w) for w in (wq, wk, wv, wo))
+    b, tq, d = x.data.shape
+    bk, tk = kv.data.shape[:2]
+    if bk not in (1, b):
+        raise ValueError(f"kv batch {bk} must be 1 or {b}")
+    dk = d // n_heads
+    x2, kv2 = x.data.reshape(-1, d), kv.data.reshape(-1, d)
+
+    def heads(flat, nb, t):  # (nb*t, d) -> (nb, h, t, dk)
+        return flat.reshape(nb, t, n_heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(t4):  # (nb, h, t, dk) -> (nb*t, d)
+        return t4.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    q = heads(x2 @ wq.data, b, tq)
+    k = heads(kv2 @ wk.data, bk, tk)
+    v = heads(kv2 @ wv.data, bk, tk)
+    scale = 1.0 / np.sqrt(dk)
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    ctx = merge(p @ v)
+    out = (ctx @ wo.data).reshape(b, tq, d)
+
+    def vjp(g):
+        g2 = g.reshape(-1, d)
+        d_ctx = heads(g2 @ wo.data.T, b, tq)
+        d_p = d_ctx @ np.swapaxes(v, -1, -2)
+        d_s = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True)) * scale
+        d_q = merge(d_s @ k)
+        d_k = np.swapaxes(d_s, -1, -2) @ q
+        d_v = np.swapaxes(p, -1, -2) @ d_ctx
+        if bk != b:  # every row attended to the one shared kv
+            d_k = d_k.sum(axis=0, keepdims=True)
+            d_v = d_v.sum(axis=0, keepdims=True)
+        d_k, d_v = merge(d_k), merge(d_v)
+        gx = (d_q @ wq.data.T).reshape(x.data.shape) if x.requires_grad else None
+        gkv = ((d_k @ wk.data.T + d_v @ wv.data.T).reshape(kv.data.shape)
+               if kv.requires_grad else None)
+        return (gx, gkv,
+                x2.T @ d_q if wq.requires_grad else None,
+                kv2.T @ d_k if wk.requires_grad else None,
+                kv2.T @ d_v if wv.requires_grad else None,
+                ctx.T @ g2 if wo.requires_grad else None)
+
+    return _make(out, (x, kv, wq, wk, wv, wo), vjp)
 
 
 # -- backward ----------------------------------------------------------------
@@ -411,7 +505,7 @@ def backward(loss, params=None):
     out = {}
     for name, p in params.items():
         if p.grad is not None:
-            if not np.all(np.isfinite(p.grad)):
+            if not np.isfinite(p.grad).all():
                 raise NonFiniteGradient(name)
             out[name] = p.grad
             p.grad = None
@@ -481,7 +575,7 @@ def optimizer_step(store, grads, lr, weight_decay=0.0,
     b1, b2 = betas
     for name, g in grads.items():
         g = np.asarray(g.data if isinstance(g, Tensor) else g)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradient(name)
         p = store[name]
         st = store._state.get(name)
@@ -490,12 +584,17 @@ def optimizer_step(store, grads, lr, weight_decay=0.0,
             store._state[name] = st
         st["t"] += 1
         t = st["t"]
-        st["m"] = b1 * st["m"] + (1.0 - b1) * g
-        st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
-        m_hat = st["m"] / (1.0 - b1 ** t)
-        v_hat = st["v"] / (1.0 - b2 ** t)
-        p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + eps)
-                                + weight_decay * p.data)
+        m, v = st["m"], st["v"]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        # lr * m_hat / (sqrt(v_hat) + eps), bias corrections as scalars
+        denom = np.sqrt(v * (1.0 / (1.0 - b2 ** t)))
+        denom += eps
+        step = m / denom
+        step *= lr / (1.0 - b1 ** t)
+        p.data = p.data * (1.0 - lr * weight_decay) - step
     store.step_count += 1
     return store
 
@@ -542,17 +641,34 @@ def xavier_uniform(shape, rng, gain=1.0):
 
 # -- checkpoints ---------------------------------------------------------------
 
+@contextmanager
+def atomic_write(path, mode="wb", **open_kwargs):
+    """Open a sibling temp file for writing and move it onto ``path`` only
+    when the block completes, so ``path`` never holds a partial write. On
+    an error the temp file is removed and ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, store):
     """Binary parameter dump; see load_checkpoint for the inverse.
 
     Layout: header (version uint32, entry count uint32), then per entry
     name length uint32 + UTF-8 name, dtype tag uint8, rank uint8,
-    dims uint32 each, little-endian value payload.
+    dims uint32 each, little-endian value payload. The file is replaced
+    atomically (``atomic_write``).
     """
     params = store.items() if isinstance(store, ParamStore) else store.items()
     entries = [(name, p.data if isinstance(p, Tensor) else np.asarray(p))
                for name, p in params]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
         for name, arr in entries:
             raw = name.encode("utf-8")

@@ -57,7 +57,7 @@ class OutputTracker:
 
     def write_text(self, name, text):
         full = self.path(name)
-        with open(full, "w", encoding="utf-8") as fh:
+        with ad.atomic_write(full, "w", encoding="utf-8") as fh:
             fh.write(text)
         return full
 

@@ -19,6 +19,16 @@ class ConfigError(ValueError):
         self.reason = reason
 
 
+def _is_number(v):
+    return type(v) in (int, float)  # bools are ints, but never a number here
+
+
+# Each swept field: its scalar, its sweep list, and the range both obey.
+_SWEPT = (("rho", "sweep_rho", lambda v: v >= 0, ">= 0"),
+          ("delta", "sweep_delta", lambda v: 0 < v <= 1, "in (0, 1]"),
+          ("mix_ratio", "sweep_mix", lambda v: v >= 0, ">= 0"))
+
+
 @dataclass
 class RunConfig:
     # paths
@@ -97,14 +107,20 @@ class RunConfig:
                 raise ConfigError(name, f"must be a non-negative integer, got {v!r}")
         for name in ("rec_lr", "flm_lr", "clf_lr", "alpha", "temperature"):
             v = getattr(self, name)
-            if type(v) not in (int, float) or not v > 0:
+            if not _is_number(v) or not v > 0:
                 raise ConfigError(name, f"must be positive, got {v!r}")
-        for name in ("rho", "mix_ratio"):
+        if type(self.connectivity_mask) is not bool:
+            raise ConfigError("connectivity_mask", "must be true or false, "
+                              f"got {self.connectivity_mask!r}")
+        for name, sweep, in_range, bound in _SWEPT:
             v = getattr(self, name)
-            if type(v) not in (int, float) or not v >= 0:
-                raise ConfigError(name, f"must be >= 0, got {v!r}")
-        if type(self.delta) not in (int, float) or not 0 < self.delta <= 1:
-            raise ConfigError("delta", f"must be in (0, 1], got {self.delta!r}")
+            if not _is_number(v) or not in_range(v):
+                raise ConfigError(name, f"must be {bound}, got {v!r}")
+            v = getattr(self, sweep)
+            if (type(v) is not list or not v
+                    or not all(_is_number(x) and in_range(x) for x in v)):
+                raise ConfigError(sweep, "must be a non-empty list of numbers "
+                                  f"{bound}, got {v!r}")
         if self.flm_d_model % self.flm_heads:
             raise ConfigError("flm_heads", "must divide flm_d_model")
         return self

@@ -172,25 +172,9 @@ class FlowLM:
 
     # -- transformer pieces ---------------------------------------------------
     def _attention(self, x, kv, base, tag, mask=None):
-        s, cfg = self.store, self.cfg
-        n_heads = cfg.n_heads
-        d = cfg.d_model
-        dk = d // n_heads
-        b, tq = x.shape[0], x.shape[1]
-        bk, tk = kv.shape[0], kv.shape[1]
-
-        def split(t, nb, tlen):
-            return ad.swapaxes(ad.reshape(t, (nb, tlen, n_heads, dk)), 1, 2)
-
-        q = split(x @ s[f"{base}.{tag}.q"], b, tq)
-        k = split(kv @ s[f"{base}.{tag}.k"], bk, tk)
-        v = split(kv @ s[f"{base}.{tag}.v"], bk, tk)
-        scores = ad.mul(q @ ad.swapaxes(k, -1, -2), 1.0 / np.sqrt(dk))
-        if mask is not None:
-            scores = scores + ad.Tensor(mask)
-        out = ad.softmax(scores, axis=-1) @ v
-        out = ad.reshape(ad.swapaxes(out, 1, 2), (b, tq, d))
-        return out @ s[f"{base}.{tag}.o"]
+        s = self.store
+        return ad.attention(x, kv, *(s[f"{base}.{tag}.{w}"] for w in "qkvo"),
+                            self.cfg.n_heads, mask)
 
     def _ffn(self, x, base):
         s = self.store

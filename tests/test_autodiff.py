@@ -253,3 +253,122 @@ def test_segment_sum_empty_plan_gives_zeros():
     assert np.array_equal(out.data, np.zeros((3, 4)))
     grads = ad.backward(ad.tensor_sum(out), store)
     assert np.array_equal(grads["x"], np.zeros((2, 4)))
+
+
+def test_failed_checkpoint_write_keeps_earlier_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ad.save_checkpoint(path, {"w": np.ones((2, 2))})
+    before = path.read_bytes()
+    # the second entry cannot be written as floats: the header and the
+    # first entry are already out when the write fails
+    with pytest.raises(ValueError):
+        ad.save_checkpoint(path, {"w": np.zeros((2, 2)),
+                                  "bad": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def _composite_layer_norm(x, gain, bias, eps=1e-5):
+    # the unfused formula, op by op, as the oracle for the fused node
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = ad.mean(centered * centered, axis=-1, keepdims=True)
+    inv = ad.Tensor((var.data + eps) ** -0.5)
+    return centered * inv * gain + bias
+
+
+def test_layer_norm_matches_composite_formula():
+    rng = np.random.default_rng(12)
+    x = ad.Tensor(rng.normal(size=(3, 4, 8)) * 2.0 + 1.0)
+    gain, bias = ad.Tensor(rng.normal(size=8)), ad.Tensor(rng.normal(size=8))
+    fused = ad.layer_norm(x, gain, bias).data
+    assert np.allclose(fused, _composite_layer_norm(x, gain, bias).data,
+                       atol=1e-12, rtol=0)
+
+
+def test_layer_norm_gradients():
+    rng = np.random.default_rng(13)
+    store = ad.ParamStore()
+    store.add("x", rng.normal(size=(2, 3, 5)))
+    store.add("g", rng.normal(size=5))
+    store.add("b", rng.normal(size=5) * 0.1)
+    w = ad.Tensor(rng.normal(size=(2, 3, 5)))
+
+    def f(s):
+        return ad.tensor_sum(ad.tanh(ad.layer_norm(s["x"], s["g"], s["b"]))
+                             * w)
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+def _attention_store(rng, d, b, bk, tq, tk):
+    store = ad.ParamStore()
+    store.add("x", rng.normal(size=(b, tq, d)))
+    store.add("kv", rng.normal(size=(bk, tk, d)))
+    for w in "qkvo":
+        store.add(w, rng.normal(size=(d, d)) * 0.5)
+    return store
+
+
+def _attention_loss(x_name, kv_name, mask, w):
+    def f(s):
+        out = ad.attention(s[x_name], s[kv_name], s["q"], s["k"], s["v"],
+                           s["o"], 2, mask=mask)
+        return ad.tensor_sum(ad.tanh(out) * w)
+    return f
+
+
+def test_self_attention_gradients_with_causal_mask():
+    rng = np.random.default_rng(14)
+    store = _attention_store(rng, d=4, b=2, bk=2, tq=3, tk=3)
+    causal = np.triu(np.full((3, 3), ad.MASK_NEG), k=1)
+    w = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    f = _attention_loss("x", "x", causal, w)
+    assert ad.grad_check(f, store, eps=1e-5,
+                         names=["x", "q", "k", "v", "o"]) < 1e-6
+
+
+@pytest.mark.parametrize("bk", [1, 3])
+def test_cross_attention_gradients(bk):
+    rng = np.random.default_rng(15 + bk)
+    store = _attention_store(rng, d=4, b=3, bk=bk, tq=2, tk=4)
+    w = ad.Tensor(rng.normal(size=(3, 2, 4)))
+    assert ad.grad_check(_attention_loss("x", "kv", None, w), store,
+                         eps=1e-5) < 1e-6
+
+
+def test_attention_shares_a_batch_one_kv_across_rows():
+    rng = np.random.default_rng(18)
+    store = _attention_store(rng, d=4, b=3, bk=1, tq=2, tk=4)
+    ws = [store[w] for w in "qkvo"]
+    shared = ad.attention(store["x"], store["kv"], *ws, 2).data
+    tiled = ad.Tensor(np.repeat(store["kv"].data, 3, axis=0))
+    assert np.allclose(shared, ad.attention(store["x"], tiled, *ws, 2).data,
+                       atol=1e-12, rtol=0)
+
+
+def test_matmul_nd_by_2d_is_one_gemm_with_matching_values_and_grads():
+    rng = np.random.default_rng(19)
+    store = ad.ParamStore()
+    store.add("A", rng.normal(size=(2, 3, 4, 5)) * 0.3)
+    store.add("B", rng.normal(size=(5, 6)) * 0.3)
+    out = store["A"] @ store["B"]
+    assert out.shape == (2, 3, 4, 6)
+    assert np.allclose(out.data, np.matmul(store["A"].data, store["B"].data),
+                       atol=1e-12, rtol=0)
+
+    def f(s):
+        return ad.tensor_sum(ad.tanh(s["A"] @ s["B"]))
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+def test_vjps_return_none_for_constant_operands():
+    rng = np.random.default_rng(20)
+    w = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    const = ad.Tensor(rng.normal(size=(2, 4, 5)))
+    cases = [(const @ w, 0), (w @ ad.Tensor(np.eye(6)), 1),
+             (ad.add(w, ad.Tensor(np.ones(6))), 1), (ad.mul(w, 2.0), 1)]
+    for node, constant in cases:
+        grads = node._vjp(np.ones(node.shape))
+        assert grads[constant] is None and grads[1 - constant] is not None

@@ -72,9 +72,24 @@ def test_config_validates_ranges():
     for bad in ({"d_e": True}, {"rollouts": True}, {"temperature": True},
                 {"mix_ratio": False}, {"delta": "x"},
                 {"mix_ratio": float("nan")}, {"rho": float("nan")},
-                {"out_dir": 5}):
+                {"out_dir": 5}, {"connectivity_mask": 5},
+                {"connectivity_mask": "false"}, {"sweep_rho": 5},
+                {"sweep_rho": []}, {"sweep_rho": [0.1, -1.0]},
+                {"sweep_rho": [True]}, {"sweep_delta": [0.9, 1.5]},
+                {"sweep_delta": [0.0]}, {"sweep_mix": [float("nan")]},
+                {"sweep_mix": "1.0"}, {"sweep_mix": [[1.0]]}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
+    assert RunConfig.from_dict({"sweep_rho": [0, 1e-3], "sweep_delta": [1],
+                                "connectivity_mask": False})
+
+
+def test_cli_bad_sweep_list_exits_2_before_training(tmp_path, world_files):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["sweep", "--config", cfg_path,
+                     "--set", "sweep_rho=5"]) == 2
+    assert not out.exists()
 
 
 def test_cli_unknown_key_exits_2(tmp_path, world_files):
@@ -222,6 +237,17 @@ def test_sweep_writes_grid_results(tmp_path, world_files):
         rows = json.load(fh)
     assert len(rows) == 1
     assert rows[0]["rho"] == 0.1 and "recall@10" in rows[0]
+
+
+def test_failed_write_keeps_earlier_output_and_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "out"
+    tracker = cli.OutputTracker(str(out), "test")
+    tracker.write_text("log.txt", "first\n")
+    with pytest.raises(UnicodeEncodeError):
+        tracker.write_text("log.txt", "second \ud800\n")
+    assert (out / "log.txt").read_text() == "first\n"
+    assert os.listdir(out) == ["log.txt"]
+    assert tracker.outputs == ["log.txt"]
 
 
 def test_flag_overrides_config_field(tmp_path, world_files):

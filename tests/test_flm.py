@@ -294,6 +294,24 @@ def test_batch_nll_tape_size_does_not_grow_with_batch(full_hkg):
     assert sizes[0] == sizes[1]
 
 
+# nodes one two-flow _batch_nll built with layer norm and attention as
+# chains of small ops, before they were fused into one node each
+UNFUSED_BATCH_NLL_NODES = 387
+
+
+def test_batch_nll_tape_is_at_most_half_the_unfused_one(full_hkg):
+    flm = make_flm(full_hkg, n_layers=2)
+    kg = full_hkg.base
+    g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
+    m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
+    emb_table = np.random.default_rng(6).normal(
+        size=(full_hkg.num_nodes, flm.cfg.d_e))
+    batch = [flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1]),
+             flmm.FlowExample([g2, m2], ("genre", "item"), [], [g2, m2, g1])]
+    loss = flmm._batch_nll(flm, batch, emb_table)
+    assert len(ad._topo_order(loss)) <= UNFUSED_BATCH_NLL_NODES // 2
+
+
 def test_swapped_prompts_change_encoder_output(full_hkg):
     flm = make_flm(full_hkg, seed=5)
     rng = np.random.default_rng(2)

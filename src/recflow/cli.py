@@ -34,8 +34,8 @@ DATA_ERRORS = (pl.DataError, kgm.MissingType, kgm.MalformedRecord,
                cp.ParseError, cp.SpanOutOfBounds, flmm.VocabMiss,
                flmm.TypeMismatch, flmm.EmptyTypeClass,
                flmm.AllSchemasUnreachable, rz.NoCoveringSegmentation,
-               rc.LabelNotItem, rc.EmptyTestSet, sc.EmptyCatalog,
-               sc.IndexOutOfCatalog, FileNotFoundError)
+               rc.LabelNotItem, rc.EmptyTestSet, rc.EmptyTrainingSet,
+               sc.EmptyCatalog, sc.IndexOutOfCatalog, FileNotFoundError)
 NUMERIC_ERRORS = (ad.NonFinite, ad.NonFiniteGradient, ad.NonScalarLoss,
                   cf.NonFiniteUpdate, cf.PositionOutOfRange)
 
@@ -74,7 +74,6 @@ class OutputTracker:
 
 @dataclass
 class Workspace:
-    cfg: RunConfig
     kg: object
     hkg: object
     train: list
@@ -88,10 +87,8 @@ def _require(cfg, *names):
             raise ConfigError(name, "path is required for this command")
 
 
-def load_workspace(cfg, need_val=False, need_test=False):
+def load_workspace(cfg, need_test=False):
     _require(cfg, "kg_path", "types_path", "dialogues_path")
-    if need_val:
-        _require(cfg, "val_path")
     if need_test:
         _require(cfg, "test_path")
     kg = kgm.load_kg_files(cfg.kg_path, cfg.types_path)
@@ -99,8 +96,7 @@ def load_workspace(cfg, need_val=False, need_test=False):
     val = cp.load_dialogues_file(cfg.val_path) if cfg.val_path else []
     test = cp.load_dialogues_file(cfg.test_path) if cfg.test_path else []
     hkg = kgm.attach_users(kg, cp.derive_interactions(train))
-    return Workspace(cfg=cfg, kg=kg, hkg=hkg, train=train, val=val,
-                     test=test)
+    return Workspace(kg=kg, hkg=hkg, train=train, val=val, test=test)
 
 
 def build_rec(cfg, hkg):
@@ -138,7 +134,8 @@ def _pretrain_rec(cfg, ws, tracker):
     val_samples = pl.samples_from_dialogues(ws.val, ws.kg) if ws.val else None
     history = rc.pretrain_recommender(
         rec, train_samples, val_samples, steps=cfg.rec_steps,
-        batch_size=cfg.rec_batch, lr=cfg.rec_lr, seed=cfg.seed)
+        batch_size=cfg.rec_batch, lr=cfg.rec_lr, patience=cfg.patience,
+        seed=cfg.seed)
     ad.save_checkpoint(tracker.path("rec.ckpt"), rec.store)
     tracker.write_json("rec_history.json", history)
     return rec
@@ -174,13 +171,12 @@ def _write_simulated(tracker, name, realized):
     tracker.write_text(name, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _test_report(cfg, ws, rec, simulated):
+def _test_report(ws, rec, simulated):
     report = None
     if ws.test:
         test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
         if test_samples:
-            report = rc.evaluate(rec, test_samples, ks=(10, 50),
-                                 workers=cfg.workers)
+            report = rc.evaluate(rec, test_samples, ks=(10, 50))
     if report is not None and simulated:
         responses = [t.text for r in simulated for t in r.dialogue.turns
                      if t.speaker == cp.RECOMMENDER]
@@ -241,7 +237,7 @@ def cmd_pretrain_rec(cfg):
     tracker = OutputTracker(cfg.out_dir, "pretrain-rec")
     ws = load_workspace(cfg)
     rec = _pretrain_rec(cfg, ws, tracker)
-    report = _test_report(cfg, ws, rec, [])
+    report = _test_report(ws, rec, [])
     if report is not None:
         tracker.write_text("metrics_test.json", report.to_json() + "\n")
         print(report.format_table("pretrained"))
@@ -286,7 +282,7 @@ def _run_training(cfg, arm):
                        "\n".join(json.dumps(e, sort_keys=True)
                                  for e in log) + "\n")
     _write_simulated(tracker, "simulated.jsonl", simulated)
-    report = _test_report(cfg, ws, rec, simulated)
+    report = _test_report(ws, rec, simulated)
     if report is not None:
         tracker.write_text("metrics_test.json", report.to_json() + "\n")
         print(report.format_table(arm))
@@ -351,7 +347,7 @@ def cmd_evaluate(cfg, checkpoint=None, responses=None):
         raise pl.DataError("no recommender checkpoint found to evaluate")
     pl.read_checkpoint(ckpt, rec.store)
     test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
-    report = rc.evaluate(rec, test_samples, ks=(10, 50), workers=cfg.workers)
+    report = rc.evaluate(rec, test_samples, ks=(10, 50))
     if responses:
         texts = [t.text for d in cp.load_dialogues_file(responses)
                  for t in d.turns if t.speaker == cp.RECOMMENDER]
@@ -387,8 +383,7 @@ def cmd_sweep(cfg):
                        "courses_run": len(log)}
                 eval_samples = test_samples or val_samples
                 if eval_samples:
-                    report = rc.evaluate(rec, eval_samples, ks=(10, 50),
-                                         workers=cfg.workers)
+                    report = rc.evaluate(rec, eval_samples, ks=(10, 50))
                     row["recall@10"] = report.recall[10]
                     row["recall@50"] = report.recall[50]
                 rows.append(row)

@@ -77,7 +77,6 @@ class RunConfig:
     temperature: float = 1.0
     # misc
     seed: int = 0
-    workers: int = 0
     n_simulate: int = 100
     sweep_rho: list = field(default_factory=lambda: [0.1, 0.01, 0.001])
     sweep_delta: list = field(default_factory=lambda: [0.9, 0.8, 0.7])
@@ -100,7 +99,7 @@ class RunConfig:
             if type(v) is not int or v < 1:
                 raise ConfigError(name, f"must be a positive integer, got {v!r}")
         non_negative_ints = ("rec_steps", "courses", "course_rec_steps",
-                             "seed", "workers", "pseudo_ratio")
+                             "seed", "pseudo_ratio")
         for name in non_negative_ints:
             v = getattr(self, name)
             if type(v) is not int or v < 0:

@@ -269,27 +269,19 @@ class TrainConfig:
     ks: tuple = (10, 50)
 
 
-def _finetune(rec_model, pool, steps, batch_size, lr, rng):
-    for _ in range(steps):
-        idx = rng.integers(0, len(pool), size=min(batch_size, len(pool)))
-        loss = rc.rec_loss(rec_model, [pool[i] for i in idx])
-        grads = ad.backward(loss, rec_model.store)
-        ad.optimizer_step(rec_model.store, grads, lr=lr)
-
-
 def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
     """Shared course loop: ``course_fn(course, lam, rng)`` supplies that
-    course's augmented dialogues/samples, then the recommender fine-tunes on
-    the simulated + real mix. Early-stops on validation Recall at the largest
-    cutoff and restores the best checkpoint.
+    course's augmented dialogues/samples, then the recommender fine-tunes
+    (``recommender.train_steps``) on the simulated + real mix. Early-stops
+    on validation Recall at the largest cutoff and restores the best
+    checkpoint (``recommender.EarlyStopping``).
 
     Returns (log entries, all simulated dialogues).
     """
     rng = np.random.default_rng(cfg.seed)
     sched = CurriculumSchedule(cfg.rho, cfg.delta)
     log, simulated = [], []
-    best, best_metric, misses = None, -np.inf, 0
-    top_k = max(cfg.ks)
+    stopper = rc.EarlyStopping(rec_model.store, cfg.patience)
     for course in range(cfg.courses):
         lam = curriculum_lambda(sched, course)
         dialogues, sim_samples, stats = course_fn(course, lam, rng)
@@ -303,26 +295,18 @@ def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
             pool = list(sim_samples)
         else:
             pool = list(real_train)
-        _finetune(rec_model, pool, cfg.rec_steps, cfg.rec_batch, cfg.rec_lr,
-                  rng)
+        rc.train_steps(rec_model, pool, cfg.rec_steps, cfg.rec_batch,
+                       cfg.rec_lr, rng)
         entry = {"course": course, "lambda": lam,
                  "n_simulated": len(dialogues), **stats}
         if val_samples:
             report = rc.evaluate(rec_model, val_samples, ks=cfg.ks)
             for k in cfg.ks:
                 entry[f"val_recall@{k}"] = report.recall[k]
-            metric = report.recall[top_k]
-            if metric > best_metric:
-                best_metric = metric
-                best = rec_model.store.values_dict()
-                misses = 0
-            else:
-                misses += 1
         log.append(entry)
-        if val_samples and misses >= cfg.patience:
+        if val_samples and stopper.update(report.recall[max(cfg.ks)]):
             break
-    if best is not None:
-        rec_model.store.load_values(best)
+    stopper.restore()
     return log, simulated
 
 
@@ -335,7 +319,7 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
     the simulated + real mix.
     """
     if not pairs:
-        raise ValueError("need at least one user pair")
+        raise pl.DataError("need at least one user pair")
     d_e = sim.entity_emb.shape[1]
 
     def course_fn(course, lam, rng):
@@ -379,7 +363,7 @@ def train_eda(rec_model, bank, hkg, flow_pool, real_train, val_samples, cfg):
     """Random-edit augmentation arm: same course loop and mixing, but
     augmented dialogues come from single random edits of real flows."""
     if not flow_pool:
-        raise ValueError("need at least one real flow to augment")
+        raise pl.DataError("need at least one real flow to augment")
     kg = hkg.base
 
     def course_fn(course, lam, rng):

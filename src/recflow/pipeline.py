@@ -200,7 +200,7 @@ def save_simulator(sim, path):
     ad.save_checkpoint(path("flm.ckpt"), sim.flm.store)
     ad.save_checkpoint(path("clf.ckpt"), sim.clf_store)
     ad.save_checkpoint(path("sim_emb.ckpt"), {"entity_emb": sim.entity_emb})
-    with open(path("catalog.json"), "w", encoding="utf-8") as fh:
+    with ad.atomic_write(path("catalog.json"), "w", encoding="utf-8") as fh:
         fh.write(sim.catalog.to_json() + "\n")
 
 

@@ -68,14 +68,18 @@ class TemplateBank:
                 self.templates.append(cp.Template(
                     speaker=role, segments=text_parts, signature=(tname,),
                     dialogue_id="fallback"))
-        self.by_signature = {}
+        by_signature = {}
         for i, tpl in enumerate(self.templates):
             if tpl.signature:
-                self.by_signature.setdefault(tpl.signature, []).append(i)
-        self.max_signature = max((len(s) for s in self.by_signature), default=0)
-
-    def candidates(self, signature):
-        return self.by_signature.get(tuple(signature), [])
+                by_signature.setdefault(tpl.signature, []).append(i)
+        # item-bearing signatures prefer the recommender role, the rest the
+        # seeker; a signature with no template of its role keeps them all
+        self.pools = {}
+        for sig, ids in by_signature.items():
+            role = cp.RECOMMENDER if ITEM_TYPE in sig else cp.SEEKER
+            self.pools[sig] = ([i for i in ids
+                                if self.templates[i].speaker == role] or ids)
+        self.max_signature = max((len(s) for s in self.pools), default=0)
 
 
 def build_template_bank(dialogues, kg, add_fallbacks=True):
@@ -100,19 +104,13 @@ def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
     pos = 0
     n = len(schema)
     while pos < n:
-        chosen = None
         for width in range(min(bank.max_signature, n - pos), 0, -1):
             sig = tuple(schema[pos:pos + width])
-            cands = bank.candidates(sig)
-            if cands:
-                chosen = (sig, cands)
+            pool = bank.pools.get(sig)
+            if pool:
                 break
-        if chosen is None:
+        else:
             raise NoCoveringSegmentation(tuple(schema), pos)
-        sig, cands = chosen
-        preferred = cp.RECOMMENDER if ITEM_TYPE in sig else cp.SEEKER
-        by_role = [i for i in cands if bank.templates[i].speaker == preferred]
-        pool = by_role or cands
         tpl_id = pool[int(rng.integers(len(pool)))]
         if tpl_id in bank.fallback_ids:
             logger.info("fallback template used for signature %s", sig)

@@ -1,6 +1,8 @@
 """Entity-based recommender: graph-encoded entities, attentive context
 pooling, inner-product scoring over the item set, plus the ranking and
-diversity metric suite.
+diversity metric suite, plus the one training loop (``train_steps``) and
+early-stopping rule (``EarlyStopping``) that pre-training and every
+curriculum course use.
 
 The context encoder pools the mentioned entities with the user-preference
 attention pool (``embeddings.pool_entities``), under its own parameters.
@@ -28,6 +30,10 @@ class LabelNotItem(ValueError):
 
 
 class EmptyTestSet(ValueError):
+    pass
+
+
+class EmptyTrainingSet(ValueError):
     pass
 
 
@@ -67,14 +73,20 @@ class MetricReport:
                           line(row)])
 
 
-def ranking_metrics(rank, ks):
-    """Per-sample metrics from a 1-based rank."""
+def ranking_metrics(ranks, ks):
+    """Per-sample metrics from 1-based ranks: ``{k: {"recall", "mrr",
+    "ndcg"}}``, each an array shaped like ``ranks``."""
+    ranks = np.asarray(ranks)
+    top = max(ks)
+    # math.log2, not np.log2: the two differ in the last bit on some ranks
+    gain = [1.0 / math.log2(r + 1) for r in range(1, top + 1)]
+    gains = np.array(gain)[np.minimum(ranks, top) - 1]
     out = {}
     for k in ks:
-        hit = rank <= k
-        out[k] = {"recall": 1.0 if hit else 0.0,
-                  "mrr": 1.0 / rank if hit else 0.0,
-                  "ndcg": 1.0 / math.log2(rank + 1) if hit else 0.0}
+        hit = ranks <= k
+        out[k] = {"recall": hit.astype(np.float64),
+                  "mrr": np.where(hit, 1.0 / ranks, 0.0),
+                  "ndcg": np.where(hit, gains, 0.0)}
     return out
 
 
@@ -161,55 +173,75 @@ def rec_loss(model, samples, table=None):
     return -ad.mean(picked)
 
 
+RANK_CHUNK = 256
+
+
 def _rank_chunk(model, table, samples):
+    """1-based label ranks: items scoring higher, plus tied items with a
+    lower id, come first."""
     logits = model.item_logits(table, [list(s.context) for s in samples]).data
-    out = np.empty(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        li = model.label_index(s.label)
-        ls = logits[i, li]
-        better = np.sum(logits[i] > ls)
-        tied_before = np.sum((logits[i] == ls)
-                             & (model.item_ids < model.item_ids[li]))
-        out[i] = int(better + tied_before) + 1
-    return out
+    labels = np.array([model.label_index(s.label) for s in samples],
+                      dtype=np.intp)
+    own = logits[np.arange(len(samples)), labels][:, None]
+    ids = model.item_ids
+    ahead = (logits > own) | ((logits == own)
+                              & (ids < ids[labels][:, None]))
+    return ahead.sum(axis=1) + 1
 
 
-def _ranks(model, samples, batch=256, workers=1):
-    chunks = [samples[lo:lo + batch] for lo in range(0, len(samples), batch)]
-    with ad.no_grad():
-        table = model.entity_embeddings()
-        if workers > 1 and len(chunks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda c: _rank_chunk(model, table, c),
-                                      chunks))
-        else:
-            parts = [_rank_chunk(model, table, c) for c in chunks]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def evaluate(model, samples, ks=(10, 50), workers=1):
-    """Mean Recall/MRR/NDCG at each cutoff over the test samples.
-
-    Sample chunks are independent against the frozen model, so ``workers``
-    threads may score them in parallel without changing the result."""
+def evaluate(model, samples, ks=(10, 50)):
+    """Mean Recall/MRR/NDCG at each cutoff over the test samples, ranked in
+    chunks of ``RANK_CHUNK`` samples against the frozen model."""
     if not samples:
         raise EmptyTestSet("no test samples")
-    ranks = _ranks(model, samples, workers=workers)
-    recall = {k: 0.0 for k in ks}
-    mrr = {k: 0.0 for k in ks}
-    ndcg = {k: 0.0 for k in ks}
-    for r in ranks:
-        per = ranking_metrics(int(r), ks)
-        for k in ks:
-            recall[k] += per[k]["recall"]
-            mrr[k] += per[k]["mrr"]
-            ndcg[k] += per[k]["ndcg"]
-    n = len(samples)
-    return MetricReport(recall={k: v / n for k, v in recall.items()},
-                        mrr={k: v / n for k, v in mrr.items()},
-                        ndcg={k: v / n for k, v in ndcg.items()},
-                        n_samples=n)
+    with ad.no_grad():
+        table = model.entity_embeddings()
+        ranks = np.concatenate([
+            _rank_chunk(model, table, samples[lo:lo + RANK_CHUNK])
+            for lo in range(0, len(samples), RANK_CHUNK)])
+    per = ranking_metrics(ranks, ks)
+    # a running total in sample order; np.sum adds pairwise
+    mean = lambda a: float(np.add.accumulate(a)[-1]) / len(samples)
+    return MetricReport(**{m: {k: mean(per[k][m]) for k in ks}
+                           for m in ("recall", "mrr", "ndcg")},
+                        n_samples=len(samples))
+
+
+def train_steps(model, pool, steps, batch_size, lr, rng):
+    """``steps`` optimizer steps, each on a batch drawn with replacement
+    from ``pool``; returns the per-step losses."""
+    losses = []
+    for _ in range(steps):
+        idx = rng.integers(0, len(pool), size=min(batch_size, len(pool)))
+        loss = rec_loss(model, [pool[i] for i in idx])
+        grads = ad.backward(loss, model.store)
+        ad.optimizer_step(model.store, grads, lr=lr)
+        losses.append(loss.item())
+    return losses
+
+
+class EarlyStopping:
+    """Keeps the store's values from the best validation metric so far and
+    calls for a stop after ``patience`` evaluations in a row without a
+    strict improvement (Prechelt, 1998)."""
+
+    def __init__(self, store, patience):
+        self.store, self.patience = store, patience
+        self.best, self.best_metric, self.misses = None, -np.inf, 0
+
+    def update(self, metric):
+        """Record one evaluation; True when training should stop."""
+        if metric > self.best_metric:
+            self.best_metric = metric
+            self.best = self.store.values_dict()
+            self.misses = 0
+        else:
+            self.misses += 1
+        return self.misses >= self.patience
+
+    def restore(self):
+        if self.best is not None:
+            self.store.load_values(self.best)
 
 
 def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
@@ -217,37 +249,24 @@ def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
                          seed=0, ks=(10, 50)):
     """Cross-entropy training of the scorer jointly with the graph encoder.
 
-    Early-stops on validation Recall@50 with the given patience (measured in
+    Evaluates on validation Recall at the largest cutoff after every full
+    ``eval_every`` steps, early-stops with the given patience (measured in
     evaluations) and restores the best checkpoint before returning the
     training history.
     """
     if not train_samples:
-        raise ValueError("need training samples")
+        raise EmptyTrainingSet("need training samples")
     rng = np.random.default_rng(seed)
     history = {"loss": [], "val_recall": []}
-    best = None
-    best_metric = -np.inf
-    misses = 0
-    for step in range(steps):
-        idx = rng.integers(0, len(train_samples),
-                           size=min(batch_size, len(train_samples)))
-        batch = [train_samples[i] for i in idx]
-        loss = rec_loss(model, batch)
-        grads = ad.backward(loss, model.store)
-        ad.optimizer_step(model.store, grads, lr=lr)
-        history["loss"].append(loss.item())
-        if val_samples and (step + 1) % eval_every == 0:
-            report = evaluate(model, val_samples, ks=ks)
-            metric = report.recall[max(ks)]
+    stopper = EarlyStopping(model.store, patience)
+    for done in range(0, steps, eval_every):
+        chunk = min(eval_every, steps - done)
+        history["loss"] += train_steps(model, train_samples, chunk,
+                                       batch_size, lr, rng)
+        if val_samples and chunk == eval_every:
+            metric = evaluate(model, val_samples, ks=ks).recall[max(ks)]
             history["val_recall"].append(metric)
-            if metric > best_metric:
-                best_metric = metric
-                best = model.store.values_dict()
-                misses = 0
-            else:
-                misses += 1
-                if misses >= patience:
-                    break
-    if best is not None:
-        model.store.load_values(best)
+            if stopper.update(metric):
+                break
+    stopper.restore()
     return history

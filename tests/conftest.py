@@ -56,3 +56,21 @@ def mini():
                      sim_cfg=sim_cfg, pairs=pairs,
                      train_samples=train_samples,
                      val_samples=val_samples, test_samples=test_samples)
+
+
+@pytest.fixture
+def scripted_evaluate(monkeypatch):
+    """``install(recalls)`` makes ``rc.evaluate`` report the given validation
+    Recall values in turn and returns the list of store checksums it sees,
+    one per call."""
+    def install(recalls):
+        seen = []
+
+        def fake(model, samples, ks=(10, 50)):
+            seen.append(model.store.checksum())
+            r = recalls[len(seen) - 1]
+            return rc.MetricReport(recall={k: r for k in ks}, mrr={}, ndcg={})
+
+        monkeypatch.setattr(rc, "evaluate", fake)
+        return seen
+    return install

@@ -95,9 +95,10 @@ def test_cli_bad_sweep_list_exits_2_before_training(tmp_path, world_files):
 def test_cli_unknown_key_exits_2(tmp_path, world_files):
     cfg_path = write_config(tmp_path,
                             fast_config(world_files, tmp_path / "out"))
-    # precision and use_baseline are removed fields: a stale config fails
-    # like a typo
-    for override in ("bogus_key=1", "precision=f32", "use_baseline=true"):
+    # precision, use_baseline and workers are removed fields: a stale config
+    # fails like a typo
+    for override in ("bogus_key=1", "precision=f32", "use_baseline=true",
+                     "workers=2"):
         code = cli.main(["mine-schemas", "--config", cfg_path,
                          "--set", override])
         assert code == 2, override
@@ -116,6 +117,39 @@ def test_cli_missing_file_exits_3(tmp_path, world_files):
     code = cli.main(["mine-schemas", "--config",
                      write_config(tmp_path, cfg)])
     assert code == 3
+
+
+def write_dialogues_keeping(tmp_path, world_files, speaker):
+    """The training dialogues with only ``speaker``'s turns kept (none when
+    ``speaker`` is None)."""
+    lines = []
+    if speaker is not None:
+        for d in cp.load_dialogues_file(world_files["train"]):
+            record = d.to_record()
+            record["turns"] = [t for t in record["turns"]
+                               if t["speaker"] == speaker]
+            lines.append(json.dumps(record))
+    path = tmp_path / "train_filtered.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, speaker", [
+    ("pretrain-rec", None),
+    ("train", None),
+    ("pretrain-rec", cp.SEEKER),
+    ("train", cp.SEEKER),
+    ("train", cp.RECOMMENDER),
+    ("sweep", cp.RECOMMENDER),
+])
+def test_empty_training_inputs_exit_3(tmp_path, world_files, command,
+                                      speaker):
+    # no recommender turns leaves no training samples; no seeker turns
+    # leaves no user pairs to edit
+    cfg = fast_config(world_files, tmp_path / "out",
+                      dialogues_path=write_dialogues_keeping(
+                          tmp_path, world_files, speaker))
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 3
 
 
 def test_mine_schemas_single_flow_fixture(tmp_path, world_files):

@@ -356,6 +356,18 @@ def test_zero_courses_returns_pretrained_model(mini):
     assert rec.store.checksum() == before
 
 
+def test_curriculum_early_stops_and_restores_best(mini, scripted_evaluate):
+    rec = mini.fresh_rec()
+    seen = scripted_evaluate([0.2, 0.5, 0.4, 0.3, 0.9])
+    cfg = cf.TrainConfig(courses=10, patience=2, rec_steps=2, rec_batch=8,
+                         seed=0)
+    log, _ = cf.train_baseline(rec, mini.train_samples, mini.val_samples,
+                               cfg)
+    assert [e["val_recall@50"] for e in log] == [0.2, 0.5, 0.4, 0.3]
+    assert rec.store.checksum() == seen[1]
+    assert len(set(seen)) == 4
+
+
 def test_train_augmented_runs_and_logs(mini):
     rec = mini.fresh_rec()
     cfg = cf.TrainConfig(courses=2, rho=0.1, delta=0.9, alpha=1e-3,

@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from recflow import autodiff as ad
 from recflow import flm as flmm
@@ -29,6 +30,25 @@ def test_saved_simulator_reloads_bit_for_bit(mini, tmp_path):
                          out.schema, out.flow_entities,
                          out.dialogue.to_record()))
         assert outs[0] == outs[1]
+
+
+def test_failed_catalog_write_keeps_earlier_catalog(mini, tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    pl.save_simulator(mini.sim, path)
+    before = (tmp_path / "catalog.json").read_bytes()
+
+    class Unwritable:
+        def to_json(self):
+            return "[\ud800]"
+
+    broken = dataclasses.replace(mini.sim, catalog=Unwritable())
+    with pytest.raises(UnicodeEncodeError):
+        pl.save_simulator(broken, path)
+    assert (tmp_path / "catalog.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        pl.SIMULATOR_FILES)
 
 
 def test_build_simulator_records_no_tape_for_classifier_prompts(mini,

@@ -259,16 +259,54 @@ def test_pretrain_beats_random_on_separable_world():
     assert rep.recall[5] > 5 / 10  # random baseline k/|I|
 
 
-def test_evaluate_parallel_matches_serial(small_world):
-    rng = np.random.default_rng(8)
+def test_evaluate_matches_score_items_order_with_ties(small_world):
+    # empty contexts score every item by its bias alone, so the ties are
+    # exact; 600 samples span three ranking chunks
     model = rc.RecModel(small_world, d_e=8, seed=3)
-    g1 = small_world.base.entity_id("g1")
-    samples = [RecSample(context=(g1,) if i % 2 else (),
-                         label=int(model.item_ids[i % model.num_items]))
+    model.store["rec.item_bias"].data = np.array([0.3, 0.1, 0.3, -0.2, 0.1])
+    samples = [RecSample(context=(),
+                         label=int(model.item_ids[(7 * i) % model.num_items]))
                for i in range(600)]
-    serial = rc.evaluate(model, samples, workers=1).to_dict()
-    parallel = rc.evaluate(model, samples, workers=4).to_dict()
-    assert serial == parallel
+    order = [e for e, _ in rc.score_items(model, [])]
+    ranks = [order.index(s.label) + 1 for s in samples]
+    rep = rc.evaluate(model, samples, ks=(1, 3))
+    for k in (1, 3):
+        recall = mrr = ndcg = 0.0
+        for r in ranks:  # running totals in sample order
+            if r <= k:
+                recall += 1.0
+                mrr += 1.0 / r
+                ndcg += 1.0 / math.log2(r + 1)
+        assert rep.recall[k] == recall / 600
+        assert rep.mrr[k] == mrr / 600
+        assert rep.ndcg[k] == ndcg / 600
+
+
+def test_pretrain_early_stops_and_restores_best(small_world,
+                                                scripted_evaluate):
+    model = rc.RecModel(small_world, d_e=8, seed=2)
+    samples = [RecSample(context=(), label=int(model.item_ids[0]))]
+    seen = scripted_evaluate([0.2, 0.5, 0.4, 0.3, 0.9])
+    history = rc.pretrain_recommender(model, samples, samples, steps=1000,
+                                      batch_size=1, eval_every=10,
+                                      patience=2)
+    assert history["val_recall"] == [0.2, 0.5, 0.4, 0.3]
+    assert len(history["loss"]) == 40
+    assert model.store.checksum() == seen[1]
+    assert len(set(seen)) == 4
+
+
+def test_pretrain_evaluates_after_full_chunks_only(small_world,
+                                                   scripted_evaluate):
+    model = rc.RecModel(small_world, d_e=8, seed=2)
+    samples = [RecSample(context=(), label=int(model.item_ids[0]))]
+    seen = scripted_evaluate([0.1, 0.2, 0.3])
+    history = rc.pretrain_recommender(model, samples, samples, steps=130,
+                                      batch_size=1, eval_every=50)
+    assert len(seen) == 2
+    assert len(history["loss"]) == 130
+    # the 30 steps after the last evaluation are rolled back to its best
+    assert model.store.checksum() == seen[1]
 
 
 def test_report_json_and_table(small_world):

@@ -271,6 +271,22 @@ def concat(tensors, axis=0):
     return _make(out, tuple(tensors), vjp)
 
 
+def _distinct_rows(key):
+    """True when ``key`` is a strictly increasing, non-negative 1-D integer
+    array, or a tuple of equal-length ones led by such an array: then no
+    element is named twice."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if not parts:
+        return False
+    first = parts[0]
+    for p in parts:
+        if not (isinstance(p, np.ndarray) and p.dtype.kind in "iu"
+                and p.ndim == 1 and len(p) == len(first)):
+            return False
+    return len(first) == 0 or (first[0] >= 0
+                               and bool((first[1:] > first[:-1]).all()))
+
+
 def take(a, key):
     """Generic indexing; gradients scatter-add into the source."""
     a = as_tensor(a)
@@ -278,7 +294,10 @@ def take(a, key):
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, key, g)
+        if _distinct_rows(key):
+            ga[key] += g  # the same 0.0 + g as np.add.at, without its loop
+        else:
+            np.add.at(ga, key, g)
         return (ga,)
 
     return _make(out, (a,), vjp)
@@ -300,7 +319,8 @@ class SegmentPlan:
     """A constant sparse map ``out[seg[e]] += weights[e] * x[src[e]]``.
 
     Edges are kept stably sorted by segment, so applying the plan is one
-    gather and one ``np.add.reduceat``; ``T`` is the transposed plan.
+    gather and one ``np.add.reduceat``; ``T`` is the transposed plan, and
+    ``restrict`` cuts out the plan of some whole segments.
     """
 
     def __init__(self, src, seg, weights, num_segments, num_sources):
@@ -310,16 +330,80 @@ class SegmentPlan:
         self._gather, self._w = src[order], weights[order].reshape(-1, 1)
         self._starts = np.flatnonzero(np.diff(seg[order], prepend=-1))
         self._targets = seg[order][self._starts]
-        self.num_segments = num_segments
+        self.num_segments, self.num_sources = num_segments, num_sources
+        self._pad = False
         self._transposed = (seg, src, weights, num_sources, num_segments)
 
     @functools.cached_property
     def T(self):
         return SegmentPlan(*self._transposed)
 
+    @functools.cached_property
+    def offsets(self):
+        """Segment s owns the edges ``offsets[s]:offsets[s + 1]`` of the
+        plan's order."""
+        counts = np.zeros(self.num_segments, np.intp)
+        counts[self._targets] = np.diff(self._starts,
+                                        append=len(self._gather))
+        return np.concatenate(([0], np.cumsum(counts)))
+
+    def _sub(self, segments, targets, num_segments, src_rows, num_sources):
+        """The plan of the whole ``segments`` (increasing ids), writing output
+        rows ``targets`` of ``num_segments`` and reading source s from input
+        row ``src_rows[s]`` (s when None) of ``num_sources``; a read of row
+        ``num_sources`` gets a zero row."""
+        lo = self.offsets[segments]
+        counts = self.offsets[segments + 1] - lo
+        ends = np.cumsum(counts)
+        edges = (np.repeat(lo - ends + counts, counts)
+                 + np.arange(ends[-1] if len(ends) else 0))
+        sub = object.__new__(SegmentPlan)
+        sub._gather, sub._w = self._gather[edges], self._w[edges]
+        if src_rows is not None:
+            sub._gather = src_rows[sub._gather]
+        nonempty = counts > 0
+        sub._starts, sub._targets = (ends - counts)[nonempty], targets[nonempty]
+        sub.num_segments, sub.num_sources = num_segments, num_sources
+        sub._pad = bool((sub._gather == num_sources).any())
+        return sub
+
+    def restrict(self, segments, sources=None):
+        """The plan of this plan's ``segments`` (increasing ids): its output
+        row j is segment ``segments[j]``. It reads this plan's input as is
+        when ``sources`` is None. Otherwise its input row i is source
+        ``sources[i]`` of the result, which holds the sources those segments
+        read together with the given ``sources`` (ids), increasing.
+
+        Its ``T`` sums, for each source read, every edge out of that source
+        in ``self.T``'s order, and an edge into a segment left out reads a
+        zero row. So each transposed sum adds the same terms in the same
+        order as the full plan's: ``np.add.reduceat`` sums pairwise, and
+        dropping the zero terms would change the rounding.
+        """
+        n_out = len(segments)
+        sub = self._sub(segments, np.arange(n_out), n_out, None,
+                        self.num_sources)
+        read = np.zeros(self.num_sources, dtype=bool)
+        read[sub._gather] = True
+        feeders = targets = np.flatnonzero(read)
+        if sources is not None:
+            read[sources] = True
+            sub.sources = np.flatnonzero(read)
+            src_rows = np.zeros(self.num_sources, dtype=np.intp)
+            src_rows[sub.sources] = np.arange(len(sub.sources))
+            sub._gather = src_rows[sub._gather]
+            sub.num_sources, targets = len(sub.sources), src_rows[feeders]
+        seg_rows = np.full(self.num_segments, n_out, dtype=np.intp)
+        seg_rows[segments] = np.arange(n_out)
+        sub.T = self.T._sub(feeders, targets, sub.num_sources, seg_rows,
+                            n_out)
+        return sub
+
     def apply(self, x):
         """Plain-array forward on (num_sources, d) rows."""
         out = np.zeros((self.num_segments, x.shape[1]))
+        if self._pad:
+            x = np.concatenate([x, np.zeros((1, x.shape[1]))])
         vals = np.take(x, self._gather, axis=0)
         vals *= self._w
         out[self._targets] = np.add.reduceat(vals, self._starts, axis=0)

@@ -11,7 +11,17 @@ with W_r = sum_b a_{r,b} V_b. A layer aggregates, then transforms: one
 segment sum (``HeterogeneousKG.rgcn_plan``) lays each node's R mean neighbor
 vectors side by side in an (n, R*d) matrix, and one matmul with the stacked
 weight [W_0; ...; W_{R-1}] of shape (R*d, d) applies every relation. A
-relation under which a node has no neighbors adds a zero block. User
+relation under which a node has no neighbors adds a zero block.
+
+``rgcn_forward`` computes either the whole table or only the rows asked
+for. A recommender training step asks for the item rows and its batch's
+context rows: each layer computes only the rows that the layer above reads
+(those within the remaining in-hops), from sub-plans cut out of the graph's
+plan without sorting. The values and gradients are those of the full
+table; the segment sums add the same terms in the same order, and only the
+BLAS reductions over fewer rows may round differently. Evaluation, the
+simulator's frozen table and the REINFORCE reward table use the whole
+table. User
 preference is the attention-weighted combination of the user's
 interacted-entity embeddings,
 
@@ -59,14 +69,24 @@ def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
     return store
 
 
-def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn"):
-    """Return the (num_nodes, d_e) embedding table after message passing.
+def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", rows=None):
+    """Return the R-GCN embeddings of the node ids ``rows``, in their order,
+    or the (num_nodes, d_e) table when ``rows`` is None.
 
     Differentiable w.r.t. the node table and all layer weights in ``store``.
+    A row set computes only the rows it needs, layer by layer
+    (``HeterogeneousKG.rgcn_layer_plans``).
     """
     h = store[f"{prefix}.node_emb"]
-    plan = hkg.rgcn_plan()
-    for layer in range(num_layers):
+    if rows is None:
+        layers = [(hkg.rgcn_plan(), None)] * num_layers
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        need = rows if (rows[1:] > rows[:-1]).all() else np.unique(rows)
+        layers = hkg.rgcn_layer_plans(need, num_layers)
+        if not layers:
+            h = ad.rows(h, need)
+    for layer, (plan, keep) in enumerate(layers):
         bases = store[f"{prefix}.l{layer}.bases"]
         coeffs = store[f"{prefix}.l{layer}.coeffs"]
         w_self = store[f"{prefix}.l{layer}.w_self"]
@@ -75,7 +95,11 @@ def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn"):
         w_rel = ad.reshape(coeffs @ ad.reshape(bases, (nb, d_in * d_out)),
                            (num_rel * d_in, d_out))
         msgs = ad.reshape(ad.segment_sum(h, plan), (-1, num_rel * d_in))
+        if keep is not None:
+            h = ad.rows(h, keep)
         h = ad.tanh(h @ w_self + msgs @ w_rel)
+    if rows is not None and need is not rows:
+        h = ad.rows(h, np.searchsorted(need, rows))
     return h
 
 

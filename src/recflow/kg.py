@@ -244,6 +244,32 @@ class HeterogeneousKG:
             self._plan = SegmentPlan(src, seg, 1.0 / deg[seg], n * num_rel, n)
         return self._plan
 
+    def rgcn_layer_plans(self, rows, num_layers):
+        """Sub-plans of ``rgcn_plan`` for ``num_layers`` layers that compute
+        the output ``rows`` (increasing node ids) and nothing more: layer l
+        computes the rows within ``num_layers - 1 - l`` in-hops of ``rows``,
+        the minibatch computation of GraphSAGE (Hamilton et al., 2017)
+        without sampling.
+
+        Returns per layer, first to last, (plan, keep): the sub-plan from the
+        layer's input rows to its output rows' R segments each, and the
+        positions of its output rows among its input rows. The first layer
+        reads the whole node table; a later one reads the rows
+        ``plan.sources`` that the layer below computes.
+        """
+        plan = self.rgcn_plan()
+        num_rel = plan.num_segments // plan.num_sources
+        layers = []
+        for layer in reversed(range(num_layers)):
+            segments = (rows[:, None] * num_rel + np.arange(num_rel)).ravel()
+            if layer == 0:
+                layers.append((plan.restrict(segments), rows))
+            else:
+                sub = plan.restrict(segments, rows)
+                layers.append((sub, np.searchsorted(sub.sources, rows)))
+                rows = sub.sources
+        return layers[::-1]
+
     def neighborhood(self, entity_id, hop_limit):
         """Entities reachable from ``entity_id`` within hop_limit undirected
         base-graph edges (excluding the start node). Memoized."""

@@ -137,10 +137,18 @@ class RecModel:
         with ad.no_grad():
             return self.entity_embeddings().data.copy()
 
-    def item_logits(self, table, contexts):
+    def item_logits(self, table, contexts, rows=None):
+        """Item scores per context; ``table`` holds the embeddings of the
+        increasing node ids ``rows``, or of every node when None."""
+        items = self.item_ids
+        if rows is not None:
+            local = np.zeros(self.hkg.num_nodes, dtype=np.intp)
+            local[rows] = np.arange(len(rows))
+            contexts = [local[c] for c in contexts]
+            items = local[items]
         ctx = emb.pool_entities(table, contexts, self.store["rec.attn.w"],
                                 self.store["rec.attn.b"])
-        items = ad.rows(table, self.item_ids)
+        items = ad.rows(table, items)
         return ctx @ ad.transpose(items) + self.store["rec.item_bias"]
 
     def label_index(self, entity_id):
@@ -160,14 +168,23 @@ def score_items(model, context):
 
 
 def rec_loss(model, samples, table=None):
-    """Mean negative log-likelihood of the labels under the item softmax."""
+    """Mean negative log-likelihood of the labels under the item softmax.
+
+    Without a ``table``, the R-GCN computes only the rows the loss reads:
+    the items and the batch's context entities.
+    """
     if not samples:
         raise ValueError("need at least one sample")
     labels = np.array([model.label_index(s.label) for s in samples],
                       dtype=np.intp)
+    contexts = [np.asarray(s.context, dtype=np.intp) for s in samples]
+    rows = None
     if table is None:
-        table = model.entity_embeddings()
-    logits = model.item_logits(table, [list(s.context) for s in samples])
+        rows = np.unique(np.concatenate([model.item_ids, *contexts]))
+        table = emb.rgcn_forward(model.hkg, model.store,
+                                 num_layers=model.num_layers,
+                                 prefix="rec.rgcn", rows=rows)
+    logits = model.item_logits(table, contexts, rows=rows)
     logp = ad.log_softmax(logits, axis=-1)
     picked = ad.take_pairs(logp, np.arange(len(samples)), labels)
     return -ad.mean(picked)

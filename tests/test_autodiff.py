@@ -232,6 +232,27 @@ def test_take_and_aggregate_gradients():
     assert ad.grad_check(f, store, eps=1e-5) < 1e-6
 
 
+@pytest.mark.parametrize("key", [
+    np.array([0, 2, 3, 6]),                         # strictly increasing
+    (np.arange(4), np.array([1, 0, 1, 2])),         # take_pairs
+    np.array([3, 1, 1, 6]),                         # duplicates
+    np.array([-1, 2, 6]),                           # -1 and 6 are one row
+    (np.array([0, 2, 2, 5]), np.array([0, 1, 0, 2])),
+    np.array([], dtype=np.intp),
+    (),
+])
+def test_take_vjp_is_bitwise_scatter_add(key):
+    a = ad.Tensor(np.zeros((7, 3)), requires_grad=True)
+    out = ad.take(a, key)
+    g = np.random.default_rng(5).normal(size=out.shape)
+    g.flat[::2] = -0.0
+    expected = np.zeros((7, 3))
+    np.add.at(expected, key, g)
+    got = out._vjp(g)[0]
+    assert got.tobytes() == expected.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
 def test_segment_sum_matches_scatter_and_tensors_are_f64():
     rng = np.random.default_rng(4)
     src = np.array([3, 0, 3, 1, 2, 3])

@@ -129,6 +129,138 @@ def test_rgcn_plan_lives_and_dies_with_its_graph():
         assert dead[-1]() is None
 
 
+def random_hkg(seed, num_entities=14, num_users=5):
+    """A random typed graph with user nodes, as ``attach_users`` builds it."""
+    rng = np.random.default_rng(seed)
+    names = [f"e{i}" for i in range(num_entities)]
+    triples = {(names[a], f"r{rng.integers(3)}", names[b])
+               for a, b in rng.integers(0, num_entities, (3 * num_entities, 2))}
+    used = sorted({x for h, _, t in triples for x in (h, t)})
+    users = {f"u{i}": list(rng.choice(used, size=rng.integers(1, 4)))
+             for i in range(num_users)}
+    return build_hkg(sorted(triples), {x: "item" for x in names}, users)
+
+
+def isolated_node_hkg():
+    """Node 2 has no edges at all, so a sub-plan computing it is empty."""
+    base = kgm.KnowledgeGraph(["a", "b", "c"], [0, 0, 0], ["item"], ["r"],
+                              [(0, 0, 1)])
+    return kgm.HeterogeneousKG(base=base, users=[], interactions={})
+
+
+def rgcn_store(hkg, num_layers, seed):
+    store = ad.ParamStore()
+    emb.init_rgcn_params(store, hkg, d_e=4, num_layers=num_layers,
+                         num_bases=2, rng=np.random.default_rng(seed))
+    return store
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_rgcn_rows_equal_the_full_tables_rows(num_layers):
+    hkg = random_hkg(3)
+    store = rgcn_store(hkg, num_layers, 4)
+    full = emb.rgcn_forward(hkg, store, num_layers=num_layers).data
+    n, users = hkg.num_nodes, hkg.base.num_entities
+    for rows in ([5, 1, 9, 1, 5], [users, n - 1, 0], [users + 1],
+                 np.arange(n), np.arange(n)[::-1]):
+        out = emb.rgcn_forward(hkg, store, num_layers=num_layers, rows=rows)
+        # == with OpenBLAS, except for one row, which numpy multiplies with
+        # gemv rather than gemm; BLAS promises neither
+        assert np.allclose(out.data, full[np.asarray(rows)], rtol=0,
+                           atol=1e-12)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_rgcn_row_with_no_in_edges_forward_and_vjp(num_layers):
+    hkg = isolated_node_hkg()
+    layers = hkg.rgcn_layer_plans(np.array([2]), num_layers)
+    assert all(plan.offsets[-1] == plan.T.offsets[-1] == 0
+               for plan, _ in layers)
+    store = rgcn_store(hkg, num_layers, 5)
+    weights = ad.Tensor(np.random.default_rng(6).normal(size=(1, 4)))
+
+    def grads(full):
+        out = emb.rgcn_forward(hkg, store, num_layers=num_layers,
+                               rows=None if full else [2])
+        if full:
+            out = ad.rows(out, [2])
+        return out.data, ad.backward(ad.tensor_sum(out * weights), store)
+
+    (sub, g_sub), (full, g_full) = grads(False), grads(True)
+    assert np.allclose(sub, full, rtol=0, atol=1e-12)
+    assert g_sub.keys() == g_full.keys()
+    for name in g_full:
+        assert np.allclose(g_sub[name], g_full[name], rtol=0,
+                           atol=1e-12), name
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_segment_sum_through_sub_plans_equals_full_plan(num_layers):
+    # numpy-only arithmetic, so the sums are == and not just close
+    hkg = random_hkg(7)
+    plan = hkg.rgcn_plan()
+    num_rel = plan.num_segments // hkg.num_nodes
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(hkg.num_nodes, 3))
+    out = np.unique(rng.integers(0, hkg.num_nodes, 4))
+    layers = hkg.rgcn_layer_plans(out, num_layers)
+    rows = np.arange(hkg.num_nodes)  # the first layer reads every node
+    for sub, keep in layers:
+        inputs = rows if sub is layers[0][0] else sub.sources
+        assert np.array_equal(inputs, rows)
+        rows = inputs[keep]
+        segs = (rows[:, None] * num_rel + np.arange(num_rel)).ravel()
+        assert np.array_equal(sub.apply(x[inputs]), plan.apply(x)[segs])
+        g = np.zeros((plan.num_segments, 3))
+        g[segs] = rng.normal(size=(len(segs), 3))
+        assert np.array_equal(sub.T.apply(g[segs]),
+                              plan.T.apply(g)[inputs])
+    assert np.array_equal(rows, out)
+
+
+def test_rgcn_grad_check_through_two_layers_of_rows():
+    hkg = random_hkg(9, num_entities=6, num_users=2)
+    store = rgcn_store(hkg, 2, 10)
+    weights = ad.Tensor(np.random.default_rng(11).normal(size=(3, 4)))
+
+    def f(s):
+        out = emb.rgcn_forward(hkg, s, num_layers=2, rows=[4, 0, 4])
+        return ad.tensor_sum(ad.tanh(out) * weights)
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-4
+
+
+def test_rgcn_edge_offsets_built_once_per_graph(monkeypatch):
+    # the sub-plans slice the graph's plan by per-segment edge offsets,
+    # which are built on first use and kept on the plan (and so the graph)
+    hkg = random_hkg(12)
+    store = rgcn_store(hkg, 2, 13)
+    plan = hkg.rgcn_plan()
+    calls = []
+    monkeypatch.setattr(hkg, "rgcn_relations", lambda: calls.append(1))
+    first = emb.rgcn_forward(hkg, store, num_layers=2, rows=[3, 1]).data
+    offsets = plan.offsets, plan.T.offsets
+    for _ in range(4):
+        again = emb.rgcn_forward(hkg, store, num_layers=2, rows=[3, 1]).data
+        assert np.array_equal(again, first)
+    assert hkg.rgcn_plan() is plan and not calls
+    assert plan.offsets is offsets[0] and plan.T.offsets is offsets[1]
+
+
+def test_rgcn_edge_offsets_live_and_die_with_their_graph():
+    for seed in range(5):
+        hkg = random_hkg(seed, num_entities=4 + seed)
+        store = rgcn_store(hkg, 1, seed)
+        out = emb.rgcn_forward(hkg, store, num_layers=1, rows=[0, 2])
+        full = emb.rgcn_forward(hkg, store, num_layers=1).data
+        assert np.array_equal(out.data, full[[0, 2]])
+        dead = [weakref.ref(hkg.rgcn_plan().offsets),
+                weakref.ref(hkg.rgcn_plan().T.offsets)]
+        del hkg, out
+        gc.collect()
+        assert all(ref() is None for ref in dead)
+
+
 def test_rgcn_rejects_excess_bases():
     hkg = build_hkg([("a", "r", "b")], {"a": "item", "b": "genre"})
     store = ad.ParamStore()

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from recflow import autodiff as ad
+from recflow import embeddings as emb
 from recflow import kg as kgm
+from recflow import pipeline as pl
 from recflow import recommender as rc
+from recflow import synthetic as syn
 from recflow.realization import RecSample
 
 
@@ -118,6 +121,35 @@ def test_rec_loss_grad_check(small_world):
         return rc.rec_loss(model, samples)
 
     assert ad.grad_check(f, model.store, eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_rec_loss_computes_only_its_rows_and_matches_the_full_table(
+        num_layers, monkeypatch):
+    world = syn.make_world(seed=3, num_clusters=2, items_per_cluster=6,
+                           actors_per_cluster=4, directors_per_cluster=2,
+                           num_dialogues=40)
+    hkg = world.hkg(world.train)
+    samples = pl.samples_from_dialogues(world.train, world.kg)[:24]
+    model = rc.RecModel(hkg, d_e=8, num_layers=num_layers, seed=1)
+    asked = []
+    forward = emb.rgcn_forward
+    monkeypatch.setattr(emb, "rgcn_forward", lambda *a, rows=None, **k:
+                        asked.append(rows) or forward(*a, rows=rows, **k))
+
+    loss = rc.rec_loss(model, samples)
+    grads = ad.backward(loss, model.store)
+    full = rc.rec_loss(model, samples, table=model.entity_embeddings())
+    full_grads = ad.backward(full, model.store)
+
+    needed = set(model.item_ids) | {e for s in samples for e in s.context}
+    assert list(asked[0]) == sorted(needed) and asked[1] is None
+    assert len(needed) < hkg.num_nodes
+    # == with OpenBLAS on x86; BLAS does not promise it
+    assert abs(loss.item() - full.item()) <= 1e-12
+    assert grads.keys() == full_grads.keys()
+    for name, g in full_grads.items():
+        assert np.allclose(grads[name], g, rtol=0, atol=1e-12), name
 
 
 def rank_fixture_model(small_world, label_rank, n_items=5):

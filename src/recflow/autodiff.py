@@ -24,6 +24,8 @@ mask), and ``backward`` skips it.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -293,10 +295,19 @@ def take(a, key):
     out = a.data[key]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
         if _distinct_rows(key):
+            ga = np.zeros_like(a.data)
             ga[key] += g  # the same 0.0 + g as np.add.at, without its loop
+        elif (isinstance(key, np.ndarray) and key.dtype.kind in "iu"
+              and key.ndim == 1):
+            # bincount adds each bin's weights to 0.0 in input order, as
+            # np.add.at does: one (row, column) bin per element of g
+            n, cols = a.data.shape[0], a.data.size // a.data.shape[0]
+            bins = (key % n)[:, None] * cols + np.arange(cols)
+            ga = np.bincount(bins.ravel(), weights=g.ravel(),
+                             minlength=a.data.size).reshape(a.data.shape)
         else:
+            ga = np.zeros_like(a.data)
             np.add.at(ga, key, g)
         return (ga,)
 
@@ -599,12 +610,24 @@ def backward(loss, params=None):
 # -- parameters and optimizer ------------------------------------------------
 
 class ParamStore:
-    """Named trainable tensors plus per-parameter optimizer state."""
+    """Named trainable tensors whose values live in one flat f64 buffer.
+
+    Parameters are laid out in the order they were added. ``optimizer_step``
+    makes each ``.data`` it updates a reshaped view into the buffer, copying
+    the values in when ``.data`` is not that view yet: before the first
+    step, after a parameter was added (which lays the buffer out again), or
+    after ``.data`` was rebound to another array, as ``load_values`` and
+    callers that assign it do. The AdamW moments are flat buffers of the
+    same layout, and each parameter keeps its own step count.
+    """
 
     def __init__(self):
         self._params = {}
-        self._state = {}
         self.step_count = 0
+        self._flat = self._m = self._v = np.zeros(0)
+        self._t = np.zeros(0, dtype=np.int64)
+        self._bounds = [0]  # parameter i owns [_bounds[i], _bounds[i + 1])
+        self._index, self._views = {}, []
 
     def add(self, name, value):
         if name in self._params:
@@ -640,6 +663,25 @@ class ParamStore:
                                  f"{arr.shape} vs {p.data.shape}")
             p.data = arr.copy()
 
+    def _layout(self):
+        """Give every parameter a view into a new flat buffer when some were
+        added since the last layout, keeping the others' moments and step
+        counts; ``optimizer_step`` copies values into the views it uses."""
+        if len(self._views) == len(self._params):
+            return
+        shapes = [p.data.shape for p in self._params.values()]
+        bounds = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
+        grow = bounds[-1] - self._bounds[-1]
+        self._flat = np.empty(bounds[-1])
+        self._m = np.concatenate([self._m, np.zeros(grow)])
+        self._v = np.concatenate([self._v, np.zeros(grow)])
+        self._t = np.concatenate(
+            [self._t, np.zeros(len(shapes) - len(self._t), dtype=np.int64)])
+        self._views = [self._flat[lo:hi].reshape(shape)
+                       for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+        self._bounds = bounds
+        self._index = {name: i for i, name in enumerate(self._params)}
+
     def checksum(self):
         import hashlib
         h = hashlib.sha256()
@@ -651,36 +693,90 @@ class ParamStore:
 
 def optimizer_step(store, grads, lr, weight_decay=0.0,
                    betas=(0.9, 0.999), eps=1e-8):
-    """One AdamW step over the parameters named in ``grads``.
+    """One AdamW step (Kingma & Ba, 2015; decoupled weight decay as in
+    Loshchilov & Hutter, 2019) over the parameters named in ``grads``.
 
-    Weight decay is decoupled: it subtracts lr*wd*param directly, independent
-    of the gradient moments. Parameters absent from ``grads`` are untouched.
+    The named gradients are copied into one flat array and checked for
+    finiteness once: a non-finite gradient raises ``NonFiniteGradient``,
+    naming the first bad parameter, before anything is written. The update
+    then runs in place over the store's flat buffers, once for each run of
+    parameters that are consecutive in the store and share a step count.
+    Weight decay subtracts lr*wd*param directly, independent of the gradient
+    moments. Parameters absent from ``grads`` are untouched, step count
+    included.
     """
-    b1, b2 = betas
-    for name, g in grads.items():
-        g = np.asarray(g.data if isinstance(g, Tensor) else g)
+    store._layout()
+    order = sorted(grads, key=store._index.__getitem__)
+    if order:
+        idx = [store._index[name] for name in order]
+        views, bounds = store._views, store._bounds
+        parts = []
+        for name, i in zip(order, idx):
+            p = store._params[name]
+            if p.data is not views[i]:
+                views[i][...] = p.data
+                p.data = views[i]
+            g = grads[name]
+            parts.append(g.data if isinstance(g, Tensor) else g)
+        g, tmp = _scratch(sum(bounds[i + 1] - bounds[i] for i in idx))
+        # each part is flattened; a size mismatch raises ValueError
+        np.concatenate(parts, axis=None, out=g)
         if not np.isfinite(g).all():
-            raise NonFiniteGradient(name)
-        p = store[name]
-        st = store._state.get(name)
-        if st is None:
-            st = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
-            store._state[name] = st
-        st["t"] += 1
-        t = st["t"]
-        m, v = st["m"], st["v"]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        # lr * m_hat / (sqrt(v_hat) + eps), bias corrections as scalars
-        denom = np.sqrt(v * (1.0 / (1.0 - b2 ** t)))
-        denom += eps
-        step = m / denom
-        step *= lr / (1.0 - b1 ** t)
-        p.data = p.data * (1.0 - lr * weight_decay) - step
+            named = dict(zip(order, parts))
+            raise NonFiniteGradient(next(
+                name for name in grads if not np.isfinite(named[name]).all()))
+        store._t[idx] += 1
+        t = store._t.tolist()
+        first = g_lo = 0  # the run starts at parameter idx[first], at g[g_lo]
+        for j, i in enumerate(idx):
+            if j + 1 < len(idx) and idx[j + 1] == i + 1 and t[i + 1] == t[i]:
+                continue
+            lo, hi = bounds[idx[first]], bounds[i + 1]
+            g_hi = g_lo + hi - lo
+            _adamw(store._flat[lo:hi], store._m[lo:hi], store._v[lo:hi],
+                   g[g_lo:g_hi], tmp[g_lo:g_hi], t[i], lr, weight_decay,
+                   betas, eps)
+            first, g_lo = j + 1, g_hi
     store.step_count += 1
     return store
+
+
+# optimizer_step's flat gradient and temporary, shared by every store: fresh
+# arrays of a store's size were mapped anew on each step, and faulting their
+# pages in cost nearly as much as the arithmetic
+_scratch_buf = np.empty(0)
+
+
+def _scratch(n):
+    """Two disjoint length-``n`` views into the shared scratch buffer."""
+    global _scratch_buf
+    if len(_scratch_buf) < 2 * n:
+        _scratch_buf = np.empty(2 * n)
+    return _scratch_buf[:n], _scratch_buf[n:2 * n]
+
+
+def _adamw(p, m, v, g, tmp, t, lr, weight_decay, betas, eps):
+    """AdamW at step ``t`` on matching 1-D slices, in place; ``g`` and
+    ``tmp`` are overwritten. Each element sees the operations of the
+    textbook formula in one fixed order, so results do not depend on how
+    the slices are cut."""
+    b1, b2 = betas
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v *= b2
+    v += tmp
+    # lr * m_hat / (sqrt(v_hat) + eps), bias corrections as scalars
+    np.multiply(v, 1.0 / (1.0 - b2 ** t), out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    np.divide(m, g, out=g)
+    g *= lr / (1.0 - b1 ** t)
+    if weight_decay:  # p * 1.0 is p, bit for bit
+        p *= 1.0 - lr * weight_decay
+    p -= g
 
 
 def grad_check(f, store, eps=1e-5, names=None):

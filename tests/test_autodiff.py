@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from recflow import autodiff as ad
+from recflow.recommender import EarlyStopping
 
 
 def test_backward_sum_of_squares_at_zero():
@@ -149,6 +150,120 @@ def test_optimizer_only_touches_named_params():
     assert np.array_equal(store["b"].data, before_b)
 
 
+def _reference_adamw(params, state, grads, lr, weight_decay=0.0,
+                     betas=(0.9, 0.999), eps=1e-8):
+    """The per-tensor AdamW loop, the oracle of the fused step: ``params``
+    maps names to arrays, ``state`` holds each name's moments and count."""
+    b1, b2 = betas
+    for name, g in grads.items():
+        st = state.setdefault(name, {"m": np.zeros_like(params[name]),
+                                     "v": np.zeros_like(params[name]), "t": 0})
+        st["t"] += 1
+        t, m, v = st["t"], st["m"], st["v"]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        denom = np.sqrt(v * (1.0 / (1.0 - b2 ** t)))
+        denom += eps
+        step = m / denom
+        step *= lr / (1.0 - b1 ** t)
+        params[name] = params[name] * (1.0 - lr * weight_decay) - step
+
+
+def _assert_same_bytes(store, arrays):
+    for name, arr in arrays.items():
+        assert store[name].data.tobytes() == arr.tobytes(), name
+
+
+def test_fused_step_equals_per_tensor_reference():
+    rng = np.random.default_rng(31)
+    shapes = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 3, 2), "e": (5, 1)}
+    store = ad.ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape))
+    ref, state = store.values_dict(), {}
+
+    def step(names, wd=0.01):
+        grads = {n: rng.normal(size=shapes[n]) for n in names}
+        ad.optimizer_step(store, grads, lr=0.05, weight_decay=wd)
+        _reference_adamw(ref, state, grads, lr=0.05, weight_decay=wd)
+        _assert_same_bytes(store, ref)
+
+    for _ in range(3):
+        step(["b", "k"])  # now the step counts differ between parameters
+    for _ in range(3):
+        step(list(shapes))
+    step(["e", "w"])  # not in store order
+    shapes["late"] = (2, 2)  # a new parameter lays the buffer out again
+    ref["late"] = store.add("late", rng.normal(size=(2, 2))).data.copy()
+    step(["late", "b"])
+    loaded = {n: rng.normal(size=shapes[n]) for n in ("w", "k")}
+    store.load_values(loaded)
+    ref.update({n: a.copy() for n, a in loaded.items()})
+    for _ in range(2):
+        step(list(shapes))
+    store["b"].data = rng.normal(size=shapes["b"])
+    ref["b"] = store["b"].data.copy()
+    for _ in range(2):
+        step(list(shapes))
+    step(list(shapes), wd=0.0)
+    assert all(p.data.base is store._flat for _, p in store.items())
+
+
+def test_non_finite_gradient_leaves_the_store_unchanged():
+    init = np.random.default_rng(8).normal(size=(3, 2))
+    good = {name: np.full(2, 0.5 * (i + 1)) for i, name in enumerate("abc")}
+    stores = []
+    for _ in range(2):
+        stores.append(ad.ParamStore())
+        for name, row in zip("abc", init):
+            stores[-1].add(name, row)
+        ad.optimizer_step(stores[-1], good, lr=0.1)
+    store, twin = stores
+    before = store.values_dict()
+    with pytest.raises(ad.NonFiniteGradient) as err:
+        ad.optimizer_step(store, {**good, "b": np.array([0.0, np.nan])},
+                          lr=0.1)
+    assert err.value.name == "b"
+    assert store.step_count == 1
+    _assert_same_bytes(store, before)
+    # moments and step counts are unchanged too: the next step matches a
+    # store that never saw the bad gradient
+    for s in stores:
+        ad.optimizer_step(s, good, lr=0.1)
+    _assert_same_bytes(store, twin.values_dict())
+
+
+def test_snapshots_are_not_aliased_to_the_flat_buffer():
+    rng = np.random.default_rng(12)
+    store = ad.ParamStore()
+    store.add("w", rng.normal(size=(3, 2)))
+    store.add("b", rng.normal(size=2))
+    ref, state = store.values_dict(), {}
+
+    def step():
+        grads = {n: rng.normal(size=a.shape) for n, a in ref.items()}
+        ad.optimizer_step(store, grads, lr=0.1)
+        _reference_adamw(ref, state, grads, lr=0.1)
+        _assert_same_bytes(store, ref)
+
+    step()
+    stopper = EarlyStopping(store, patience=2)
+    stopper.update(1.0)
+    snapshot = {n: a.copy() for n, a in stopper.best.items()}
+    for _ in range(3):
+        step()
+    assert store["w"].data.tobytes() != snapshot["w"].tobytes()
+    stopper.restore()
+    _assert_same_bytes(store, snapshot)
+    ref.update({n: a.copy() for n, a in snapshot.items()})
+    for _ in range(2):
+        step()
+    for name, arr in snapshot.items():
+        assert stopper.best[name].tobytes() == arr.tobytes()
+
+
 def test_param_store_rejects_duplicate_names():
     store = ad.ParamStore()
     store.add("p", np.ones(2))
@@ -251,6 +366,22 @@ def test_take_vjp_is_bitwise_scatter_add(key):
     got = out._vjp(g)[0]
     assert got.tobytes() == expected.tobytes()
     assert not np.signbit(got[got == 0.0]).any()
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 2, 3), (50, 32)])
+def test_take_vjp_of_a_padded_id_matrix_is_bitwise_scatter_add(shape):
+    # like pool_entities' padded id matrix: repeated ids, padding with id 0
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, shape[0], size=(20, 32))
+    ids[:, 20:] = 0
+    key = ids.reshape(-1)
+    a = ad.Tensor(np.zeros(shape), requires_grad=True)
+    out = ad.take(a, key)
+    g = rng.normal(size=out.shape)
+    g.flat[::3] = -0.0
+    expected = np.zeros(shape)
+    np.add.at(expected, key, g)
+    assert out._vjp(g)[0].tobytes() == expected.tobytes()
 
 
 def test_segment_sum_matches_scatter_and_tensors_are_f64():

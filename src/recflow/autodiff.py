@@ -16,6 +16,18 @@ hand-written VJP instead of a chain of small ones:
   from a batch-1 tensor shared by every row.
 - ``matmul`` of an N-D tensor by a 2-D one runs forward and backward as one
   2-D GEMM over the flattened rows.
+- ``ffn``: the flow model's tanh MLP, ``tanh(x @ w1 + b1) @ w2 + b2``.
+- ``attention_pool``: the masked attention pool of padded id lists over an
+  entity table, which pools every recommender context and flow-LM prompt.
+- ``log_softmax_pick``: the masked log-softmax read at target ids, the
+  cross-entropy of the recommender, the flow scorer and the schema
+  classifier.
+
+The fused nodes repeat the numpy operations of the op-by-op chains they
+replace, in the same order, so their values and gradients are bit-equal to
+the chains'. ``frozen`` marks whole parameter stores as needing no gradient
+for a block, so a backward pass through a fixed model differentiates only
+the path to what is trained.
 
 VJPs return None for a parent that needs no gradient (a frozen table, a
 mask), and ``backward`` skips it.
@@ -120,12 +132,32 @@ def as_tensor(value):
     return Tensor(value)
 
 
+@contextmanager
+def frozen(*stores):
+    """The parameters of ``stores`` need no gradient inside the block:
+    nothing records or differentiates a path that only they feed. Each
+    parameter's previous ``requires_grad`` comes back on exit, also when the
+    block raises."""
+    params = [p for store in stores for _, p in store.items()]
+    prev = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, prev):
+            p.requires_grad = flag
+
+
 def _make(data, parents, vjp):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._vjp = vjp
+                break
     return out
 
 
@@ -289,41 +321,36 @@ def _distinct_rows(key):
                                and bool((first[1:] > first[:-1]).all()))
 
 
+def _scatter_add(source, key, g):
+    """A zero array shaped like ``source`` with ``g`` added at ``key``, bit
+    for bit as ``np.add.at`` would add it."""
+    if _distinct_rows(key):
+        ga = np.zeros_like(source)
+        ga[key] += g  # the same 0.0 + g as np.add.at, without its loop
+    elif (isinstance(key, np.ndarray) and key.dtype.kind in "iu"
+          and key.ndim == 1):
+        # bincount adds each bin's weights to 0.0 in input order, as
+        # np.add.at does: one (row, column) bin per element of g
+        n, cols = source.shape[0], source.size // source.shape[0]
+        bins = (key % n)[:, None] * cols + np.arange(cols)
+        ga = np.bincount(bins.ravel(), weights=g.ravel(),
+                         minlength=source.size).reshape(source.shape)
+    else:
+        ga = np.zeros_like(source)
+        np.add.at(ga, key, g)
+    return ga
+
+
 def take(a, key):
     """Generic indexing; gradients scatter-add into the source."""
     a = as_tensor(a)
-    out = a.data[key]
-
-    def vjp(g):
-        if _distinct_rows(key):
-            ga = np.zeros_like(a.data)
-            ga[key] += g  # the same 0.0 + g as np.add.at, without its loop
-        elif (isinstance(key, np.ndarray) and key.dtype.kind in "iu"
-              and key.ndim == 1):
-            # bincount adds each bin's weights to 0.0 in input order, as
-            # np.add.at does: one (row, column) bin per element of g
-            n, cols = a.data.shape[0], a.data.size // a.data.shape[0]
-            bins = (key % n)[:, None] * cols + np.arange(cols)
-            ga = np.bincount(bins.ravel(), weights=g.ravel(),
-                             minlength=a.data.size).reshape(a.data.shape)
-        else:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, key, g)
-        return (ga,)
-
-    return _make(out, (a,), vjp)
+    return _make(a.data[key], (a,), lambda g: (_scatter_add(a.data, key, g),))
 
 
 def rows(a, indices):
     """Gather rows along axis 0 (embedding lookup)."""
     idx = np.asarray(indices, dtype=np.intp)
     return take(a, idx)
-
-
-def take_pairs(a, row_idx, col_idx):
-    """Gather a[row_i, col_i] for paired index vectors (2-D input)."""
-    return take(a, (np.asarray(row_idx, dtype=np.intp),
-                    np.asarray(col_idx, dtype=np.intp)))
 
 
 class SegmentPlan:
@@ -460,6 +487,59 @@ def log_softmax(a, axis=-1):
     return _make(out, (a,), vjp)
 
 
+def log_softmax_pick(logits, targets, mask=None):
+    """``log_softmax(logits + mask)`` over the last axis, read at the integer
+    ``targets`` (shaped like the leading axes): the log-likelihood of each
+    target under the masked softmax. ``mask`` is an additive logit array;
+    it gets no gradient."""
+    logits = as_tensor(logits)
+    z = logits.data if mask is None else logits.data + mask
+    targets = np.asarray(targets, dtype=np.intp)
+    if targets.shape != z.shape[:-1]:
+        raise ValueError(f"targets of shape {targets.shape} for logits of "
+                         f"shape {z.shape}")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    pick = (np.arange(targets.size), targets.reshape(-1))
+    out = logp.reshape(-1, z.shape[-1])[pick].reshape(targets.shape)
+
+    def vjp(g):
+        # the scatter of the pick, then log_softmax's VJP
+        ga = np.zeros_like(logp)
+        ga.reshape(-1, z.shape[-1])[pick] += g.reshape(-1)
+        gz = ga - np.exp(logp) * ga.sum(axis=-1, keepdims=True)
+        return (_unbroadcast(gz, logits.data.shape),)
+
+    return _make(out, (logits,), vjp)
+
+
+def ffn(x, w1, b1, w2, b2):
+    """``tanh(x @ w1 + b1) @ w2 + b2`` over the last axis of ``x``, each
+    product one 2-D GEMM over the flattened rows."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    lead = x.data.shape[:-1]
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    h = np.tanh((x2 @ w1.data).reshape(lead + w1.data.shape[1:]) + b1.data)
+    h2 = h.reshape(-1, h.shape[-1])
+    out = (h2 @ w2.data).reshape(lead + w2.data.shape[1:]) + b2.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = gw1 = gb1 = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = (g2 @ w2.data.T).reshape(h.shape) * (1.0 - h * h)
+            gh2 = gh.reshape(-1, gh.shape[-1])
+            if x.requires_grad:
+                gx = (gh2 @ w1.data.T).reshape(x.data.shape)
+            gw1 = x2.T @ gh2 if w1.requires_grad else None
+            gb1 = _unbroadcast(gh, b1.data.shape) if b1.requires_grad else None
+        return (gx, gw1, gb1,
+                h2.T @ g2 if w2.requires_grad else None,
+                _unbroadcast(g, b2.data.shape) if b2.requires_grad else None)
+
+    return _make(out, (x, w1, b1, w2, b2), vjp)
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -542,6 +622,56 @@ def attention(x, kv, wq, wk, wv, wo, n_heads, mask=None):
     return _make(out, (x, kv, wq, wk, wv, wo), vjp)
 
 
+def attention_pool(table, ids, lens, w_attn, b_attn):
+    """Attention-pool rows of ``table`` (n, d) per row of the padded id
+    matrix ``ids`` (b, pad), of which row i holds ``lens[i]`` ids:
+
+        alpha_i = softmax(tanh(E_i w_attn^T) b_attn),   out_i = alpha_i^T E_i
+
+    with E_i the named rows, ``w_attn`` (d, d) and ``b_attn`` (d, 1). A row
+    with no ids pools to zero. Returns (b, d)."""
+    table, w_attn, b_attn = (as_tensor(t) for t in (table, w_attn, b_attn))
+    b, pad = ids.shape
+    d = table.data.shape[1]
+    key = ids.reshape(-1)
+    # an empty row keeps slot 0 open (a harmless row the gate zeroes)
+    mask = np.where(np.arange(pad) < np.maximum(lens, 1)[:, None], 0.0,
+                    MASK_NEG)
+    gate = (lens > 0).astype(np.float64)[:, None]
+    rows2 = table.data[key]
+    w_t = np.swapaxes(w_attn.data, 0, 1)
+    h = np.tanh((rows2 @ w_t).reshape(b, pad, -1))
+    h2 = h.reshape(-1, h.shape[-1])
+    scores = (h2 @ b_attn.data).reshape(b, pad) + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = (e / e.sum(axis=-1, keepdims=True)).reshape(b, 1, pad)
+    rows3 = rows2.reshape(b, pad, d)
+    out = (alpha @ rows3).reshape(b, d) * gate
+
+    def vjp(g):
+        g3 = (g * gate).reshape(b, 1, d)
+        g_alpha = (g3 @ np.swapaxes(rows3, -1, -2)).reshape(b, pad)
+        a2 = alpha.reshape(b, pad)
+        dot = (g_alpha * a2).sum(axis=-1, keepdims=True)
+        g_scores = (a2 * (g_alpha - dot)).reshape(-1, 1)
+        gw = gb = g_table = None
+        if b_attn.requires_grad:
+            gb = h2.T @ g_scores
+        if table.requires_grad or w_attn.requires_grad:
+            g_pre = ((g_scores @ b_attn.data.T).reshape(h.shape)
+                     * (1.0 - h * h)).reshape(-1, h.shape[-1])
+            if w_attn.requires_grad:
+                gw = np.swapaxes(rows2.T @ g_pre, 0, 1)
+            if table.requires_grad:
+                g_rows = (np.swapaxes(alpha, -1, -2) @ g3
+                          + (g_pre @ w_t.T).reshape(b, pad, d))
+                g_table = _scatter_add(table.data, key, g_rows.reshape(-1, d))
+        return gw, gb, g_table
+
+    # parents in the order the op-by-op chain's tape visits them
+    return _make(out, (w_attn, b_attn, table), vjp)
+
+
 # -- backward ----------------------------------------------------------------
 
 def _topo_order(root):
@@ -551,12 +681,12 @@ def _topo_order(root):
         if done:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
     return order
 
@@ -566,6 +696,8 @@ def backward(loss, params=None):
 
     Returns a name -> ndarray map for the reachable parameters of ``params``
     when given, otherwise None; leaf tensors also get their ``.grad`` set.
+    Gradients are not checked for finiteness here: ``optimizer_step`` checks
+    the ones it applies.
     """
     if not isinstance(loss, Tensor):
         raise NonScalarLoss("loss must be a Tensor")
@@ -577,31 +709,27 @@ def backward(loss, params=None):
     if not loss.requires_grad:
         return {} if params is not None else None
 
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss: np.ones_like(loss.data)}
     for node in reversed(_topo_order(loss)):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._vjp is None:
             node.grad = g  # fresh per backward call
             continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad or pg is None:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                grads[key] = pg
+                grads[parent] = pg
 
     if params is None:
         return None
     out = {}
     for name, p in params.items():
         if p.grad is not None:
-            if not np.isfinite(p.grad).all():
-                raise NonFiniteGradient(name)
             out[name] = p.grad
             p.grad = None
     return out

@@ -164,23 +164,26 @@ def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
         reward_fn = default_reward_fn(rec_model, kg)
     objective = None
     all_rewards = []
-    for i in range(state.k):
-        e_u, e_v = edited_prompts(state, i, sim)
-        schema = sim.predict_schema(e_u.data, e_v.data)
-        flows = flmm.generate_flows_batch(sim.flm, e_u.data, e_v.data,
-                                          schema, rng, rollouts,
-                                          temperature=temperature)
-        rewards = []
-        for t, flow in enumerate(flows):
-            realized = rz.realize(flow, schema, sim.bank, kg, rng,
-                                  dialogue_id=f"rollout-{i}-{t}")
-            rewards.append(reward_fn(realized))
-        all_rewards.extend(rewards)
-        logps = flmm.flow_log_probs_batch(
-            sim.flm, flmm.PromptBundle(e_u, e_v, schema), flows)
-        term = ad.tensor_sum(logps * ad.Tensor(rewards))
-        objective = term if objective is None else objective + term
-    grads = ad.backward(objective, state.store)
+    # the simulator is fixed: the tape records, and backward differentiates,
+    # only the prompt path to the edit deltas
+    with ad.frozen(sim.flm.store, sim.clf_store):
+        for i in range(state.k):
+            e_u, e_v = edited_prompts(state, i, sim)
+            schema = sim.predict_schema(e_u.data, e_v.data)
+            flows = flmm.generate_flows_batch(sim.flm, e_u.data, e_v.data,
+                                              schema, rng, rollouts,
+                                              temperature=temperature)
+            rewards = []
+            for t, flow in enumerate(flows):
+                realized = rz.realize(flow, schema, sim.bank, kg, rng,
+                                      dialogue_id=f"rollout-{i}-{t}")
+                rewards.append(reward_fn(realized))
+            all_rewards.extend(rewards)
+            logps = flmm.flow_log_probs_batch(
+                sim.flm, flmm.PromptBundle(e_u, e_v, schema), flows)
+            term = ad.tensor_sum(logps * ad.Tensor(rewards))
+            objective = term if objective is None else objective + term
+        grads = ad.backward(objective, state.store)
     for name in ("delta_u", "delta_v"):
         p = state.store[name]
         g = grads.get(name)

@@ -128,19 +128,11 @@ def encode_user(entity_matrix, w_attn, b_attn):
 
 def pool_entities(table, id_lists, w_attn, b_attn):
     """Attention-pool the rows of ``table`` (a Tensor, or a frozen ndarray)
-    named by each id list into (B, d_e); an empty list gives a zero row."""
+    named by each id list into (B, d_e), as one padded block
+    (``autodiff.attention_pool``); an empty list gives a zero row."""
     lens = np.array([len(c) for c in id_lists], dtype=np.intp)
-    b, pad, d_e = len(lens), max(int(lens.max(initial=0)), 1), table.shape[1]
-    ids = np.zeros((b, pad), dtype=np.intp)
+    ids = np.zeros((len(lens), max(int(lens.max(initial=0)), 1)),
+                   dtype=np.intp)
     for i, ctx in enumerate(id_lists):
         ids[i, :len(ctx)] = ctx
-    # an empty list keeps slot 0 open (a harmless row the gate zeroes)
-    mask = np.where(np.arange(pad) < np.maximum(lens, 1)[:, None], 0.0,
-                    ad.MASK_NEG)
-    nonempty = (lens > 0).astype(np.float64)[:, None]
-    rows = ad.reshape(ad.rows(table, ids.reshape(-1)), (b, pad, d_e))
-    scores = ad.reshape(ad.tanh(rows @ ad.transpose(w_attn)) @ b_attn,
-                        (b, pad))
-    alpha = ad.softmax(scores + ad.Tensor(mask), axis=-1)
-    pooled = ad.reshape(ad.reshape(alpha, (b, 1, pad)) @ rows, (b, d_e))
-    return ad.mul(pooled, ad.Tensor(nonempty))
+    return ad.attention_pool(table, ids, lens, w_attn, b_attn)

@@ -97,7 +97,7 @@ class FlowLM:
         self.pad = self.num_entities + 2
         self.vocab_size = self.num_entities + 3
         self.store = ad.ParamStore()
-        self._mask_cache = {}
+        self._steps = {}
         self._build_params()
 
     # -- parameters ---------------------------------------------------------
@@ -146,29 +146,35 @@ class FlowLM:
         """Candidate token ids for a step: the type class, optionally
         intersected with the hop neighborhood of the previous entity
         (falling back to the whole class when that intersection is empty)."""
+        return self._step(type_name, prev_entity)[0]
+
+    def step_mask(self, type_name, prev_entity=None, target=None):
+        """Additive logit mask for one decoding step: a read-only array,
+        built once and shared by every step of this type after this entity.
+        ``target`` (when given) is kept in support by widening to the type
+        class if necessary."""
+        mask = self._step(type_name, prev_entity)[1]
+        if target is not None and mask[target] != 0.0:
+            mask = self._step(type_name, None)[1]
+        return mask
+
+    def _step(self, type_name, prev_entity):
+        """(allowed ids, additive mask) of a step, built on first use."""
         key = (type_name, prev_entity if self.cfg.connectivity_mask else None)
-        cached = self._mask_cache.get(key)
+        cached = self._steps.get(key)
         if cached is not None:
             return cached
         ids = self._type_entities(type_name)
-        if self.cfg.connectivity_mask and prev_entity is not None:
+        if key[1] is not None:
             hood = self.hkg.neighborhood(prev_entity, self.cfg.hop_limit)
             near = [e for e in ids if e == prev_entity or e in hood]
             if near:
                 ids = near
-        result = tuple(ids)
-        self._mask_cache[key] = result
-        return result
-
-    def step_mask(self, type_name, prev_entity=None, target=None):
-        """Additive logit mask for one decoding step. ``target`` (when given)
-        is kept in support by widening to the type class if necessary."""
-        allowed = self.allowed_entities(type_name, prev_entity)
-        if target is not None and target not in allowed:
-            allowed = tuple(self._type_entities(type_name))
         mask = np.full(self.vocab_size, ad.MASK_NEG)
-        mask[list(allowed)] = 0.0
-        return mask
+        mask[list(ids)] = 0.0
+        mask.flags.writeable = False
+        self._steps[key] = cached = (tuple(ids), mask)
+        return cached
 
     # -- transformer pieces ---------------------------------------------------
     def _attention(self, x, kv, base, tag, mask=None):
@@ -178,8 +184,8 @@ class FlowLM:
 
     def _ffn(self, x, base):
         s = self.store
-        h = ad.tanh(x @ s[f"{base}.ff1"] + s[f"{base}.ff1_b"])
-        return h @ s[f"{base}.ff2"] + s[f"{base}.ff2_b"]
+        return ad.ffn(x, *(s[f"{base}.{w}"]
+                           for w in ("ff1", "ff1_b", "ff2", "ff2_b")))
 
     def _ln(self, x, name):
         s = self.store
@@ -238,9 +244,11 @@ class FlowLM:
         return np.array([kg.type_id(t) for t in schema], dtype=np.intp)
 
 
-def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows):
+def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows,
+                    checked=False):
     """Per-step log-probabilities, shape (len(flows), n), of same-length
-    flows under the masked decoder.
+    flows under the masked decoder. ``checked`` says the caller has already
+    validated the flows against their schemas (``FlowLM.check_flow``).
 
     ``schemas`` holds one schema per flow, or one shared by all flows;
     ``prompts_*`` hold as many d_e-vectors as ``schemas``. A shared prompt
@@ -251,8 +259,9 @@ def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows):
     """
     t, n, rows = len(flows), len(flows[0]), len(schemas)
     row_schemas = schemas if rows == t else schemas * t
-    for f, schema in zip(flows, row_schemas):
-        flm.check_flow(f, schema)
+    if not checked:
+        for f, schema in zip(flows, row_schemas):
+            flm.check_flow(f, schema)
     enc = flm.encode(ad.reshape(ad.as_tensor(prompts_u), (rows, -1)),
                      ad.reshape(ad.as_tensor(prompts_v), (rows, -1)),
                      np.stack([flm.type_ids(s) for s in schemas]))
@@ -264,11 +273,8 @@ def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows):
                        target=f[j]) for j in range(n)]
         for f, schema in zip(flows, row_schemas)
     ])
-    logp = ad.log_softmax(logits + ad.Tensor(masks), axis=-1)
-    flat = ad.reshape(logp, (t * n, flm.vocab_size))
-    targets = np.concatenate([list(f) for f in flows]).astype(np.intp)
-    picked = ad.take_pairs(flat, np.arange(t * n), targets)
-    return ad.reshape(picked, (t, n))
+    return ad.log_softmax_pick(logits, np.asarray(flows, dtype=np.intp),
+                               masks)
 
 
 def flow_step_log_probs(flm, prompt, flow):
@@ -424,11 +430,13 @@ def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
 
 
 def _batch_nll(flm, batch, entity_emb):
-    """Mean per-flow negative log-likelihood of a same-length batch."""
+    """Mean per-flow negative log-likelihood of a same-length batch of
+    examples that ``pretrain_flm`` has validated."""
     steps = _flow_log_probs(
         flm, user_prompts(flm, [ex.seeker_entities for ex in batch],
                           entity_emb),
         user_prompts(flm, [ex.recommender_entities for ex in batch],
                      entity_emb),
-        [ex.schema for ex in batch], [ex.entities for ex in batch])
+        [ex.schema for ex in batch], [ex.entities for ex in batch],
+        checked=True)
     return -ad.mul(ad.tensor_sum(steps), 1.0 / len(batch))

@@ -185,9 +185,7 @@ def rec_loss(model, samples, table=None):
                                  num_layers=model.num_layers,
                                  prefix="rec.rgcn", rows=rows)
     logits = model.item_logits(table, contexts, rows=rows)
-    logp = ad.log_softmax(logits, axis=-1)
-    picked = ad.take_pairs(logp, np.arange(len(samples)), labels)
-    return -ad.mean(picked)
+    return -ad.mean(ad.log_softmax_pick(logits, labels))
 
 
 RANK_CHUNK = 256

@@ -139,9 +139,7 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
 
     def batch_loss(idx):
         logits = _classifier_logits(ad.Tensor(x[idx]), store)
-        logp = ad.log_softmax(logits, axis=-1)
-        picked = ad.take_pairs(logp, np.arange(len(idx)), y[idx])
-        return -ad.mean(picked)
+        return -ad.mean(ad.log_softmax_pick(logits, y[idx]))
 
     best = None
     best_val = np.inf

@@ -524,3 +524,248 @@ def test_vjps_return_none_for_constant_operands():
     for node, constant in cases:
         grads = node._vjp(np.ones(node.shape))
         assert grads[constant] is None and grads[1 - constant] is not None
+
+
+# -- fused nodes against the op-by-op chains they replace ----------------------
+
+def _chain_attention_pool(table, ids, lens, w_attn, b_attn):
+    # the 13-node chain attention_pool replaces, as the bit-for-bit oracle
+    b, pad = ids.shape
+    d = table.shape[1]
+    mask = np.where(np.arange(pad) < np.maximum(lens, 1)[:, None], 0.0,
+                    ad.MASK_NEG)
+    nonempty = (lens > 0).astype(np.float64)[:, None]
+    rows = ad.reshape(ad.rows(table, ids.reshape(-1)), (b, pad, d))
+    scores = ad.reshape(ad.tanh(rows @ ad.transpose(w_attn)) @ b_attn,
+                        (b, pad))
+    alpha = ad.softmax(scores + ad.Tensor(mask), axis=-1)
+    pooled = ad.reshape(ad.reshape(alpha, (b, 1, pad)) @ rows, (b, d))
+    return ad.mul(pooled, ad.Tensor(nonempty))
+
+
+def _chain_ffn(x, w1, b1, w2, b2):
+    return ad.tanh(x @ w1 + b1) @ w2 + b2
+
+
+def _chain_log_softmax_pick(logits, targets, mask=None):
+    if mask is not None:
+        logits = logits + ad.Tensor(mask)
+    logp = ad.log_softmax(logits, axis=-1)
+    flat = ad.reshape(logp, (targets.size, logp.shape[-1]))
+    picked = ad.take(flat, (np.arange(targets.size), targets.reshape(-1)))
+    return ad.reshape(picked, targets.shape)
+
+
+def _padded(id_lists):
+    lens = np.array([len(c) for c in id_lists], dtype=np.intp)
+    ids = np.zeros((len(lens), max(int(lens.max(initial=0)), 1)),
+                   dtype=np.intp)
+    for i, ctx in enumerate(id_lists):
+        ids[i, :len(ctx)] = ctx
+    return ids, lens
+
+
+def _assert_fused_equals_chain(fused, chain, store, inputs):
+    """Same output bytes, and the same gradient bytes for every parameter
+    of ``store``, under a random upstream gradient with signed zeros."""
+    results = []
+    for op in (fused, chain):
+        out = op(*inputs)
+        w = np.random.default_rng(0).normal(size=out.shape)
+        w.flat[::3] = -0.0
+        grads = ad.backward(ad.tensor_sum(out * ad.Tensor(w)), store)
+        results.append((out.data, grads))
+    (out_f, grads_f), (out_c, grads_c) = results
+    assert out_f.shape == out_c.shape
+    assert out_f.tobytes() == out_c.tobytes()
+    assert set(grads_f) == set(grads_c) == set(store.names())
+    for name in grads_c:
+        assert grads_f[name].shape == grads_c[name].shape, name
+        assert grads_f[name].tobytes() == grads_c[name].tobytes(), name
+
+
+POOL_ID_LISTS = [
+    [[3, 1, 1], [], [4], [0, 5, 2, 5]],   # padded, with an empty list
+    [[0, 2, 4]],                          # one increasing list
+    [[], []],                             # only empty lists
+]
+
+
+@pytest.mark.parametrize("id_lists", POOL_ID_LISTS)
+@pytest.mark.parametrize("tensor_table", [True, False])
+def test_attention_pool_is_bit_equal_to_the_chain(id_lists, tensor_table):
+    rng = np.random.default_rng(40)
+    store = ad.ParamStore()
+    table = rng.normal(size=(6, 4))
+    if tensor_table:
+        table = store.add("table", table)
+    store.add("w", rng.normal(size=(4, 4)) * 0.5)
+    store.add("b", rng.normal(size=(4, 1)) * 0.5)
+    ids, lens = _padded(id_lists)
+    _assert_fused_equals_chain(ad.attention_pool, _chain_attention_pool,
+                               store, (table, ids, lens, store["w"],
+                                       store["b"]))
+
+
+def test_attention_pool_of_a_computed_table_is_bit_equal_to_the_chain():
+    # the table is itself a node, as the R-GCN output is in rec_loss
+    rng = np.random.default_rng(41)
+    store = ad.ParamStore()
+    store.add("e", rng.normal(size=(6, 4)))
+    store.add("w", rng.normal(size=(4, 4)) * 0.5)
+    store.add("b", rng.normal(size=(4, 1)) * 0.5)
+    ids, lens = _padded([[3, 1, 1], [], [4, 0]])
+
+    def pooled(op):
+        def f(e, w, b):
+            table = ad.tanh(e)
+            return op(table, ids, lens, w, b) + ad.rows(table, [0, 1, 2])
+        return f
+
+    _assert_fused_equals_chain(pooled(ad.attention_pool),
+                               pooled(_chain_attention_pool), store,
+                               (store["e"], store["w"], store["b"]))
+
+
+def test_attention_pool_gradients():
+    rng = np.random.default_rng(42)
+    store = ad.ParamStore()
+    store.add("table", rng.normal(size=(6, 3)))
+    store.add("w", rng.normal(size=(3, 3)) * 0.5)
+    store.add("b", rng.normal(size=(3, 1)) * 0.5)
+    ids, lens = _padded([[3, 1, 1], [], [4, 0]])
+    w = ad.Tensor(rng.normal(size=(3, 3)))
+
+    def f(s):
+        return ad.tensor_sum(ad.attention_pool(s["table"], ids, lens, s["w"],
+                                               s["b"]) * w)
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+def test_ffn_is_bit_equal_to_the_chain(shape):
+    rng = np.random.default_rng(43)
+    store = ad.ParamStore()
+    for name, s in (("x", shape), ("w1", (4, 6)), ("b1", (6,)),
+                    ("w2", (6, 4)), ("b2", (4,))):
+        store.add(name, rng.normal(size=s) * 0.5)
+    _assert_fused_equals_chain(ad.ffn, _chain_ffn, store,
+                               [store[n] for n in ("x", "w1", "b1", "w2",
+                                                   "b2")])
+
+
+def test_ffn_with_a_constant_input_is_bit_equal_to_the_chain():
+    rng = np.random.default_rng(44)
+    store = ad.ParamStore()
+    for name, s in (("w1", (4, 6)), ("b1", (6,)), ("w2", (6, 3)),
+                    ("b2", (3,))):
+        store.add(name, rng.normal(size=s) * 0.5)
+    x = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    _assert_fused_equals_chain(ad.ffn, _chain_ffn, store,
+                               [x] + [store[n] for n in ("w1", "b1", "w2",
+                                                         "b2")])
+
+
+def test_ffn_gradients():
+    rng = np.random.default_rng(45)
+    store = ad.ParamStore()
+    for name, s in (("x", (2, 3, 4)), ("w1", (4, 5)), ("b1", (5,)),
+                    ("w2", (5, 4)), ("b2", (4,))):
+        store.add(name, rng.normal(size=s) * 0.5)
+    w = ad.Tensor(rng.normal(size=(2, 3, 4)))
+
+    def f(s):
+        return ad.tensor_sum(ad.ffn(s["x"], s["w1"], s["b1"], s["w2"],
+                                    s["b2"]) * w)
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+def _flow_like_mask(rng, shape):
+    mask = np.where(rng.random(shape) < 0.4, ad.MASK_NEG, 0.0)
+    mask[..., 0] = 0.0  # every row keeps its target (index 0) in support
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (2, 3, 7), (0, 7)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_log_softmax_pick_is_bit_equal_to_the_chain(shape, masked):
+    rng = np.random.default_rng(46)
+    store = ad.ParamStore()
+    store.add("logits", rng.normal(size=shape) * 2.0)
+    targets = rng.integers(0, 7, size=shape[:-1])
+    mask = None
+    if masked:
+        mask = _flow_like_mask(rng, shape)
+        mask[(*np.indices(shape[:-1]), targets)] = 0.0
+    _assert_fused_equals_chain(ad.log_softmax_pick, _chain_log_softmax_pick,
+                               store, (store["logits"], targets, mask))
+
+
+def test_log_softmax_pick_gradients():
+    rng = np.random.default_rng(47)
+    store = ad.ParamStore()
+    store.add("logits", rng.normal(size=(2, 3, 5)))
+    targets = rng.integers(0, 5, size=(2, 3))
+    mask = np.zeros((2, 3, 5))
+    mask[..., 4] = ad.MASK_NEG
+    targets[targets == 4] = 1
+    w = ad.Tensor(rng.normal(size=(2, 3)))
+
+    def f(s):
+        return ad.tensor_sum(ad.log_softmax_pick(s["logits"], targets, mask)
+                             * w)
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+def test_log_softmax_pick_rejects_misshaped_targets():
+    with pytest.raises(ValueError):
+        ad.log_softmax_pick(ad.Tensor(np.zeros((3, 4))), np.zeros(4, np.intp))
+
+
+def test_frozen_restores_each_parameter_flag_also_on_error():
+    a, b = ad.ParamStore(), ad.ParamStore()
+    a.add("x", np.ones(2))
+    b.add("y", np.ones(2))
+    b["y"].requires_grad = False  # already frozen before the block
+    flags = lambda: [a["x"].requires_grad, b["y"].requires_grad]
+    with ad.frozen(a, b):
+        assert flags() == [False, False]
+        out = ad.tensor_sum(a["x"] * b["y"])
+        assert not out.requires_grad and out._vjp is None
+    assert flags() == [True, False]
+    with pytest.raises(RuntimeError):
+        with ad.frozen(a):
+            raise RuntimeError("inside the block")
+    assert flags() == [True, False]
+
+
+def test_frozen_store_gets_no_gradient_and_the_rest_is_unchanged():
+    rng = np.random.default_rng(48)
+    model, edit = ad.ParamStore(), ad.ParamStore()
+    model.add("w", rng.normal(size=(3, 3)))
+    edit.add("d", rng.normal(size=(2, 3)))
+
+    def loss():
+        return ad.tensor_sum(ad.tanh(edit["d"] @ model["w"]) * edit["d"])
+
+    free = ad.backward(loss(), edit)
+    assert model["w"].grad is not None
+    model["w"].grad = None
+    with ad.frozen(model):
+        fixed = ad.backward(loss(), edit)
+    assert model["w"].grad is None
+    assert fixed["d"].tobytes() == free["d"].tobytes()
+
+
+def test_backward_leaves_the_finite_check_to_the_optimizer():
+    store = ad.ParamStore()
+    store.add("p", np.ones(2))
+    grads = ad.backward(ad.tensor_sum(store["p"] * np.array([np.inf, 1.0])),
+                        store)
+    assert not np.isfinite(grads["p"]).all()
+    with pytest.raises(ad.NonFiniteGradient) as err:
+        ad.optimizer_step(store, grads, lr=0.1)
+    assert err.value.name == "p"

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,34 @@ def test_reinforce_step_never_writes_frozen_parameters():
     assert rec.store.checksum() == rec_sum
     assert sim.flm.store.checksum() == flm_sum
     assert sim.clf_store.checksum() == clf_sum
+
+
+def test_frozen_simulator_gives_the_same_gradient_bytes(monkeypatch):
+    # reinforce_step freezes the simulator's stores; differentiating them
+    # anyway must not change a bit of the edit gradient or the update
+    results = []
+    for freeze in (True, False):
+        if not freeze:
+            monkeypatch.setattr(ad, "frozen",
+                                lambda *stores: contextlib.nullcontext())
+        sim, rec, pair = tiny_sim()
+        state = cf.make_edit_state(pair, 2, 5, np.random.default_rng(0))
+        init = np.random.default_rng(6).normal(size=(2, state.k, 5)) * 0.3
+        state.store["delta_u"].data, state.store["delta_v"].data = init
+        stats = cf.reinforce_step(state, sim, rec, 0.1, 0.05, rollouts=4,
+                                  rng=np.random.default_rng(17))
+        touched = [n for n, p in sim.flm.store.items() if p.grad is not None]
+        results.append((stats["gradient"], state.store.values_dict(),
+                        touched))
+        assert all(p.requires_grad for store in (sim.flm.store, sim.clf_store)
+                   for _, p in store.items())
+    (g_frozen, after_frozen, touched), (g_free, after_free, touched_free) = \
+        results
+    assert state.k == 2
+    assert touched == [] and touched_free  # only the free run reached them
+    for name in ("delta_u", "delta_v"):
+        assert g_frozen[name].tobytes() == g_free[name].tobytes()
+        assert after_frozen[name].tobytes() == after_free[name].tobytes()
 
 
 def test_large_lambda_shrinks_edit_norm_monotonically():

@@ -438,3 +438,68 @@ def test_grad_check_through_blocks_and_prompts(full_hkg):
                         names=[n for n in flm.store.names()
                                if ".l0." in n or n.startswith("flm.head")])
     assert err < 1e-4
+
+
+def _fresh_step_mask(flm, type_name, prev_entity=None, target=None):
+    # the per-token mask the scorer allocated before masks were cached
+    ids = flm.hkg.base.entities_of_type(type_name)
+    if flm.cfg.connectivity_mask and prev_entity is not None:
+        hood = flm.hkg.neighborhood(prev_entity, flm.cfg.hop_limit)
+        near = [e for e in ids if e == prev_entity or e in hood]
+        if near:
+            ids = near
+    if target is not None and target not in ids:
+        ids = flm.hkg.base.entities_of_type(type_name)
+    mask = np.full(flm.vocab_size, ad.MASK_NEG)
+    mask[list(ids)] = 0.0
+    return mask
+
+
+@pytest.mark.parametrize("connectivity", [True, False])
+def test_cached_step_masks_equal_fresh_ones_and_are_read_only(connectivity):
+    # two clusters: g1-m1-a1 and g2-m2-a2, so some targets leave the hop
+    # neighbourhood of the previous entity and widen to their type class
+    types = dict(TYPES, a2="actor")
+    triples = [("m1", "has_genre", "g1"), ("m2", "has_genre", "g2"),
+               ("a1", "acted_in", "m1"), ("a2", "acted_in", "m2")]
+    hkg = build_hkg(triples, types)
+    flm = make_flm(hkg, connectivity_mask=connectivity, hop_limit=1)
+    kg = hkg.base
+    ids = {name: kg.entity_id(name) for name in types}
+    schema = ("genre", "item", "actor")
+    flows = [[ids["g1"], ids["m1"], ids["a1"]],   # stays on the graph
+             [ids["g1"], ids["m2"], ids["a2"]],   # m2 is off g1's hood
+             [ids["g2"], ids["m2"], ids["a1"]]]   # a1 is off m2's hood
+    for _ in range(2):  # the second pass reads only the cache
+        for flow in flows:
+            for j, target in enumerate(flow):
+                prev = flow[j - 1] if j else None
+                for tgt in (target, None):
+                    mask = flm.step_mask(schema[j], prev_entity=prev,
+                                         target=tgt)
+                    fresh = _fresh_step_mask(flm, schema[j], prev, tgt)
+                    assert mask.tobytes() == fresh.tobytes()
+                    assert not mask.flags.writeable
+                    assert mask is flm.step_mask(schema[j], prev, tgt)
+    with pytest.raises(ValueError):
+        flm.step_mask("item", ids["g1"])[0] = 0.0
+
+
+def test_flows_are_checked_once_in_pretraining(full_hkg, monkeypatch):
+    flm = make_flm(full_hkg)
+    kg = full_hkg.base
+    g1, m1 = kg.entity_id("g1"), kg.entity_id("m1")
+    examples = [flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1])] * 5
+    emb_table = np.zeros((full_hkg.num_nodes, flm.cfg.d_e))
+    checked = []
+    check_flow = flm.check_flow
+    monkeypatch.setattr(flm, "check_flow",
+                        lambda *a: checked.append(a) or check_flow(*a))
+    flmm.pretrain_flm(flm, examples, emb_table, epochs=3, batch_size=2)
+    assert len(checked) == len(examples)
+    # a scorer whose flows nobody has validated still checks them
+    bundle = flmm.PromptBundle(ad.Tensor(np.zeros(flm.cfg.d_e)),
+                               ad.Tensor(np.zeros(flm.cfg.d_e)),
+                               ("genre", "item"))
+    with pytest.raises(flmm.TypeMismatch):
+        flmm.flow_log_prob(flm, bundle, [m1, g1])

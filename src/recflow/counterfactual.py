@@ -2,8 +2,10 @@
 a curriculum schedule, and the random-edit (EDA) baseline augmenter.
 
 Edits add a learned disturbance vector to one interacted-entity embedding per
-augmentation; each user pair carries k such instances. The edit parameters
-climb the recommender's loss through the score-function estimator
+augmentation; each user pair carries k such instances. The edited entity rows
+pool into the simulator's prompt through ``flm.user_prompt``, the encoder
+that builds every other simulator prompt. The edit parameters climb the
+recommender's loss through the score-function estimator
 
     theta_E <- theta_E + alpha * (sum_t L(C_t) grad log pi(C_t) - 2 lambda theta_E),
 
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import embeddings as emb
 from . import flm as flmm
 from . import pipeline as pl
 from . import realization as rz
@@ -74,12 +75,6 @@ def apply_edit(entity_matrix, positions, delta):
     return entity_matrix + ad.Tensor(scatter) @ delta
 
 
-def edited_preference(entity_matrix, positions, delta, w_attn, b_attn):
-    """Edit, then recompute the attention-pooled preference vector."""
-    return emb.encode_user(apply_edit(entity_matrix, positions, delta),
-                           w_attn, b_attn)
-
-
 @dataclass
 class PairEditState:
     """Per-course transient edit parameters for one user pair.
@@ -115,19 +110,19 @@ def make_edit_state(pair, k_edits, d_e, rng):
 
 
 def edited_prompts(state, instance, sim):
-    """(e_u, e_v) preference tensors for one augmentation instance, with the
-    gradient path flowing back into the delta rows."""
-    w = sim.flm.store["flm.attn.w"]
-    b = sim.flm.store["flm.attn.b"]
-    e_u_mat = sim.entity_emb[np.asarray(state.pair.u_entities, dtype=np.intp)]
-    e_v_mat = sim.entity_emb[np.asarray(state.pair.v_entities, dtype=np.intp)]
-    du = ad.rows(state.store["delta_u"], [instance])
-    dv = ad.rows(state.store["delta_v"], [instance])
-    pref_u = edited_preference(e_u_mat, [state.positions_u[instance]], du,
-                               w, b)
-    pref_v = edited_preference(e_v_mat, [state.positions_v[instance]], dv,
-                               w, b)
-    return pref_u.e_u, pref_v.e_u
+    """(e_u, e_v) preference tensors for one augmentation instance: each
+    side's entity rows, edited by the instance's delta row at its position
+    and pooled by ``flm.user_prompt``, with the gradient path flowing back
+    into the delta rows."""
+    prompts = []
+    for ids, positions, name in (
+            (state.pair.u_entities, state.positions_u, "delta_u"),
+            (state.pair.v_entities, state.positions_v, "delta_v")):
+        table = apply_edit(sim.entity_emb[np.asarray(ids, dtype=np.intp)],
+                           [positions[instance]],
+                           ad.rows(state.store[name], [instance]))
+        prompts.append(flmm.user_prompt(sim.flm, range(len(ids)), table))
+    return tuple(prompts)
 
 
 def default_reward_fn(rec_model, kg):
@@ -200,6 +195,9 @@ def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
 
 # -- EDA baseline ops ---------------------------------------------------------
 
+EDA_OP_MIX = (0.25, 0.25, 0.25, 0.25)
+
+
 def eda_replace(flow, schema, kg, rng):
     pos = int(rng.integers(len(flow)))
     pool = kg.entities_of_type(schema[pos])
@@ -234,11 +232,12 @@ def eda_delete(flow, schema, pos):
     return flow, tuple(schema)
 
 
-def eda_augment(flow, schema, kg, rng, op_mix=(0.25, 0.25, 0.25, 0.25)):
-    """Apply one random edit op; the flow and schema stay aligned."""
+def eda_augment(flow, schema, kg, rng):
+    """Apply one random edit op, drawn by ``EDA_OP_MIX`` (replace, insert,
+    swap, delete); the flow and schema stay aligned."""
     if not flow:
         raise ValueError("flow must be non-empty")
-    op = int(rng.choice(4, p=op_mix))
+    op = int(rng.choice(4, p=EDA_OP_MIX))
     if op == 0:
         return eda_replace(flow, schema, kg, rng)
     if op == 1:
@@ -343,9 +342,10 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
             rewards.append(stats["mean_reward"])
             norms.append(stats["edit_norm"])
             for j in range(cfg.sims_per_pair):
-                e_u, e_v = edited_prompts(state, j % state.k, sim)
+                with ad.no_grad():
+                    e_u, e_v = edited_prompts(state, j % state.k, sim)
                 realized = sim.simulate(
-                    e_u.data, e_v.data, rng,
+                    e_u, e_v, rng,
                     dialogue_id=f"sim-c{course}-p{int(pi)}-{j}",
                     temperature=cfg.temperature,
                     user_pair=(pair.user_u, pair.user_v))

@@ -21,33 +21,27 @@ plan without sorting. The values and gradients are those of the full
 table; the segment sums add the same terms in the same order, and only the
 BLAS reductions over fewer rows may round differently. Evaluation, the
 simulator's frozen table and the REINFORCE reward table use the whole
-table. User
-preference is the attention-weighted combination of the user's
-interacted-entity embeddings,
+table.
+
+User preference is the attention-weighted combination of the user's
+interacted-entity embeddings (the KBRD user encoder),
 
     alpha = softmax(b^T tanh(W_a E_u^T)),   e_u = E_u^T alpha,
 
-pooled for a batch of ragged id lists as one padded, masked block
-(``pool_entities``; an empty list pools to zero).
+and ``pool_entities`` is its only implementation: it pools a batch of
+ragged id lists as one padded, masked block (``autodiff.attention_pool``;
+an empty list pools to zero). Its callers are the recommender's dialogue
+contexts (``RecModel``), and, through ``flm.user_prompts`` and
+``flm.user_prompt``, flow-LM pre-training, the schema classifier's training
+pairs, ``SimulatorBundle.prompt`` and the counterfactual edits
+(``counterfactual.edited_prompts``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-
-
-class EmptyEntitySet(ValueError):
-    pass
-
-
-@dataclass
-class UserPreference:
-    e_u: ad.Tensor        # (d_e,) via reshape of (1, d_e)
-    alpha: ad.Tensor      # (n,)
 
 
 def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
@@ -108,22 +102,6 @@ def init_attention_params(store, d_e, rng=None, prefix="attn"):
     store.add(f"{prefix}.w", ad.xavier_uniform((d_e, d_e), rng))
     store.add(f"{prefix}.b", ad.xavier_uniform((d_e, 1), rng))
     return store
-
-
-def encode_user(entity_matrix, w_attn, b_attn):
-    """Attention-pool a (n, d_e) entity matrix into a preference vector.
-
-    Output depends only on the rows of ``entity_matrix``, never on any user
-    identity, so it applies unchanged to unseen users.
-    """
-    entity_matrix = ad.as_tensor(entity_matrix)
-    if entity_matrix.ndim != 2 or entity_matrix.shape[0] < 1:
-        raise EmptyEntitySet("need a non-empty (n, d_e) entity matrix")
-    scores = ad.tanh(entity_matrix @ ad.transpose(w_attn)) @ b_attn  # (n, 1)
-    alpha = ad.softmax(ad.reshape(scores, (-1,)), axis=-1)
-    n = entity_matrix.shape[0]
-    e_u = ad.reshape(ad.reshape(alpha, (1, n)) @ entity_matrix, (-1,))
-    return UserPreference(e_u=e_u, alpha=alpha)
 
 
 def pool_entities(table, id_lists, w_attn, b_attn):

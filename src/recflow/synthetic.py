@@ -19,6 +19,7 @@ from . import corpus as cp
 from . import kg as kgm
 from .realization import ITEM_TYPE
 
+GENRES_PER_CLUSTER = 2
 DECORATIVE_TYPES = (["mood", "era", "country", "studio"]
                     + [f"tag{i}" for i in range(12)])
 
@@ -78,7 +79,7 @@ def _fill(template, names, speaker):
 
 
 def make_world(seed=0, num_clusters=5, items_per_cluster=20,
-               genres_per_cluster=2, actors_per_cluster=10,
+               actors_per_cluster=10,
                directors_per_cluster=4, num_dialogues=500,
                split=(7, 1, 2)):
     """``split`` gives train/val/test shares out of ten, applied round-robin
@@ -87,8 +88,8 @@ def make_world(seed=0, num_clusters=5, items_per_cluster=20,
     triples = []
     types = {}
 
-    genres = [[f"genre{c * genres_per_cluster + i}"
-               for i in range(genres_per_cluster)]
+    genres = [[f"genre{c * GENRES_PER_CLUSTER + i}"
+               for i in range(GENRES_PER_CLUSTER)]
               for c in range(num_clusters)]
     actors = [[f"actor{c * actors_per_cluster + i}"
                for i in range(actors_per_cluster)]

@@ -53,8 +53,9 @@ def test_criterion_01_gradient_suite():
         store.add("E", rng.normal(size=(4, 3)) * 0.5)
 
         def f_pref(s):
-            pref = emb.encode_user(s["E"], s["attn.w"], s["attn.b"])
-            return ad.tensor_sum(pref.e_u * pref.e_u)
+            e_u = emb.pool_entities(s["E"], [[0, 1, 2, 3]], s["attn.w"],
+                                    s["attn.b"])
+            return ad.tensor_sum(e_u * e_u)
 
         assert ad.grad_check(f_pref, store, eps=eps) < tol
 

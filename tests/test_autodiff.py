@@ -588,23 +588,28 @@ POOL_ID_LISTS = [
     [[3, 1, 1], [], [4], [0, 5, 2, 5]],   # padded, with an empty list
     [[0, 2, 4]],                          # one increasing list
     [[], []],                             # only empty lists
+    # repeated ids, lists of 1, 2, 5 and 11 padded together, then one
+    # unpadded list (a single user's prompt)
+    [[5], [2, 2], [1, 4, 1, 0, 4], [3, 0, 5, 5, 1, 2, 0, 3, 4, 3, 1]],
+    [[3, 0, 5, 5, 1, 2, 0, 3, 4, 3, 1]],
 ]
 
 
 @pytest.mark.parametrize("id_lists", POOL_ID_LISTS)
 @pytest.mark.parametrize("tensor_table", [True, False])
 def test_attention_pool_is_bit_equal_to_the_chain(id_lists, tensor_table):
-    rng = np.random.default_rng(40)
-    store = ad.ParamStore()
-    table = rng.normal(size=(6, 4))
-    if tensor_table:
-        table = store.add("table", table)
-    store.add("w", rng.normal(size=(4, 4)) * 0.5)
-    store.add("b", rng.normal(size=(4, 1)) * 0.5)
     ids, lens = _padded(id_lists)
-    _assert_fused_equals_chain(ad.attention_pool, _chain_attention_pool,
-                               store, (table, ids, lens, store["w"],
-                                       store["b"]))
+    for d_e in (4, 8, 32, 128):
+        rng = np.random.default_rng([40, d_e])
+        store = ad.ParamStore()
+        table = rng.normal(size=(6, d_e))
+        if tensor_table:
+            table = store.add("table", table)
+        store.add("w", rng.normal(size=(d_e, d_e)) * 0.5)
+        store.add("b", rng.normal(size=(d_e, 1)) * 0.5)
+        _assert_fused_equals_chain(ad.attention_pool, _chain_attention_pool,
+                                   store, (table, ids, lens, store["w"],
+                                           store["b"]))
 
 
 def test_attention_pool_of_a_computed_table_is_bit_equal_to_the_chain():

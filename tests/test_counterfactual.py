@@ -12,6 +12,7 @@ from recflow import pipeline as pl
 from recflow import realization as rz
 from recflow import recommender as rc
 from recflow import schema as sc
+from test_autodiff import _chain_attention_pool
 
 
 def test_curriculum_initial_weight():
@@ -72,10 +73,9 @@ def test_apply_edit_single_entity_forced_attention():
     d = rng.normal(size=(1, 3))
     store = ad.ParamStore()
     emb.init_attention_params(store, 3, rng=rng)
-    pref = cf.edited_preference(e, [0], ad.Tensor(d), store["attn.w"],
-                                store["attn.b"])
-    assert np.allclose(pref.alpha.data, [1.0])
-    assert np.allclose(pref.e_u.data, (e + d)[0])
+    e_u = emb.pool_entities(cf.apply_edit(e, [0], ad.Tensor(d)), [[0]],
+                            store["attn.w"], store["attn.b"])
+    assert np.allclose(e_u.data[0], (e + d)[0])
 
 
 def test_apply_edit_matches_independent_reencode():
@@ -84,14 +84,13 @@ def test_apply_edit_matches_independent_reencode():
     d = rng.normal(size=(1, 4)) * 0.3
     store = ad.ParamStore()
     emb.init_attention_params(store, 4, rng=rng)
-    pref = cf.edited_preference(e, [1], ad.Tensor(d), store["attn.w"],
-                                store["attn.b"])
+    e_u = emb.pool_entities(cf.apply_edit(e, [1], ad.Tensor(d)),
+                            [[0, 1, 2]], store["attn.w"], store["attn.b"])
     edited = e.copy()
     edited[1] += d[0]
-    oracle = emb.encode_user(ad.Tensor(edited), store["attn.w"],
-                             store["attn.b"])
-    assert np.allclose(pref.e_u.data, oracle.e_u.data, atol=1e-12)
-    assert np.allclose(pref.alpha.data, oracle.alpha.data, atol=1e-12)
+    oracle = emb.pool_entities(edited, [[0, 1, 2]], store["attn.w"],
+                               store["attn.b"])
+    assert e_u.data.tobytes() == oracle.data.tobytes()
 
 
 def test_apply_edit_only_changes_edited_rows():
@@ -293,6 +292,73 @@ def test_frozen_simulator_gives_the_same_gradient_bytes(monkeypatch):
         assert after_frozen[name].tobytes() == after_free[name].tobytes()
 
 
+def _sims_and_pairs(world, request):
+    if world == "tiny":
+        sim, _, pair = tiny_sim()
+        return sim, [pair]
+    mini = request.getfixturevalue("mini")
+    return mini.sim, mini.pairs[:6]
+
+
+@pytest.mark.parametrize("world", ["tiny", "mini"])
+def test_edited_prompts_with_zero_deltas_are_the_simulator_prompts(world,
+                                                                  request):
+    sim, pairs = _sims_and_pairs(world, request)
+    for n, pair in enumerate(pairs):
+        state = cf.make_edit_state(pair, 2, sim.entity_emb.shape[1],
+                                   np.random.default_rng(n))
+        for i in range(state.k):
+            e_u, e_v = cf.edited_prompts(state, i, sim)
+            assert (e_u.data.tobytes()
+                    == sim.prompt(pair.u_entities).data.tobytes())
+            assert (e_v.data.tobytes()
+                    == sim.prompt(pair.v_entities).data.tobytes())
+
+
+@pytest.mark.parametrize("world", ["tiny", "mini"])
+def test_edited_prompt_gradients_equal_the_chain_over_the_edited_table(
+        world, request):
+    # the op-by-op attention pool over apply_edit's table is the oracle
+    sim, pairs = _sims_and_pairs(world, request)
+    d_e = sim.entity_emb.shape[1]
+    w, b = sim.flm.store["flm.attn.w"], sim.flm.store["flm.attn.b"]
+    for n, pair in enumerate(pairs):
+        state = cf.make_edit_state(pair, 2, d_e, np.random.default_rng(n))
+        rng = np.random.default_rng(100 + n)
+        for name in ("delta_u", "delta_v"):
+            state.store[name].data = rng.normal(
+                size=state.store[name].shape) * 0.3
+        weights = rng.normal(size=(2, d_e))
+
+        for i in range(state.k):
+            def chain(ids, positions, name):
+                table = cf.apply_edit(
+                    sim.entity_emb[np.asarray(ids, dtype=np.intp)],
+                    [positions[i]], ad.rows(state.store[name], [i]))
+                pooled = _chain_attention_pool(
+                    table, np.arange(len(ids))[None], np.array([len(ids)]),
+                    w, b)
+                return ad.reshape(pooled, (-1,))
+
+            results = []
+            with ad.frozen(sim.flm.store, sim.clf_store):
+                for e_u, e_v in (
+                        cf.edited_prompts(state, i, sim),
+                        (chain(pair.u_entities, state.positions_u, "delta_u"),
+                         chain(pair.v_entities, state.positions_v,
+                               "delta_v"))):
+                    loss = (ad.tensor_sum(e_u * ad.Tensor(weights[0]))
+                            + ad.tensor_sum(e_v * ad.Tensor(weights[1])))
+                    results.append((e_u.data, e_v.data,
+                                    ad.backward(loss, state.store)))
+            (u, v, grads), (u_chain, v_chain, grads_chain) = results
+            assert u.tobytes() == u_chain.tobytes()
+            assert v.tobytes() == v_chain.tobytes()
+            assert set(grads) == set(grads_chain) == {"delta_u", "delta_v"}
+            for name in grads:
+                assert grads[name].tobytes() == grads_chain[name].tobytes()
+
+
 def test_large_lambda_shrinks_edit_norm_monotonically():
     sim, rec, pair = tiny_sim()
     state = cf.make_edit_state(pair, 1, 5, np.random.default_rng(0))
@@ -431,6 +497,26 @@ def test_train_augmented_never_touches_simulator(mini):
                        mini.val_samples, cfg)
     assert mini.sim.flm.store.checksum() == flm_sum
     assert mini.sim.clf_store.checksum() == clf_sum
+
+
+def test_train_augmented_simulates_from_untaped_prompts(mini, monkeypatch):
+    # the simulation prompts are read, never differentiated
+    seen = []
+    simulate = pl.SimulatorBundle.simulate
+
+    def recording(self, e_u, e_v, *args, **kwargs):
+        seen.append((e_u, e_v))
+        return simulate(self, e_u, e_v, *args, **kwargs)
+
+    monkeypatch.setattr(pl.SimulatorBundle, "simulate", recording)
+    cfg = cf.TrainConfig(courses=1, rollouts=2, edit_steps=1,
+                         pairs_per_course=2, sims_per_pair=2, rec_steps=1,
+                         seed=3)
+    cf.train_augmented(mini.fresh_rec(), mini.sim, mini.pairs,
+                       mini.train_samples, [], cfg)
+    assert len(seen) == 2 * 2
+    for prompt in (p for pair in seen for p in pair):
+        assert isinstance(prompt, ad.Tensor) and not prompt.requires_grad
 
 
 def test_train_augmented_seed_reproducible(mini):

@@ -282,26 +282,30 @@ def test_rgcn_grad_check_through_one_layer():
     assert ad.grad_check(f, store, eps=1e-5) < 1e-4
 
 
-def test_encode_user_single_entity():
+def _preference(matrix, w_attn, b_attn):
+    """e_u of one user: every row of ``matrix`` pooled as one list."""
+    ids = list(range(matrix.shape[0]))
+    return ad.reshape(emb.pool_entities(matrix, [ids], w_attn, b_attn), (-1,))
+
+
+def test_preference_single_entity():
     store = ad.ParamStore()
     emb.init_attention_params(store, d_e=4, rng=np.random.default_rng(0))
     row = np.array([[0.5, -1.0, 0.25, 2.0]])
-    pref = emb.encode_user(ad.Tensor(row), store["attn.w"], store["attn.b"])
-    assert np.allclose(pref.alpha.data, [1.0])
-    assert np.allclose(pref.e_u.data, row[0])
+    e_u = _preference(ad.Tensor(row), store["attn.w"], store["attn.b"])
+    assert np.allclose(e_u.data, row[0])
 
 
-def test_encode_user_identical_entities_uniform_attention():
+def test_preference_identical_entities():
     store = ad.ParamStore()
     emb.init_attention_params(store, d_e=3, rng=np.random.default_rng(2))
     row = np.array([0.3, -0.7, 0.1])
     mat = np.tile(row, (5, 1))
-    pref = emb.encode_user(ad.Tensor(mat), store["attn.w"], store["attn.b"])
-    assert np.allclose(pref.alpha.data, np.full(5, 0.2))
-    assert np.allclose(pref.e_u.data, row)
+    e_u = _preference(ad.Tensor(mat), store["attn.w"], store["attn.b"])
+    assert np.allclose(e_u.data, row)
 
 
-def test_encode_user_hand_computed_two_entities():
+def test_preference_hand_computed_two_entities():
     # identity W, b = [1, 2]; scores are tanh(E) @ b, spelled out by hand
     e = np.array([[0.5, -0.25], [0.1, 0.3]])
     s1 = math.tanh(0.5) * 1.0 + math.tanh(-0.25) * 2.0
@@ -310,73 +314,36 @@ def test_encode_user_hand_computed_two_entities():
     a1, a2 = z1 / (z1 + z2), z2 / (z1 + z2)
     expected_e_u = np.array([a1 * 0.5 + a2 * 0.1, a1 * -0.25 + a2 * 0.3])
 
-    pref = emb.encode_user(ad.Tensor(e), ad.Tensor(np.eye(2)),
-                           ad.Tensor(np.array([[1.0], [2.0]])))
-    assert np.allclose(pref.alpha.data, [a1, a2], atol=1e-12, rtol=0)
-    assert np.allclose(pref.e_u.data, expected_e_u, atol=1e-12, rtol=0)
+    e_u = _preference(ad.Tensor(e), ad.Tensor(np.eye(2)),
+                      ad.Tensor(np.array([[1.0], [2.0]])))
+    assert np.allclose(e_u.data, expected_e_u, atol=1e-12, rtol=0)
 
 
-def test_encode_user_rejects_empty_set():
-    store = ad.ParamStore()
-    emb.init_attention_params(store, d_e=2, rng=np.random.default_rng(0))
-    with pytest.raises(emb.EmptyEntitySet):
-        emb.encode_user(ad.Tensor(np.zeros((0, 2))), store["attn.w"],
-                        store["attn.b"])
-
-
-def test_encode_user_permutation_equivariant():
+def test_preference_permutation_invariant():
     rng = np.random.default_rng(11)
     store = ad.ParamStore()
     emb.init_attention_params(store, d_e=4, rng=rng)
     mat = rng.normal(size=(6, 4))
     perm = rng.permutation(6)
-    a = emb.encode_user(ad.Tensor(mat), store["attn.w"], store["attn.b"])
-    b = emb.encode_user(ad.Tensor(mat[perm]), store["attn.w"], store["attn.b"])
-    assert np.allclose(a.alpha.data[perm], b.alpha.data)
-    assert np.allclose(a.e_u.data, b.e_u.data)
+    a = _preference(ad.Tensor(mat), store["attn.w"], store["attn.b"])
+    b = _preference(ad.Tensor(mat[perm]), store["attn.w"], store["attn.b"])
+    assert np.allclose(a.data, b.data)
 
 
-def test_encode_user_grad_check():
+def test_preference_grad_check():
     rng = np.random.default_rng(5)
     store = ad.ParamStore()
     emb.init_attention_params(store, d_e=3, rng=rng)
     store.add("E", rng.normal(size=(4, 3)) * 0.5)
 
     def f(s):
-        pref = emb.encode_user(s["E"], s["attn.w"], s["attn.b"])
-        return ad.tensor_sum(pref.e_u * pref.e_u)
+        e_u = _preference(s["E"], s["attn.w"], s["attn.b"])
+        return ad.tensor_sum(e_u * e_u)
 
     assert ad.grad_check(f, store, eps=1e-5) < 1e-4
 
 
-def test_alpha_is_a_distribution():
-    rng = np.random.default_rng(9)
-    store = ad.ParamStore()
-    emb.init_attention_params(store, d_e=5, rng=rng)
-    for n in (1, 3, 8):
-        pref = emb.encode_user(ad.Tensor(rng.normal(size=(n, 5))),
-                               store["attn.w"], store["attn.b"])
-        assert np.all(pref.alpha.data >= 0)
-        assert abs(pref.alpha.data.sum() - 1.0) < 1e-9
-
-
-@pytest.mark.parametrize("d_e", [8, 32, 128])
-def test_pool_entities_one_list_is_bit_equal_to_encode_user(d_e):
-    rng = np.random.default_rng(d_e)
-    store = ad.ParamStore()
-    emb.init_attention_params(store, d_e=d_e, rng=rng)
-    table = rng.normal(size=(30, d_e))
-    for n in (1, 2, 5, 11):
-        ids = [int(i) for i in rng.integers(0, 30, size=n)]
-        pooled = emb.pool_entities(table, [ids], store["attn.w"],
-                                   store["attn.b"])
-        pref = emb.encode_user(ad.Tensor(table[ids]), store["attn.w"],
-                               store["attn.b"])
-        assert pooled.shape == (1, d_e)
-        assert pooled.data[0].tobytes() == pref.e_u.data.tobytes()
-
-
-def test_pool_entities_ragged_batch_matches_per_list_encode_user():
+def test_pool_entities_ragged_batch_matches_per_list_calls():
     rng = np.random.default_rng(12)
     d_e = 6
     store = ad.ParamStore()
@@ -395,8 +362,8 @@ def test_pool_entities_ragged_batch_matches_per_list_encode_user():
     for i, ids in enumerate(id_lists):
         if not ids:
             continue
-        e_u = emb.encode_user(ad.Tensor(table[ids]), store["attn.w"],
-                              store["attn.b"]).e_u
+        e_u = emb.pool_entities(table, [ids], store["attn.w"],
+                                store["attn.b"])[0]
         assert np.allclose(pooled.data[i], e_u.data, rtol=0, atol=1e-12)
         g = ad.backward(ad.tensor_sum(e_u * ad.Tensor(weights[i])), store)
         for name in grads_s:

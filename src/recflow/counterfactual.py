@@ -174,8 +174,8 @@ def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
                                       dialogue_id=f"rollout-{i}-{t}")
                 rewards.append(reward_fn(realized))
             all_rewards.extend(rewards)
-            logps = flmm.flow_log_probs_batch(
-                sim.flm, flmm.PromptBundle(e_u, e_v, schema), flows)
+            logps = flmm.flow_log_probs_batch(sim.flm, e_u, e_v, schema,
+                                              flows)
             term = ad.tensor_sum(logps * ad.Tensor(rewards))
             objective = term if objective is None else objective + term
         grads = ad.backward(objective, state.store)

@@ -10,11 +10,13 @@ teacher-forced target falls outside the connectivity set (real corpora are
 not always graph-consistent), scoring widens that step to the full type
 class; generated tokens never need the widening.
 
-One batched scorer computes a flow's per-step log-probabilities under these
-masks. Teacher-forced pre-training, the REINFORCE policy gradient of the
-counterfactual edits and single-flow scoring are thin wrappers around it.
-Pre-training pools a batch's seeker prompts as one padded block, and its
-recommender prompts as another (``embeddings.pool_entities``).
+Public surface: ``FlowLM``; ``flow_log_probs_batch``, which validates flows
+and scores them under one prompt pair; ``generate_flows_batch``;
+``user_prompt(s)``, which pool interaction lists into prompts;
+``pretrain_flm``; and ``sample_pseudo_flow``. Scoring and pre-training share
+one masked scorer, ``_flow_log_probs``; pre-training pools a batch's seeker
+prompts as one padded block, and its recommender prompts as another
+(``embeddings.pool_entities``).
 """
 
 from __future__ import annotations
@@ -52,44 +54,27 @@ class EmptyTypeClass(ValueError):
 
 
 @dataclass
-class FlowLMConfig:
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    ff_mult: int = 4
-    d_e: int = 128
-    max_len: int = 16
-    connectivity_mask: bool = True
-    hop_limit: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads:
-            raise ValueError("d_model must be divisible by n_heads")
-
-
-@dataclass
-class PromptBundle:
-    e_u: ad.Tensor
-    e_v: ad.Tensor
-    schema: tuple
-
-
-@dataclass
 class FlowExample:
     entities: list
     schema: tuple
     seeker_entities: list
     recommender_entities: list
-    source: str = "real"
 
 
 class FlowLM:
-    """Holds the parameter store and the masking tables for one HKG."""
+    """Holds the parameter store and the masking tables for one HKG.
 
-    def __init__(self, hkg, config=None):
+    ``cfg`` is a ``pipeline.SimulatorConfig``, of which the model reads
+    d_model, n_layers, n_heads, ff_mult, max_len, connectivity_mask,
+    hop_limit and seed; ``d_e`` is the width of the entity embeddings.
+    """
+
+    def __init__(self, hkg, cfg, d_e):
+        if cfg.d_model % cfg.n_heads:
+            raise ValueError("d_model must be divisible by n_heads")
         self.hkg = hkg
-        self.cfg = config or FlowLMConfig()
+        self.cfg = cfg
+        self.d_e = d_e
         kg = hkg.base
         self.num_entities = kg.num_entities
         self.bos = self.num_entities
@@ -111,9 +96,9 @@ class FlowLM:
         s.add("flm.type_emb", ad.xavier_uniform((max(n_types, 1), d), rng))
         s.add("flm.pos_enc", ad.xavier_uniform((cfg.max_len + 2, d), rng))
         s.add("flm.pos_dec", ad.xavier_uniform((cfg.max_len + 1, d), rng))
-        s.add("flm.prompt_w", ad.xavier_uniform((cfg.d_e, d), rng))
+        s.add("flm.prompt_w", ad.xavier_uniform((self.d_e, d), rng))
         s.add("flm.prompt_b", np.zeros(d))
-        emb.init_attention_params(s, cfg.d_e, rng=rng, prefix="flm.attn")
+        emb.init_attention_params(s, self.d_e, rng=rng, prefix="flm.attn")
         for side, blocks in (("enc", 1), ("dec", 2)):
             for layer in range(cfg.n_layers):
                 base = f"flm.{side}.l{layer}"
@@ -244,11 +229,10 @@ class FlowLM:
         return np.array([kg.type_id(t) for t in schema], dtype=np.intp)
 
 
-def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows,
-                    checked=False):
+def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows):
     """Per-step log-probabilities, shape (len(flows), n), of same-length
-    flows under the masked decoder. ``checked`` says the caller has already
-    validated the flows against their schemas (``FlowLM.check_flow``).
+    flows under the masked decoder. The caller has validated the flows
+    against their schemas (``FlowLM.check_flow``).
 
     ``schemas`` holds one schema per flow, or one shared by all flows;
     ``prompts_*`` hold as many d_e-vectors as ``schemas``. A shared prompt
@@ -259,9 +243,6 @@ def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows,
     """
     t, n, rows = len(flows), len(flows[0]), len(schemas)
     row_schemas = schemas if rows == t else schemas * t
-    if not checked:
-        for f, schema in zip(flows, row_schemas):
-            flm.check_flow(f, schema)
     enc = flm.encode(ad.reshape(ad.as_tensor(prompts_u), (rows, -1)),
                      ad.reshape(ad.as_tensor(prompts_v), (rows, -1)),
                      np.stack([flm.type_ids(s) for s in schemas]))
@@ -277,26 +258,14 @@ def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows,
                                masks)
 
 
-def flow_step_log_probs(flm, prompt, flow):
-    """Per-step log-probabilities of ``flow`` under the masked decoder."""
-    steps = _flow_log_probs(flm, prompt.e_u, prompt.e_v, [prompt.schema],
-                            [flow])
-    return ad.reshape(steps, (len(flow),))
-
-
-def flow_log_prob(flm, prompt, flow):
-    """Total log-probability: the sum of the per-step values."""
-    return ad.tensor_sum(flow_step_log_probs(flm, prompt, flow))
-
-
-def flow_log_probs_batch(flm, prompt, flows):
-    """Log-probabilities of several same-schema flows under one prompt.
-
-    Returns a (len(flows),) tensor sharing the prompt subgraph, so gradients
-    w.r.t. the prompt tensors accumulate across the batch.
-    """
-    steps = _flow_log_probs(flm, prompt.e_u, prompt.e_v, [prompt.schema],
-                            flows)
+def flow_log_probs_batch(flm, e_u, e_v, schema, flows):
+    """Total log-probabilities, shape (len(flows),), of same-length flows of
+    one schema under the d_e-vector prompts ``e_u`` and ``e_v``, after
+    validating the flows. The prompts are encoded once, so their gradients
+    accumulate across the batch."""
+    for f in flows:
+        flm.check_flow(f, schema)
+    steps = _flow_log_probs(flm, e_u, e_v, [schema], flows)
     return ad.tensor_sum(steps, axis=1)
 
 
@@ -338,12 +307,6 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
     return [list(map(int, row)) for row in tokens[:, 1:]]
 
 
-def generate_flow(flm, e_u, e_v, schema, rng, temperature=1.0, greedy=False):
-    """Single-flow convenience wrapper around generate_flows_batch."""
-    return generate_flows_batch(flm, e_u, e_v, schema, rng, 1,
-                                temperature=temperature, greedy=greedy)[0]
-
-
 def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2, retry_budget=50,
                        max_schema_tries=200):
     """Draw a schema uniformly, sample a graph path for it, and split the
@@ -376,8 +339,7 @@ def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2, retry_budget=50,
             if eid not in bucket:
                 bucket.append(eid)
         return FlowExample(entities=flow, schema=tuple(schema),
-                           seeker_entities=seeker, recommender_entities=rec,
-                           source="pseudo")
+                           seeker_entities=seeker, recommender_entities=rec)
     raise AllSchemasUnreachable(
         f"no schema produced a path in {max_schema_tries} tries")
 
@@ -437,6 +399,5 @@ def _batch_nll(flm, batch, entity_emb):
                           entity_emb),
         user_prompts(flm, [ex.recommender_entities for ex in batch],
                      entity_emb),
-        [ex.schema for ex in batch], [ex.entities for ex in batch],
-        checked=True)
+        [ex.schema for ex in batch], [ex.entities for ex in batch])
     return -ad.mul(ad.tensor_sum(steps), 1.0 / len(batch))

@@ -64,8 +64,8 @@ class SimulatorBundle:
         e_v_val = e_v.data if isinstance(e_v, ad.Tensor) else np.asarray(e_v)
         if schema is None:
             schema = self.predict_schema(e_u_val, e_v_val)
-        flow = flmm.generate_flow(self.flm, e_u_val, e_v_val, schema, rng,
-                                  temperature=temperature)
+        flow = flmm.generate_flows_batch(self.flm, e_u_val, e_v_val, schema,
+                                         rng, 1, temperature=temperature)[0]
         return rz.realize(flow, schema, self.bank, self.hkg.base, rng,
                           dialogue_id=dialogue_id, user_pair=user_pair)
 
@@ -92,8 +92,7 @@ def corpus_flows(dialogues, kg, max_len=None):
         out.append((flmm.FlowExample(entities=list(entities),
                                      schema=tuple(schema),
                                      seeker_entities=seeker,
-                                     recommender_entities=rec,
-                                     source="real"), d))
+                                     recommender_entities=rec), d))
     return out
 
 
@@ -128,14 +127,6 @@ def build_user_pairs(dialogues, hkg):
 SIMULATOR_FILES = ("flm.ckpt", "clf.ckpt", "sim_emb.ckpt", "catalog.json")
 
 
-def _flow_model(hkg, cfg, d_e):
-    return flmm.FlowLM(hkg, flmm.FlowLMConfig(
-        d_model=cfg.d_model, n_layers=cfg.n_layers, n_heads=cfg.n_heads,
-        ff_mult=cfg.ff_mult, d_e=d_e, max_len=cfg.max_len,
-        connectivity_mask=cfg.connectivity_mask, hop_limit=cfg.hop_limit,
-        seed=cfg.seed))
-
-
 def _classifier_store(cfg, d_e, num_schemas):
     store = ad.ParamStore()
     sc.init_classifier_params(store, d_e=d_e, num_schemas=num_schemas,
@@ -162,7 +153,7 @@ def build_simulator(hkg, train_dialogues, entity_emb, cfg=None):
     if len(catalog) == 0:
         raise DataError(f"no schema reaches min_support={cfg.min_support}")
 
-    model = _flow_model(hkg, cfg, entity_emb.shape[1])
+    model = flmm.FlowLM(hkg, cfg, entity_emb.shape[1])
 
     pseudo = [flmm.sample_pseudo_flow(hkg, catalog, rng,
                                       hop_limit=cfg.hop_limit)
@@ -223,14 +214,19 @@ def read_checkpoint(path, store=None):
 
 def load_simulator(hkg, train_dialogues, path, cfg):
     """Rebuild a simulator from the files ``save_simulator`` wrote; the
-    template bank is collected again from ``train_dialogues``."""
-    with open(path("catalog.json"), encoding="utf-8") as fh:
-        catalog = sc.SchemaCatalog.from_json(fh.read(),
-                                             min_support=cfg.min_support,
-                                             max_len=cfg.max_len)
-    entity_emb = np.asarray(
-        read_checkpoint(path("sim_emb.ckpt"))["entity_emb"], dtype=np.float64)
-    model = _flow_model(hkg, cfg, entity_emb.shape[1])
+    template bank is collected again from ``train_dialogues``. A file that
+    does not parse or lacks what the simulator needs is a DataError."""
+    try:
+        with open(path("catalog.json"), encoding="utf-8") as fh:
+            catalog = sc.SchemaCatalog.from_json(
+                fh.read(), min_support=cfg.min_support, max_len=cfg.max_len)
+    except (ValueError, KeyError, TypeError) as err:
+        raise DataError(f"cannot read {path('catalog.json')}: {err!r}") from err
+    entity_emb = read_checkpoint(path("sim_emb.ckpt")).get("entity_emb")
+    if entity_emb is None or entity_emb.ndim != 2:
+        raise DataError(f"{path('sim_emb.ckpt')} holds no entity_emb table")
+    entity_emb = np.asarray(entity_emb, dtype=np.float64)
+    model = flmm.FlowLM(hkg, cfg, entity_emb.shape[1])
     read_checkpoint(path("flm.ckpt"), model.store)
     clf_store = _classifier_store(cfg, entity_emb.shape[1], len(catalog))
     read_checkpoint(path("clf.ckpt"), clf_store)

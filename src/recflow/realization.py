@@ -34,7 +34,6 @@ class RealizedDialogue:
     flow_entities: list
     schema: tuple
     template_ids: list
-    user_pair: tuple | None = None
 
 
 @dataclass
@@ -129,8 +128,7 @@ def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
         dialogue.seeker_id, dialogue.recommender_id = user_pair
     return RealizedDialogue(dialogue=dialogue,
                             flow_entities=list(flow_entities),
-                            schema=tuple(schema), template_ids=template_ids,
-                            user_pair=user_pair)
+                            schema=tuple(schema), template_ids=template_ids)
 
 
 def to_rec_samples(dialogue, kg, source="real"):

@@ -94,14 +94,14 @@ def test_criterion_01_gradient_suite():
         pstore.add("e_v", rng.normal(size=5) * 0.5)
 
         def f_prompt(s):
-            bundle = flmm.PromptBundle(s["e_u"], s["e_v"], schema)
-            return flmm.flow_log_prob(sim.flm, bundle, flow)
+            return ad.tensor_sum(flmm.flow_log_probs_batch(
+                sim.flm, s["e_u"], s["e_v"], schema, [flow]))
 
         assert ad.grad_check(f_prompt, pstore, eps=eps) < tol
 
         def f_block(_):
-            bundle = flmm.PromptBundle(pstore["e_u"], pstore["e_v"], schema)
-            return flmm.flow_log_prob(sim.flm, bundle, flow)
+            return ad.tensor_sum(flmm.flow_log_probs_batch(
+                sim.flm, pstore["e_u"], pstore["e_v"], schema, [flow]))
 
         block_names = [n for n in sim.flm.store.names()
                        if ".l0." in n or n.startswith("flm.head")]
@@ -311,9 +311,9 @@ def test_criterion_08_flm_memorization():
         g = kgm.load_kg([f"{h}\t{r}\t{t}" for h, r, t in triples],
                         [f"{e}\t{t}" for e, t in types.items()])
         hkg = kgm.attach_users(g, {})
-        model = flmm.FlowLM(hkg, flmm.FlowLMConfig(d_model=32, n_layers=1,
-                                                   n_heads=2, ff_mult=2,
-                                                   d_e=6, max_len=4, seed=0))
+        model = flmm.FlowLM(hkg, pl.SimulatorConfig(d_model=32, n_layers=1,
+                                                    n_heads=2, ff_mult=2,
+                                                    max_len=4, seed=0), 6)
         emb_table = np.random.default_rng(0).normal(
             size=(hkg.num_nodes, 6)) * 0.5
         ex = flmm.FlowExample(entities=[g.entity_id("g0"),
@@ -323,17 +323,16 @@ def test_criterion_08_flm_memorization():
                               recommender_entities=[g.entity_id("m1")])
         e_u = flmm.user_prompt(model, ex.seeker_entities, emb_table)
         e_v = flmm.user_prompt(model, ex.recommender_entities, emb_table)
-        bundle = flmm.PromptBundle(e_u, e_v, ex.schema)
         # untrained, zero-init head: per-step perplexity = type-class size
-        steps = flmm.flow_step_log_probs(model, bundle, ex.entities).data
+        steps = flmm._flow_log_probs(model, e_u, e_v, [ex.schema],
+                                     [ex.entities]).data
         assert np.allclose(np.exp(-steps), [2.0, 3.0], rtol=0, atol=1e-12)
         flmm.pretrain_flm(model, [ex], emb_table, epochs=500, batch_size=1,
                           lr=5e-3, seed=0)
         e_u = flmm.user_prompt(model, ex.seeker_entities, emb_table)
         e_v = flmm.user_prompt(model, ex.recommender_entities, emb_table)
-        nll = -flmm.flow_log_prob(model,
-                                  flmm.PromptBundle(e_u, e_v, ex.schema),
-                                  ex.entities).item()
+        nll = -ad.tensor_sum(flmm.flow_log_probs_batch(
+            model, e_u, e_v, ex.schema, [ex.entities])).item()
         assert nll < 0.01
 
 

@@ -390,6 +390,31 @@ def test_simulate_with_truncated_simulator_file_exits_3(tmp_path,
     assert cli.main(["simulate", "--config", cfg_path]) == 3
 
 
+def _cut_in_half(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("catalog.json", _cut_in_half),
+    ("catalog.json", lambda p: p.write_text('[{"support": 3}]')),
+    ("catalog.json", lambda p: p.write_text('{"x": 1}')),
+    # the recommender's checkpoint holds no entity_emb table
+    ("sim_emb.ckpt",
+     lambda p: p.write_bytes((p.parent / "rec.ckpt").read_bytes())),
+    ("sim_emb.ckpt",
+     lambda p: ad.save_checkpoint(p, {"entity_emb": np.zeros(16)})),
+], ids=["truncated", "no-types", "not-a-list", "no-entity-emb",
+        "1d-entity-emb"])
+def test_simulate_with_corrupt_simulator_file_exits_3(tmp_path, world_files,
+                                                      name, damage):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
+    damage(out / name)
+    assert cli.main(["simulate", "--config", cfg_path]) == 3
+
+
 def test_derived_configs_draw_each_field_from_one_run_field():
     def bumped(value):
         if isinstance(value, bool):

@@ -119,9 +119,9 @@ def tiny_sim(seed=0, head_scale=0.6, catalog_schema=("genre", "item")):
     g = kgm.load_kg([f"{h}\t{r}\t{t}" for h, r, t in triples],
                     [f"{e}\t{t}" for e, t in types.items()])
     hkg = kgm.attach_users(g, {"u": ["g0", "m0"], "v": ["m1", "m2"]})
-    model = flmm.FlowLM(hkg, flmm.FlowLMConfig(d_model=8, n_layers=1,
-                                               n_heads=2, ff_mult=2, d_e=5,
-                                               max_len=4, seed=seed))
+    model = flmm.FlowLM(hkg, pl.SimulatorConfig(d_model=8, n_layers=1,
+                                                n_heads=2, ff_mult=2,
+                                                max_len=4, seed=seed), 5)
     rng = np.random.default_rng(seed + 10)
     model.store["flm.head_w"].data = rng.normal(
         size=model.store["flm.head_w"].shape) * head_scale
@@ -158,8 +158,8 @@ def enumerate_pair_gradient(state, sim, rec, reward_fn):
     for flow in flows:
         key = tuple(flow)
         e_u, e_v = cf.edited_prompts(state, 0, sim)
-        logp = flmm.flow_log_prob(sim.flm,
-                                  flmm.PromptBundle(e_u, e_v, schema), flow)
+        logp = ad.tensor_sum(flmm.flow_log_probs_batch(sim.flm, e_u, e_v,
+                                                       schema, [flow]))
         g = ad.backward(logp, state.store)
         probs[key] = float(np.exp(logp.item()))
         realized = rz.realize(flow, schema, sim.bank, sim.hkg.base,

@@ -5,6 +5,7 @@ import pytest
 from recflow import autodiff as ad
 from recflow import flm as flmm
 from recflow import kg as kgm
+from recflow import pipeline as pl
 from recflow import schema as sc
 
 
@@ -23,8 +24,7 @@ FULL_TRIPLES = [
     ("a1", "acted_in", "m1"), ("a1", "acted_in", "m2"),
 ]
 
-TINY_CFG = dict(d_model=16, n_layers=1, n_heads=2, ff_mult=2, d_e=6,
-                max_len=8)
+TINY_CFG = dict(d_model=16, n_layers=1, n_heads=2, ff_mult=2, max_len=8)
 
 
 @pytest.fixture
@@ -32,16 +32,22 @@ def full_hkg():
     return build_hkg(FULL_TRIPLES, TYPES, {"u": ["g1", "m1"], "v": ["m2"]})
 
 
-def make_flm(hkg, seed=0, **overrides):
+def make_flm(hkg, seed=0, d_e=6, **overrides):
     cfg = dict(TINY_CFG)
     cfg.update(overrides)
-    return flmm.FlowLM(hkg, flmm.FlowLMConfig(seed=seed, **cfg))
+    return flmm.FlowLM(hkg, pl.SimulatorConfig(seed=seed, **cfg), d_e)
+
+
+def log_prob(flm, e_u, e_v, schema, flow):
+    """Total log-probability of one flow."""
+    return ad.tensor_sum(flmm.flow_log_probs_batch(flm, e_u, e_v, schema,
+                                                   [flow]))
 
 
 def rand_prompts(flm, seed=0):
     rng = np.random.default_rng(seed)
-    return (rng.normal(size=flm.cfg.d_e) * 0.5,
-            rng.normal(size=flm.cfg.d_e) * 0.5)
+    return (rng.normal(size=flm.d_e) * 0.5,
+            rng.normal(size=flm.d_e) * 0.5)
 
 
 def randomize_head(flm, seed=0, scale=0.5):
@@ -55,8 +61,7 @@ def test_singleton_type_step_contributes_zero(full_hkg):
     randomize_head(flm, 3)
     e_u, e_v = rand_prompts(flm)
     a1 = full_hkg.base.entity_id("a1")
-    bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v), ("actor",))
-    lp = flmm.flow_log_prob(flm, bundle, [a1])
+    lp = log_prob(flm, e_u, e_v, ("actor",), [a1])
     assert lp.item() == 0.0
 
 
@@ -66,10 +71,9 @@ def test_total_equals_sum_of_steps(full_hkg):
     e_u, e_v = rand_prompts(flm, 1)
     kg = full_hkg.base
     flow = [kg.entity_id("g1"), kg.entity_id("m2"), kg.entity_id("a1")]
-    bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v),
-                               ("genre", "item", "actor"))
-    steps = flmm.flow_step_log_probs(flm, bundle, flow)
-    total = flmm.flow_log_prob(flm, bundle, flow)
+    schema = ("genre", "item", "actor")
+    steps = flmm._flow_log_probs(flm, e_u, e_v, [schema], [flow])
+    total = log_prob(flm, e_u, e_v, schema, flow)
     assert abs(total.item() - steps.data.sum()) < 1e-12
 
 
@@ -96,8 +100,7 @@ def test_probabilities_sum_to_one_over_support(full_hkg):
     assert len(support) == 4  # complete bipartite: all type-valid pairs
     total = 0.0
     for flow in support:
-        bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v), schema)
-        total += np.exp(flmm.flow_log_prob(flm, bundle, list(flow)).item())
+        total += np.exp(log_prob(flm, e_u, e_v, schema, list(flow)).item())
     assert abs(total - 1.0) < 1e-9
 
 
@@ -106,9 +109,8 @@ def test_untrained_per_step_perplexity_equals_type_class_size(full_hkg):
     e_u, e_v = rand_prompts(flm, 4)
     kg = full_hkg.base
     flow = [kg.entity_id("g2"), kg.entity_id("m1")]
-    bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v),
-                               ("genre", "item"))
-    steps = flmm.flow_step_log_probs(flm, bundle, flow).data
+    steps = flmm._flow_log_probs(flm, e_u, e_v, [("genre", "item")],
+                                 [flow]).data
     assert np.allclose(np.exp(-steps), [2.0, 2.0])
 
 
@@ -116,21 +118,19 @@ def test_type_mismatch_and_length_errors(full_hkg):
     flm = make_flm(full_hkg)
     e_u, e_v = rand_prompts(flm)
     kg = full_hkg.base
-    bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v),
-                               ("genre", "item"))
+    schema = ("genre", "item")
     with pytest.raises(flmm.TypeMismatch):
-        flmm.flow_log_prob(flm, bundle, [kg.entity_id("m1"),
-                                         kg.entity_id("m2")])
+        log_prob(flm, e_u, e_v, schema,
+                 [kg.entity_id("m1"), kg.entity_id("m2")])
     with pytest.raises(ValueError):
-        flmm.flow_log_prob(flm, bundle, [kg.entity_id("g1")])
+        log_prob(flm, e_u, e_v, schema, [kg.entity_id("g1")])
 
 
 def test_vocab_miss(full_hkg):
     flm = make_flm(full_hkg)
     e_u, e_v = rand_prompts(flm)
-    bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v), ("genre",))
     with pytest.raises(flmm.VocabMiss):
-        flmm.flow_log_prob(flm, bundle, [999])
+        log_prob(flm, e_u, e_v, ("genre",), [999])
 
 
 def test_generate_fully_forced_by_singleton_classes():
@@ -138,7 +138,8 @@ def test_generate_fully_forced_by_singleton_classes():
     hkg = build_hkg([("m1", "has_genre", "g1")], types)
     flm = make_flm(hkg)
     rng = np.random.default_rng(0)
-    flow = flmm.generate_flow(flm, *rand_prompts(flm), ("genre", "item"), rng)
+    flow, = flmm.generate_flows_batch(flm, *rand_prompts(flm),
+                                      ("genre", "item"), rng, 1)
     kg = hkg.base
     assert flow == [kg.entity_id("g1"), kg.entity_id("m1")]
 
@@ -148,12 +149,13 @@ def test_generate_low_temperature_matches_greedy(full_hkg):
     randomize_head(flm, 11, scale=1.0)
     e_u, e_v = rand_prompts(flm, 6)
     schema = ("genre", "item", "genre")
-    greedy = flmm.generate_flow(flm, e_u, e_v, schema,
-                                np.random.default_rng(0), greedy=True)
+    greedy = flmm.generate_flows_batch(flm, e_u, e_v, schema,
+                                       np.random.default_rng(0), 1,
+                                       greedy=True)[0]
     for seed in range(5):
-        cold = flmm.generate_flow(flm, e_u, e_v, schema,
-                                  np.random.default_rng(seed),
-                                  temperature=1e-8)
+        cold = flmm.generate_flows_batch(flm, e_u, e_v, schema,
+                                         np.random.default_rng(seed), 1,
+                                         temperature=1e-8)[0]
         assert cold == greedy
 
 
@@ -172,12 +174,10 @@ def test_generated_flows_satisfy_schema_and_connectivity():
     schema = ("genre", "item", "actor")
     seen = set()
     for _ in range(200):
-        flow = flmm.generate_flow(flm, e_u, e_v, schema, rng)
+        flow, = flmm.generate_flows_batch(flm, e_u, e_v, schema, rng, 1)
         seen.add(tuple(flow))
         assert kgm.validate_flow(hkg, flow, schema, hop_limit=2)
-        assert flmm.flow_log_prob(
-            flm, flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v), schema),
-            flow).item() > -np.inf
+        assert log_prob(flm, e_u, e_v, schema, flow).item() > -np.inf
     assert len(seen) <= 2
 
 
@@ -189,9 +189,8 @@ def test_sampled_flow_frequencies_match_model_distribution(full_hkg):
     support = enumerate_support(flm, schema)
     probs = {}
     for flow in support:
-        bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v), schema)
-        probs[flow] = np.exp(flmm.flow_log_prob(flm, bundle,
-                                                list(flow)).item())
+        probs[flow] = np.exp(log_prob(flm, e_u, e_v, schema,
+                                      list(flow)).item())
     n = 50_000
     rng = np.random.default_rng(123)
     counts = dict.fromkeys(support, 0)
@@ -214,24 +213,22 @@ def test_batch_log_probs_match_single_scorer(full_hkg):
     flows = [[kg.entity_id("g1"), kg.entity_id("m1")],
              [kg.entity_id("g2"), kg.entity_id("m1")],
              [kg.entity_id("g1"), kg.entity_id("m2")]]
-    bundle = flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v), schema)
-    batched = flmm.flow_log_probs_batch(flm, bundle, flows)
-    singles = [flmm.flow_log_prob(
-        flm, flmm.PromptBundle(ad.Tensor(e_u), ad.Tensor(e_v), schema),
-        f).item() for f in flows]
+    batched = flmm.flow_log_probs_batch(flm, e_u, e_v, schema, flows)
+    singles = [log_prob(flm, e_u, e_v, schema, f).item() for f in flows]
     assert np.allclose(batched.data, singles, atol=1e-12)
 
     # gradients through the shared prompt agree with summed single passes
     store = ad.ParamStore()
     store.add("e_u", e_u)
     store.add("e_v", e_v)
-    bundle = flmm.PromptBundle(store["e_u"], store["e_v"], schema)
     grads_b = ad.backward(
-        ad.tensor_sum(flmm.flow_log_probs_batch(flm, bundle, flows)), store)
+        ad.tensor_sum(flmm.flow_log_probs_batch(flm, store["e_u"],
+                                                store["e_v"], schema, flows)),
+        store)
     total_u = np.zeros_like(e_u)
     for f in flows:
-        bundle = flmm.PromptBundle(store["e_u"], store["e_v"], schema)
-        g = ad.backward(flmm.flow_log_prob(flm, bundle, f), store)
+        g = ad.backward(log_prob(flm, store["e_u"], store["e_v"], schema, f),
+                        store)
         total_u = total_u + g["e_u"]
     assert np.allclose(grads_b["e_u"], total_u, atol=1e-12)
 
@@ -244,7 +241,7 @@ def test_batch_nll_matches_single_scorer_on_mixed_prompts(full_hkg):
     m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
     a1 = kg.entity_id("a1")
     emb_table = np.random.default_rng(4).normal(
-        size=(full_hkg.num_nodes, flm.cfg.d_e)) * 0.5
+        size=(full_hkg.num_nodes, flm.d_e)) * 0.5
     # same length, different schemas and prompts (one side empty)
     batch = [
         flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1]),
@@ -257,12 +254,12 @@ def test_batch_nll_matches_single_scorer_on_mixed_prompts(full_hkg):
     total = 0.0
     grads_s = {}
     for ex in batch:
-        bundle = flmm.PromptBundle(
-            flmm.user_prompt(flm, ex.seeker_entities, emb_table),
-            flmm.user_prompt(flm, ex.recommender_entities, emb_table),
-            ex.schema)
-        nll = ad.mul(-flmm.flow_log_prob(flm, bundle, ex.entities),
-                     1.0 / len(batch))
+        lp = log_prob(flm,
+                      flmm.user_prompt(flm, ex.seeker_entities, emb_table),
+                      flmm.user_prompt(flm, ex.recommender_entities,
+                                       emb_table),
+                      ex.schema, ex.entities)
+        nll = ad.mul(-lp, 1.0 / len(batch))
         total += nll.item()
         for name, g in ad.backward(nll, flm.store).items():
             grads_s[name] = grads_s.get(name, 0.0) + g
@@ -281,7 +278,7 @@ def test_batch_nll_tape_size_does_not_grow_with_batch(full_hkg):
     g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
     m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
     emb_table = np.random.default_rng(6).normal(
-        size=(full_hkg.num_nodes, flm.cfg.d_e))
+        size=(full_hkg.num_nodes, flm.d_e))
     pool = [
         flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1]),
         flmm.FlowExample([m2, g2], ("item", "genre"), [m2, g2], []),
@@ -305,7 +302,7 @@ def test_batch_nll_tape_is_at_most_half_the_unfused_one(full_hkg):
     g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
     m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
     emb_table = np.random.default_rng(6).normal(
-        size=(full_hkg.num_nodes, flm.cfg.d_e))
+        size=(full_hkg.num_nodes, flm.d_e))
     batch = [flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1]),
              flmm.FlowExample([g2, m2], ("genre", "item"), [], [g2, m2, g1])]
     loss = flmm._batch_nll(flm, batch, emb_table)
@@ -315,8 +312,8 @@ def test_batch_nll_tape_is_at_most_half_the_unfused_one(full_hkg):
 def test_swapped_prompts_change_encoder_output(full_hkg):
     flm = make_flm(full_hkg, seed=5)
     rng = np.random.default_rng(2)
-    a = rng.normal(size=flm.cfg.d_e)
-    b = rng.normal(size=flm.cfg.d_e)
+    a = rng.normal(size=flm.d_e)
+    b = rng.normal(size=flm.d_e)
     tids = flm.type_ids(("genre",))[None, :]
     with ad.no_grad():
         ab = flm.encode(ad.Tensor(a[None, :]), ad.Tensor(b[None, :]), tids)
@@ -372,7 +369,7 @@ def test_pretrain_memorizes_single_flow(full_hkg):
     flm = make_flm(full_hkg, d_model=32, n_heads=2)
     kg = full_hkg.base
     emb_table = np.random.default_rng(0).normal(
-        size=(full_hkg.num_nodes, flm.cfg.d_e)) * 0.5
+        size=(full_hkg.num_nodes, flm.d_e)) * 0.5
     ex = flmm.FlowExample(
         entities=[kg.entity_id("g1"), kg.entity_id("m2")],
         schema=("genre", "item"),
@@ -382,8 +379,7 @@ def test_pretrain_memorizes_single_flow(full_hkg):
                       lr=5e-3, seed=0)
     e_u = flmm.user_prompt(flm, ex.seeker_entities, emb_table)
     e_v = flmm.user_prompt(flm, ex.recommender_entities, emb_table)
-    nll = -flmm.flow_log_prob(flm, flmm.PromptBundle(e_u, e_v, ex.schema),
-                              ex.entities).item()
+    nll = -log_prob(flm, e_u, e_v, ex.schema, ex.entities).item()
     assert nll < 0.01
 
 
@@ -391,7 +387,7 @@ def test_pretrain_loss_decreases_and_prompts_matter(full_hkg):
     rng = np.random.default_rng(5)
     flm = make_flm(full_hkg, seed=9)
     kg = full_hkg.base
-    emb_table = rng.normal(size=(full_hkg.num_nodes, flm.cfg.d_e)) * 0.5
+    emb_table = rng.normal(size=(full_hkg.num_nodes, flm.d_e)) * 0.5
     g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
     m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
     # same flow, two disjoint user splits, different continuations
@@ -404,10 +400,8 @@ def test_pretrain_loss_decreases_and_prompts_matter(full_hkg):
     assert history[-1] < history[0]
     e_a = flmm.user_prompt(flm, [g1], emb_table)
     e_b = flmm.user_prompt(flm, [m1], emb_table)
-    bundle_a = flmm.PromptBundle(e_a, e_b, ("genre", "item"))
-    bundle_b = flmm.PromptBundle(e_b, e_a, ("genre", "item"))
-    lp_a = flmm.flow_log_prob(flm, bundle_a, [g1, m1]).item()
-    lp_b = flmm.flow_log_prob(flm, bundle_b, [g1, m1]).item()
+    lp_a = log_prob(flm, e_a, e_b, ("genre", "item"), [g1, m1]).item()
+    lp_b = log_prob(flm, e_b, e_a, ("genre", "item"), [g1, m1]).item()
     assert lp_a != lp_b
 
 
@@ -424,15 +418,13 @@ def test_grad_check_through_blocks_and_prompts(full_hkg):
     prompt_store.add("e_v", rng.normal(size=3) * 0.5)
 
     def f_prompts(s):
-        bundle = flmm.PromptBundle(s["e_u"], s["e_v"], schema)
-        return flmm.flow_log_prob(flm, bundle, flow)
+        return log_prob(flm, s["e_u"], s["e_v"], schema, flow)
 
     assert ad.grad_check(f_prompts, prompt_store, eps=1e-5) < 1e-4
 
     def f_model(s):
-        bundle = flmm.PromptBundle(prompt_store["e_u"], prompt_store["e_v"],
-                                   schema)
-        return flmm.flow_log_prob(flm, bundle, flow)
+        return log_prob(flm, prompt_store["e_u"], prompt_store["e_v"], schema,
+                        flow)
 
     err = ad.grad_check(f_model, flm.store, eps=1e-5,
                         names=[n for n in flm.store.names()
@@ -490,7 +482,7 @@ def test_flows_are_checked_once_in_pretraining(full_hkg, monkeypatch):
     kg = full_hkg.base
     g1, m1 = kg.entity_id("g1"), kg.entity_id("m1")
     examples = [flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1])] * 5
-    emb_table = np.zeros((full_hkg.num_nodes, flm.cfg.d_e))
+    emb_table = np.zeros((full_hkg.num_nodes, flm.d_e))
     checked = []
     check_flow = flm.check_flow
     monkeypatch.setattr(flm, "check_flow",
@@ -498,8 +490,11 @@ def test_flows_are_checked_once_in_pretraining(full_hkg, monkeypatch):
     flmm.pretrain_flm(flm, examples, emb_table, epochs=3, batch_size=2)
     assert len(checked) == len(examples)
     # a scorer whose flows nobody has validated still checks them
-    bundle = flmm.PromptBundle(ad.Tensor(np.zeros(flm.cfg.d_e)),
-                               ad.Tensor(np.zeros(flm.cfg.d_e)),
-                               ("genre", "item"))
     with pytest.raises(flmm.TypeMismatch):
-        flmm.flow_log_prob(flm, bundle, [m1, g1])
+        log_prob(flm, np.zeros(flm.d_e), np.zeros(flm.d_e), ("genre", "item"),
+                 [m1, g1])
+
+
+def test_heads_must_divide_d_model(full_hkg):
+    with pytest.raises(ValueError):
+        flmm.FlowLM(full_hkg, pl.SimulatorConfig(d_model=10, n_heads=4), 6)

@@ -353,57 +353,98 @@ def rows(a, indices):
     return take(a, idx)
 
 
+# scratch memory shared by the segment sums and optimizer_step, which never
+# hold it across calls: fresh arrays of a few hundred KB were mapped anew on
+# each call, and faulting their pages in cost nearly as much as the
+# arithmetic
+_scratch_buf = np.empty(0)
+
+
+def _scratch(n):
+    """A length-``n`` view into the shared scratch buffer."""
+    global _scratch_buf
+    if len(_scratch_buf) < n:
+        _scratch_buf = np.empty(n)
+    return _scratch_buf[:n]
+
+
+# numpy's pairwise summation, the inner loop of ``np.add.reduceat``, adds
+# fewer than _LANES terms in order, runs _LANES strided accumulators over up
+# to _BLOCK terms, and splits longer sums in halves
+_LANES, _BLOCK = 8, 128
+
+
 class SegmentPlan:
     """A constant sparse map ``out[seg[e]] += weights[e] * x[src[e]]``.
 
-    Edges are kept stably sorted by segment, so applying the plan is one
-    gather and one ``np.add.reduceat``; ``T`` is the transposed plan, and
-    ``restrict`` cuts out the plan of some whole segments.
+    Each segment adds its terms ``weights[e] * x[src[e]]`` (edges in input
+    order) exactly as ``np.add.reduceat`` adds them: the first term plus
+    numpy's pairwise sum of the rest. That sum adds fewer than 8 terms in
+    order. Up to 128 terms it runs 8 accumulators ``r[j] += t[i + j]`` over
+    the whole blocks of 8, combines them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and then adds the
+    remaining terms in order. Longer sums are split in halves.
+
+    The plan runs that order rank-major (a "jagged diagonal" schedule). Its
+    segments are ordered by edge count, largest first, so the segments that
+    have a given term form a prefix, and each rank of terms is one
+    contiguous block. One gather, one in-place multiply and one slice add
+    per rank then sum every segment at once, in reused scratch memory.
+    Where the remainder of an accumulated segment is shorter than that of a
+    smaller one, it is padded with ``-0.0`` terms, which leave any sum
+    unchanged, bit for bit. Hubs, the segments of more than 129 edges, are
+    left to ``np.add.reduceat``.
+
+    ``T`` is the transposed plan, and ``restrict`` selects whole segments.
     """
 
     def __init__(self, src, seg, weights, num_segments, num_sources):
         src, seg = np.asarray(src, np.intp), np.asarray(seg, np.intp)
         weights = np.asarray(weights, np.float64)
-        order = np.argsort(seg, kind="stable")
-        self._gather, self._w = src[order], weights[order].reshape(-1, 1)
-        self._starts = np.flatnonzero(np.diff(seg[order], prepend=-1))
-        self._targets = seg[order][self._starts]
+        for ids, n, what in ((src, num_sources, "source"),
+                             (seg, num_segments, "segment")):
+            if len(ids) and not (ids.min() >= 0 and ids.max() < n):
+                raise ValueError(f"{what} ids must lie in [0, {n})")
         self.num_segments, self.num_sources = num_segments, num_sources
-        self._pad = False
         self._transposed = (seg, src, weights, num_sources, num_segments)
+        order = np.argsort(seg, kind="stable")
+        src, weights = src[order], weights[order]
+        count = np.bincount(seg, minlength=num_segments)
+        first = np.cumsum(count) - count  # the first edge of each segment
+        # positions: the non-empty segments by edge count, largest first,
+        # then the hubs
+        used = np.flatnonzero(count)
+        hub = count[used] > _BLOCK + 1
+        self._seg = used[np.lexsort((-count[used], hub))]
+        self._count = c = count[self._seg]
+        self._pos = np.full(num_segments, len(c), np.intp)  # empty: len(c)
+        self._pos[self._seg] = np.arange(len(c))
+        # segments [0, nb) are long: at least 8 terms after the first;
+        # [nb, n2) short; [n2, n_head) single terms; [n_head, len(c)) hubs
+        n_head = len(c) - int(hub.sum())
+        nb = int((c[:n_head] > _LANES).sum())
+        n2 = int((c[:n_head] > 1).sum())
+        blocks, self._bounds, self._ranks = _blocks(c, n_head, nb, n2)
+        self._slot_pos = np.concatenate([p for p, _ in blocks])
+        rank = np.concatenate([np.broadcast_to(r, p.shape)
+                               for p, r in blocks])
+        edge = first[self._seg[self._slot_pos]] + rank
+        real = rank >= 0
+        # a padding term reads the zero row, x[num_sources], times -1.0
+        self._src = np.where(real, src.take(edge, mode="clip"), num_sources)
+        self._w = np.where(real, weights.take(edge, mode="clip"),
+                           -1.0)[:, None]
+        self._whole = _Cut(self)
 
     @functools.cached_property
     def T(self):
         return SegmentPlan(*self._transposed)
 
     @functools.cached_property
-    def offsets(self):
-        """Segment s owns the edges ``offsets[s]:offsets[s + 1]`` of the
-        plan's order."""
-        counts = np.zeros(self.num_segments, np.intp)
-        counts[self._targets] = np.diff(self._starts,
-                                        append=len(self._gather))
-        return np.concatenate(([0], np.cumsum(counts)))
-
-    def _sub(self, segments, targets, num_segments, src_rows, num_sources):
-        """The plan of the whole ``segments`` (increasing ids), writing output
-        rows ``targets`` of ``num_segments`` and reading source s from input
-        row ``src_rows[s]`` (s when None) of ``num_sources``; a read of row
-        ``num_sources`` gets a zero row."""
-        lo = self.offsets[segments]
-        counts = self.offsets[segments + 1] - lo
-        ends = np.cumsum(counts)
-        edges = (np.repeat(lo - ends + counts, counts)
-                 + np.arange(ends[-1] if len(ends) else 0))
-        sub = object.__new__(SegmentPlan)
-        sub._gather, sub._w = self._gather[edges], self._w[edges]
-        if src_rows is not None:
-            sub._gather = src_rows[sub._gather]
-        nonempty = counts > 0
-        sub._starts, sub._targets = (ends - counts)[nonempty], targets[nonempty]
-        sub.num_segments, sub.num_sources = num_segments, num_sources
-        sub._pad = bool((sub._gather == num_sources).any())
-        return sub
+    def _t_pos(self):
+        """This plan's position of the segment that each slot of ``T``'s
+        schedule reads; a padding term's is the number of positions."""
+        return np.append(self._pos, len(self._seg))[self.T._src]
 
     def restrict(self, segments, sources=None):
         """The plan of this plan's ``segments`` (increasing ids): its output
@@ -412,45 +453,149 @@ class SegmentPlan:
         ``sources[i]`` of the result, which holds the sources those segments
         read together with the given ``sources`` (ids), increasing.
 
-        Its ``T`` sums, for each source read, every edge out of that source
-        in ``self.T``'s order, and an edge into a segment left out reads a
-        zero row. So each transposed sum adds the same terms in the same
-        order as the full plan's: ``np.add.reduceat`` sums pairwise, and
-        dropping the zero terms would change the rounding.
+        Its ``T`` runs this plan's whole transposed schedule, or the part
+        that writes the result's ``sources``, with every read of a segment
+        left out sent to a zero row. So each source's gradient adds all of
+        its out-edges' terms, zeros included, in the full plan's order:
+        dropping the zero terms would change numpy's pairwise grouping and
+        so the rounding. A source none of whose segments is kept sums only
+        zero terms, which is 0.0 for positive weights.
         """
-        n_out = len(segments)
-        sub = self._sub(segments, np.arange(n_out), n_out, None,
-                        self.num_sources)
-        read = np.zeros(self.num_sources, dtype=bool)
-        read[sub._gather] = True
-        feeders = targets = np.flatnonzero(read)
-        if sources is not None:
-            read[sources] = True
-            sub.sources = np.flatnonzero(read)
-            src_rows = np.zeros(self.num_sources, dtype=np.intp)
-            src_rows[sub.sources] = np.arange(len(sub.sources))
-            sub._gather = src_rows[sub._gather]
-            sub.num_sources, targets = len(sub.sources), src_rows[feeders]
-        seg_rows = np.full(self.num_segments, n_out, dtype=np.intp)
-        seg_rows[segments] = np.arange(n_out)
-        sub.T = self.T._sub(feeders, targets, sub.num_sources, seg_rows,
-                            n_out)
+        sub = _Cut(self, segments)
+        reads = sub.rows[self._t_pos]
+        if sources is None:
+            sub.T = _Cut(self.T, reads=reads)
+            return sub
+        read = np.zeros(self.num_sources + 1, dtype=bool)
+        read[sub.src] = True
+        read[sources] = True
+        sub.sources = np.flatnonzero(read[:-1])
+        src_rows = np.zeros(self.num_sources + 1, np.intp)
+        src_rows[sub.sources] = np.arange(len(sub.sources))
+        src_rows[-1] = len(sub.sources)
+        sub.src = src_rows[sub.src]
+        sub.T = _Cut(self.T, sub.sources, reads)
         return sub
 
     def apply(self, x):
         """Plain-array forward on (num_sources, d) rows."""
-        out = np.zeros((self.num_segments, x.shape[1]))
-        if self._pad:
-            x = np.concatenate([x, np.zeros((1, x.shape[1]))])
-        vals = np.take(x, self._gather, axis=0)
-        vals *= self._w
-        out[self._targets] = np.add.reduceat(vals, self._starts, axis=0)
+        return self._whole.apply(x)
+
+
+def _blocks(c, n_head, nb, n2):
+    """A schedule's blocks for positions of edge counts ``c``, split as in
+    ``SegmentPlan.__init__``, in order, as (positions, term rank) pairs:
+    rank 0 is a segment's first term and -1 a ``-0.0`` padding term. Also
+    returns the position counts that size the blocks, and how many of them
+    belong to the accumulator ranks and to the padded remainders."""
+    ar = np.arange
+    m, rem = np.divmod(c[:nb] - 1, _LANES)
+    padded = np.maximum.accumulate(rem[::-1])[::-1]
+    short = c[nb:n2] - 2  # terms after the first two
+    lanes = [int((m > r).sum()) for r in range(int(m.max(initial=0)))]
+    rems = [int((padded > k).sum()) for k in range(int(padded.max(initial=0)))]
+    tails = [nb + int((short > k).sum())
+             for k in range(int(short.max(initial=0)))]
+    blocks = [(ar(n_head), 0)]
+    # rank r of the accumulators: (lane j, position p) holds term 8r + j
+    # after the first
+    blocks += [(np.tile(ar(k), _LANES),
+                1 + _LANES * r + np.repeat(ar(_LANES), k))
+               for r, k in enumerate(lanes)]
+    blocks += [(ar(k), np.where(i < rem[:k], 1 + _LANES * m[:k] + i, -1))
+               for i, k in enumerate(rems)]
+    blocks += [(ar(nb, n2), 1)]
+    blocks += [(ar(nb, k), 2 + i) for i, k in enumerate(tails)]
+    hubs = c[n_head:]
+    at = np.repeat(ar(n_head, len(c)), hubs)
+    blocks += [(at, ar(len(at)) - np.repeat(np.cumsum(hubs) - hubs, hubs))]
+    bounds = np.array([n_head, nb, n2, *lanes, *rems, *tails], np.intp)
+    return blocks, bounds, (len(lanes), len(rems))
+
+
+class _Cut:
+    """Whole segments of a ``SegmentPlan``'s schedule (all of them when
+    ``segments`` is None): the schedule's slots of those segments, in order,
+    reading input rows ``src`` (``reads``, or the plan's sources, at those
+    slots), where the row after the input's last reads as zeros, and
+    writing output row j for ``segments[j]``. ``rows`` maps each schedule
+    position to its output row, or to ``len(segments)`` when left out."""
+
+    def __init__(self, plan, segments=None, reads=None):
+        self.plan = plan
+        reads = plan._src if reads is None else reads
+        if segments is None:
+            self.src, self.w = reads, plan._w
+            self.counts, sel = plan._bounds.tolist(), None
+            self.targets, self.num_out = plan._seg, plan.num_segments
+        else:
+            num, self.num_out = len(plan._seg), len(segments)
+            mark = np.zeros(num + 1, dtype=bool)
+            at = plan._pos[segments]
+            mark[at] = True
+            mark[num] = False
+            sel = np.flatnonzero(mark[:num])
+            slots = np.flatnonzero(mark[plan._slot_pos])
+            self.src, self.w = reads[slots], plan._w[slots]
+            self.counts = np.searchsorted(sel, plan._bounds).tolist()
+            self.rows = np.full(num + 1, self.num_out, np.intp)
+            self.rows[at] = np.arange(self.num_out)
+            self.rows[num] = self.num_out
+            self.targets = self.rows[sel]
+        self.hub_starts = None
+        if plan._bounds[0] < len(plan._seg):
+            hubs = plan._count[plan._bounds[0]:] if sel is None \
+                else plan._count[sel[self.counts[0]:]]
+            self.hub_starts = np.cumsum(hubs) - hubs
+
+    def apply(self, x):
+        """The sums of the cut's segments over (rows, d) inputs ``x``."""
+        (rows, d), n = x.shape, len(self.src)
+        out = np.zeros((self.num_out, d))
+        if not n:
+            return out
+        buf = _scratch((n + rows + 1) * d)
+        t = buf[:n * d].reshape(n, d)  # the terms, summed in place
+        padded = buf[n * d:].reshape(rows + 1, d)  # x and the zero row
+        padded[:rows] = x
+        padded[rows] = 0.0
+        np.take(padded, self.src, axis=0, out=t, mode="clip")
+        t *= self.w
+        num_lanes, num_rems = self.plan._ranks
+        n_head, nb, n2, *rest = self.counts
+        lanes, rems = rest[:num_lanes], rest[num_lanes:num_lanes + num_rems]
+        at = n_head
+        if nb:
+            acc = t[at:at + _LANES * nb].reshape(_LANES, nb, d)
+            at += _LANES * nb
+            for k in lanes[1:]:
+                acc[:, :k] += t[at:at + _LANES * k].reshape(_LANES, k, d)
+                at += _LANES * k
+            # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), each lane
+            # contiguous: numpy copies an input that interleaves its output
+            for step in (1, 2, 4):
+                for j in range(0, _LANES, 2 * step):
+                    acc[j] += acc[j + step]
+            for k in rems:
+                acc[0, :k] += t[at:at + k]
+                at += k
+            t[:nb] += acc[0]
+        short = t[at:at + n2 - nb]
+        at += n2 - nb
+        for k in rest[num_lanes + num_rems:]:
+            short[:k - nb] += t[at:at + k - nb]
+            at += k - nb
+        t[nb:n2] += short
+        out[self.targets[:n_head]] = t[:n_head]
+        if at < n:
+            out[self.targets[n_head:]] = np.add.reduceat(
+                t[at:], self.hub_starts, axis=0)
         return out
 
 
 def segment_sum(x, plan):
-    """Rows of ``x`` summed under a ``SegmentPlan``; the VJP is the same op
-    on the transposed plan."""
+    """Rows of ``x`` summed under a ``SegmentPlan`` or a restriction of one;
+    the VJP is the same op on the transposed plan."""
     x = as_tensor(x)
     return _make(plan.apply(x.data), (x,), lambda g: (plan.T.apply(g),))
 
@@ -846,7 +991,8 @@ def optimizer_step(store, grads, lr, weight_decay=0.0,
                 p.data = views[i]
             g = grads[name]
             parts.append(g.data if isinstance(g, Tensor) else g)
-        g, tmp = _scratch(sum(bounds[i + 1] - bounds[i] for i in idx))
+        n = sum(bounds[i + 1] - bounds[i] for i in idx)
+        g, tmp = np.split(_scratch(2 * n), 2)
         # each part is flattened; a size mismatch raises ValueError
         np.concatenate(parts, axis=None, out=g)
         if not np.isfinite(g).all():
@@ -867,20 +1013,6 @@ def optimizer_step(store, grads, lr, weight_decay=0.0,
             first, g_lo = j + 1, g_hi
     store.step_count += 1
     return store
-
-
-# optimizer_step's flat gradient and temporary, shared by every store: fresh
-# arrays of a store's size were mapped anew on each step, and faulting their
-# pages in cost nearly as much as the arithmetic
-_scratch_buf = np.empty(0)
-
-
-def _scratch(n):
-    """Two disjoint length-``n`` views into the shared scratch buffer."""
-    global _scratch_buf
-    if len(_scratch_buf) < 2 * n:
-        _scratch_buf = np.empty(2 * n)
-    return _scratch_buf[:n], _scratch_buf[n:2 * n]
 
 
 def _adamw(p, m, v, g, tmp, t, lr, weight_decay, betas, eps):

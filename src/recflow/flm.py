@@ -271,7 +271,8 @@ def flow_log_probs_batch(flm, e_u, e_v, schema, flows):
 
 def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
                          temperature=1.0, greedy=False):
-    """Decode ``count`` flows in parallel for one prompt/schema pair.
+    """Decode ``count`` flows in parallel for one pair of prompt arrays
+    ``e_u``, ``e_v`` and a schema.
 
     Sampling uses the Gumbel-max trick on the masked logits, so each row is
     an exact draw from the masked softmax at the given temperature. Every
@@ -283,8 +284,7 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
         raise ValueError("temperature must be positive when sampling")
     for t in schema:
         flm._type_entities(t)  # EmptyTypeClass early
-    e_u = np.asarray(e_u.data if isinstance(e_u, ad.Tensor) else e_u)
-    e_v = np.asarray(e_v.data if isinstance(e_v, ad.Tensor) else e_v)
+    e_u, e_v = np.asarray(e_u), np.asarray(e_v)
     tokens = np.full((count, 1), flm.bos, dtype=np.intp)
     with ad.no_grad():
         enc = flm.encode(ad.Tensor(e_u[None, :]), ad.Tensor(e_v[None, :]),

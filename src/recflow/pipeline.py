@@ -51,7 +51,10 @@ class SimulatorBundle:
     pretrain_history: list = field(default_factory=list)
 
     def prompt(self, entity_ids):
-        return flmm.user_prompt(self.flm, entity_ids, self.entity_emb)
+        """The frozen simulator's preference vector for ``entity_ids``,
+        computed without a tape."""
+        with ad.no_grad():
+            return flmm.user_prompt(self.flm, entity_ids, self.entity_emb)
 
     def predict_schema(self, e_u, e_v):
         probs, best = sc.predict_schema(e_u, e_v, self.clf_store, self.catalog)

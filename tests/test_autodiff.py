@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from recflow import autodiff as ad
+from recflow import embeddings as emb
+from recflow import synthetic as syn
 from recflow.recommender import EarlyStopping
 
 
@@ -405,6 +409,147 @@ def test_segment_sum_empty_plan_gives_zeros():
     assert np.array_equal(out.data, np.zeros((3, 4)))
     grads = ad.backward(ad.tensor_sum(out), store)
     assert np.array_equal(grads["x"], np.zeros((2, 4)))
+
+
+# -- segment sums against np.add.reduceat -------------------------------------
+
+def _reduceat_apply(src, seg, w, num_segments, x):
+    """The reference segment sum: each segment's weighted terms, gathered in
+    edge order, summed by one ``np.add.reduceat``."""
+    order = np.argsort(seg, kind="stable")
+    vals = np.take(x, src[order], axis=0)
+    vals *= w[order][:, None]
+    starts = np.flatnonzero(np.diff(seg[order], prepend=-1))
+    out = np.zeros((num_segments, x.shape[1]))
+    if len(starts):
+        out[seg[order][starts]] = np.add.reduceat(vals, starts, axis=0)
+    return out
+
+
+def _reduceat_restrict(plan, segments, sources=None):
+    """The reference for ``SegmentPlan.restrict``: the full plan's reduceat
+    sums at ``segments``, and the transposed sums at the sources, with the
+    segments left out reading zero rows."""
+    seg, src, w, num_sources, num_segments = plan._transposed
+    rows = np.arange(num_sources)
+    if sources is not None:
+        rows = np.union1d(src[np.isin(seg, segments)], sources)
+
+    def apply(x):
+        full = np.zeros((num_sources, x.shape[1]))
+        full[rows] = x
+        return _reduceat_apply(src, seg, w, num_segments, full)[segments]
+
+    def apply_t(g):
+        full = np.zeros((num_segments, g.shape[1]))
+        full[segments] = g
+        return _reduceat_apply(seg, src, w, num_sources, full)[rows]
+
+    sub = SimpleNamespace(apply=apply, T=SimpleNamespace(apply=apply_t))
+    if sources is not None:
+        sub.sources = rows
+    return sub
+
+
+NUM_SOURCES = 40
+
+
+def _random_plan(seed):
+    """Plan arguments whose segments have 0 to 300 edges: empty ones, single
+    terms, sums of fewer than 9, of 9 to 129 (numpy's 8 accumulators) and of
+    more (hubs); None gives an edgeless plan."""
+    if seed is None:
+        empty = np.array([], dtype=np.intp)
+        return empty, empty, np.array([]), 6
+    rng = np.random.default_rng(seed)
+    lens = np.concatenate([rng.integers(lo, hi, k) for lo, hi, k in (
+        (0, 1, 4), (1, 2, 4), (2, 9, 12), (9, 130, 10), (130, 301, 2))])
+    rng.shuffle(lens)
+    seg = np.repeat(np.arange(len(lens)), lens)
+    rng.shuffle(seg)
+    src = rng.integers(0, NUM_SOURCES, len(seg))
+    return src, seg, rng.uniform(0.1, 1.0, len(seg)), len(lens)
+
+
+def _rows(rng, n, d=5):
+    """Values across many magnitudes, with -0.0 entries and -0.0 rows."""
+    x = rng.normal(size=(n, d)) * np.exp(4 * rng.normal(size=(n, d)))
+    x[rng.random((n, d)) < 0.1] = -0.0
+    x[:3] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+def test_segment_sum_is_bit_equal_to_reduceat(seed):
+    src, seg, w, num_segments = _random_plan(seed)
+    plan = ad.SegmentPlan(src, seg, w, num_segments, NUM_SOURCES)
+    rng = np.random.default_rng(seed)
+    x, g = _rows(rng, NUM_SOURCES), _rows(rng, num_segments)
+    out = ad.segment_sum(ad.Tensor(x, requires_grad=True), plan)
+    assert out.data.tobytes() == _reduceat_apply(src, seg, w, num_segments,
+                                                 x).tobytes()
+    assert out._vjp(g)[0].tobytes() == _reduceat_apply(
+        seg, src, w, NUM_SOURCES, g).tobytes()
+    # every sum of -0.0 terms is -0.0, padded or not
+    zeros = np.full_like(x, -0.0)
+    assert plan.apply(zeros).tobytes() == _reduceat_apply(
+        src, seg, w, num_segments, zeros).tobytes()
+
+
+@pytest.mark.parametrize("with_sources", [False, True])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+def test_restricted_segment_sum_is_bit_equal_to_reduceat(seed, with_sources):
+    src, seg, w, num_segments = _random_plan(seed)
+    plan = ad.SegmentPlan(src, seg, w, num_segments, NUM_SOURCES)
+    rng = np.random.default_rng(seed)
+    x = _rows(rng, NUM_SOURCES)
+    for _ in range(5):
+        segments = np.flatnonzero(rng.random(num_segments) < 0.4)
+        sources = (np.unique(rng.integers(0, NUM_SOURCES, 3))
+                   if with_sources else None)
+        sub = plan.restrict(segments, sources)
+        ref = _reduceat_restrict(plan, segments, sources)
+        inputs = x if sources is None else x[sub.sources]
+        if sources is not None:
+            assert np.array_equal(sub.sources, ref.sources)
+        assert sub.apply(inputs).tobytes() == ref.apply(inputs).tobytes()
+        g = _rows(rng, len(segments))
+        assert sub.T.apply(g).tobytes() == ref.T.apply(g).tobytes()
+
+
+@pytest.mark.parametrize("src, seg", [([0, -1], [0, 1]), ([0, 4], [0, 1]),
+                                      ([0, 1], [-1, 1]), ([0, 1], [0, 3])])
+def test_segment_plan_rejects_ids_out_of_range(src, seg):
+    # 4 sources, 3 segments: a bad id would be clipped, not read, otherwise
+    with pytest.raises(ValueError):
+        ad.SegmentPlan(src, seg, [1.0, 1.0], num_segments=3, num_sources=4)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_rgcn_rows_are_bit_equal_to_reduceat_sub_plans(num_layers,
+                                                       monkeypatch):
+    world = syn.make_world(seed=1, num_clusters=2, items_per_cluster=12,
+                           actors_per_cluster=4, directors_per_cluster=2,
+                           num_dialogues=40)
+    hkg = world.hkg()
+    rows = [5, 60, 3, 5, hkg.num_nodes - 1]
+
+    def run():
+        store = ad.ParamStore()
+        emb.init_rgcn_params(store, hkg, d_e=6, num_layers=num_layers,
+                             num_bases=2, rng=np.random.default_rng(2))
+        out = emb.rgcn_forward(hkg, store, num_layers=num_layers, rows=rows)
+        weights = np.random.default_rng(3).normal(size=out.shape)
+        grads = ad.backward(ad.tensor_sum(out * ad.Tensor(weights)), store)
+        return out.data, grads
+
+    out, grads = run()
+    monkeypatch.setattr(ad.SegmentPlan, "restrict", _reduceat_restrict)
+    ref_out, ref_grads = run()
+    assert out.tobytes() == ref_out.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
 
 def test_failed_checkpoint_write_keeps_earlier_file(tmp_path):

@@ -174,8 +174,7 @@ def test_rgcn_rows_equal_the_full_tables_rows(num_layers):
 def test_rgcn_row_with_no_in_edges_forward_and_vjp(num_layers):
     hkg = isolated_node_hkg()
     layers = hkg.rgcn_layer_plans(np.array([2]), num_layers)
-    assert all(plan.offsets[-1] == plan.T.offsets[-1] == 0
-               for plan, _ in layers)
+    assert all(len(plan.src) == 0 for plan, _ in layers)
     store = rgcn_store(hkg, num_layers, 5)
     weights = ad.Tensor(np.random.default_rng(6).normal(size=(1, 4)))
 
@@ -231,20 +230,21 @@ def test_rgcn_grad_check_through_two_layers_of_rows():
 
 
 def test_rgcn_edge_offsets_built_once_per_graph(monkeypatch):
-    # the sub-plans slice the graph's plan by per-segment edge offsets,
-    # which are built on first use and kept on the plan (and so the graph)
+    # the sub-plans select segments from the rank-major schedules of the
+    # graph's plan and its transpose, which are built once and kept on the
+    # plan (and so the graph)
     hkg = random_hkg(12)
     store = rgcn_store(hkg, 2, 13)
     plan = hkg.rgcn_plan()
     calls = []
     monkeypatch.setattr(hkg, "rgcn_relations", lambda: calls.append(1))
     first = emb.rgcn_forward(hkg, store, num_layers=2, rows=[3, 1]).data
-    offsets = plan.offsets, plan.T.offsets
+    schedules = plan._whole, plan.T._whole
     for _ in range(4):
         again = emb.rgcn_forward(hkg, store, num_layers=2, rows=[3, 1]).data
         assert np.array_equal(again, first)
     assert hkg.rgcn_plan() is plan and not calls
-    assert plan.offsets is offsets[0] and plan.T.offsets is offsets[1]
+    assert plan._whole is schedules[0] and plan.T._whole is schedules[1]
 
 
 def test_rgcn_edge_offsets_live_and_die_with_their_graph():
@@ -254,8 +254,8 @@ def test_rgcn_edge_offsets_live_and_die_with_their_graph():
         out = emb.rgcn_forward(hkg, store, num_layers=1, rows=[0, 2])
         full = emb.rgcn_forward(hkg, store, num_layers=1).data
         assert np.array_equal(out.data, full[[0, 2]])
-        dead = [weakref.ref(hkg.rgcn_plan().offsets),
-                weakref.ref(hkg.rgcn_plan().T.offsets)]
+        dead = [weakref.ref(hkg.rgcn_plan()._whole),
+                weakref.ref(hkg.rgcn_plan().T._whole)]
         del hkg, out
         gc.collect()
         assert all(ref() is None for ref in dead)

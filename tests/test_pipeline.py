@@ -69,3 +69,12 @@ def test_build_simulator_records_no_tape_for_classifier_prompts(mini,
     assert returned
     assert all(isinstance(t, ad.Tensor) for t in returned)
     assert not any(t.requires_grad for t in returned)
+
+
+def test_simulator_prompt_is_untaped_and_equals_the_taped_prompt(mini):
+    for pair in mini.pairs[:4]:
+        for ids in (pair.u_entities, pair.v_entities):
+            prompt = mini.sim.prompt(ids)
+            taped = flmm.user_prompt(mini.sim.flm, ids, mini.sim.entity_emb)
+            assert prompt._parents == () and not prompt.requires_grad
+            assert prompt.data.tobytes() == taped.data.tobytes()

@@ -6,8 +6,9 @@ reverse topological order. Every tensor holds 64-bit floats: gradient checks
 and bit-reproducible runs rely on it. Checkpoints may still carry 32-bit
 arrays; loading them into a ``ParamStore`` widens them.
 
-The transformer's hot paths are fused, so each costs one tape node with a
-hand-written VJP instead of a chain of small ones:
+The hot paths of the transformer and the recommender are fused, so each
+costs one tape node with a hand-written VJP instead of a chain of small
+ones:
 
 - ``layer_norm``: normalise, scale and shift, with the closed-form backward
   of Ba et al. (2016).
@@ -22,10 +23,16 @@ hand-written VJP instead of a chain of small ones:
 - ``log_softmax_pick``: the masked log-softmax read at target ids, the
   cross-entropy of the recommender, the flow scorer and the schema
   classifier.
+- ``rgcn_layer``: one R-GCN layer, the basis mix of the relation weights,
+  the segment sum of the neighbour messages, the self path and the tanh;
+  its VJP adds the self path's gradient into the transposed segment sum's
+  output in place.
+- ``item_scores``: the recommender's scores ``ctx @ table[items].T +
+  bias``.
 
-The fused nodes repeat the numpy operations of the op-by-op chains they
-replace, in the same order, so their values and gradients are bit-equal to
-the chains'. ``frozen`` marks whole parameter stores as needing no gradient
+A recommender training step records 7 tape nodes in place of 19. The fused
+nodes repeat the numpy operations of the op-by-op chains they replace, in
+the same order, so their values and gradients are bit-equal to the chains'. ``frozen`` marks whole parameter stores as needing no gradient
 for a block, so a backward pass through a fixed model differentiates only
 the path to what is trained.
 
@@ -82,11 +89,16 @@ def no_grad():
         _grad_enabled = prev
 
 
+_F64 = np.dtype(np.float64)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_vjp", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # the ops' results are f64 arrays already and need no conversion
+        self.data = (data if type(data) is np.ndarray and data.dtype is _F64
+                     else np.asarray(data, dtype=np.float64))
         self.grad = None
         self._parents = ()
         self._vjp = None
@@ -598,6 +610,74 @@ def segment_sum(x, plan):
     the VJP is the same op on the transposed plan."""
     x = as_tensor(x)
     return _make(plan.apply(x.data), (x,), lambda g: (plan.T.apply(g),))
+
+
+def rgcn_layer(h, plan, keep, bases, coeffs, w_self):
+    """One R-GCN layer over the node rows ``h``:
+
+        tanh(h[keep] @ w_self + msgs @ w_rel)
+
+    with ``msgs`` the (rows, R*d_in) segment sums of ``h`` under ``plan``
+    (each output row's R mean neighbour vectors side by side) and ``w_rel``
+    the (R*d_in, d_out) stack of the basis-mixed relation weights
+    ``coeffs @ bases``. ``keep`` picks the output rows' own rows of ``h``;
+    None keeps every row."""
+    h, bases, coeffs, w_self = (as_tensor(t) for t in (h, bases, coeffs,
+                                                         w_self))
+    nb, d_in, d_out = bases.data.shape
+    num_rel = coeffs.data.shape[0]
+    flat_bases = bases.data.reshape(nb, d_in * d_out)
+    mixed = coeffs.data @ flat_bases
+    w_rel = mixed.reshape(num_rel * d_in, d_out)
+    sums = plan.apply(h.data)
+    msgs = sums.reshape(-1, num_rel * d_in)
+    if keep is not None:
+        keep = np.asarray(keep, dtype=np.intp)
+    own = h.data if keep is None else h.data[keep]
+    out = np.tanh(own @ w_self.data + msgs @ w_rel)
+
+    def vjp(g):
+        gz = g * (1.0 - out * out)
+        g_h = g_bases = g_coeffs = None
+        if h.requires_grad:
+            g_h = plan.T.apply((gz @ w_rel.T).reshape(sums.shape))
+            g_own = gz @ w_self.data.T
+            # the self path's gradient goes straight into the rows it read
+            if keep is None:
+                g_h += g_own
+            elif _distinct_rows(keep):
+                g_h[keep] += g_own
+            else:
+                g_h += _scatter_add(h.data, keep, g_own)
+        if bases.requires_grad or coeffs.requires_grad:
+            g_mixed = (msgs.T @ gz).reshape(mixed.shape)
+            if coeffs.requires_grad:
+                g_coeffs = g_mixed @ flat_bases.T
+            if bases.requires_grad:
+                g_bases = (coeffs.data.T @ g_mixed).reshape(bases.data.shape)
+        return (g_h, g_bases, g_coeffs,
+                own.T @ gz if w_self.requires_grad else None)
+
+    return _make(out, (h, bases, coeffs, w_self), vjp)
+
+
+def item_scores(ctx, table, items, bias):
+    """``ctx @ table[items].T + bias``: each row of ``ctx`` (b, d) scored
+    against the rows ``items`` (integer ids) of ``table``, plus a bias per
+    item."""
+    ctx, table, bias = as_tensor(ctx), as_tensor(table), as_tensor(bias)
+    items = np.asarray(items, dtype=np.intp)
+    rows_t = table.data[items].T
+    out = ctx.data @ rows_t + bias.data
+
+    def vjp(g):
+        return (g @ rows_t.T if ctx.requires_grad else None,
+                _scatter_add(table.data, items, (ctx.data.T @ g).T)
+                if table.requires_grad else None,
+                _unbroadcast(g, bias.data.shape)
+                if bias.requires_grad else None)
+
+    return _make(out, (ctx, table, bias), vjp)
 
 
 # -- softmax family ----------------------------------------------------------

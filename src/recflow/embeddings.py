@@ -11,7 +11,8 @@ with W_r = sum_b a_{r,b} V_b. A layer aggregates, then transforms: one
 segment sum (``HeterogeneousKG.rgcn_plan``) lays each node's R mean neighbor
 vectors side by side in an (n, R*d) matrix, and one matmul with the stacked
 weight [W_0; ...; W_{R-1}] of shape (R*d, d) applies every relation. A
-relation under which a node has no neighbors adds a zero block.
+relation under which a node has no neighbors adds a zero block. The whole
+layer is one tape node (``autodiff.rgcn_layer``).
 
 ``rgcn_forward`` computes either the whole table or only the rows asked
 for. A recommender training step asks for the item rows and its batch's
@@ -28,16 +29,20 @@ interacted-entity embeddings (the KBRD user encoder),
 
     alpha = softmax(b^T tanh(W_a E_u^T)),   e_u = E_u^T alpha,
 
-and ``pool_entities`` is its only implementation: it pools a batch of
-ragged id lists as one padded, masked block (``autodiff.attention_pool``;
-an empty list pools to zero). Its callers are the recommender's dialogue
-contexts (``RecModel``), and, through ``flm.user_prompts`` and
-``flm.user_prompt``, flow-LM pre-training, the schema classifier's training
-pairs, ``SimulatorBundle.prompt`` and the counterfactual edits
+and ``autodiff.attention_pool`` is its only implementation: it pools a
+batch of ragged id lists as one padded, masked block (an empty list pools
+to zero). ``IdLists`` packs such lists as arrays once and pads any subset
+of them with a few numpy operations. The recommender pools its packed
+dialogue contexts directly (``RecModel.item_logits``); ``pool_entities``
+pools lists or an ``IdLists`` for flow-LM pre-training and, through
+``flm.user_prompts`` and ``flm.user_prompt``, for the schema classifier's
+training pairs, ``SimulatorBundle.prompt`` and the counterfactual edits
 (``counterfactual.edited_prompts``).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -81,17 +86,9 @@ def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", rows=None):
         if not layers:
             h = ad.rows(h, need)
     for layer, (plan, keep) in enumerate(layers):
-        bases = store[f"{prefix}.l{layer}.bases"]
-        coeffs = store[f"{prefix}.l{layer}.coeffs"]
-        w_self = store[f"{prefix}.l{layer}.w_self"]
-        nb, d_in, d_out = bases.shape
-        num_rel = coeffs.shape[0]
-        w_rel = ad.reshape(coeffs @ ad.reshape(bases, (nb, d_in * d_out)),
-                           (num_rel * d_in, d_out))
-        msgs = ad.reshape(ad.segment_sum(h, plan), (-1, num_rel * d_in))
-        if keep is not None:
-            h = ad.rows(h, keep)
-        h = ad.tanh(h @ w_self + msgs @ w_rel)
+        h = ad.rgcn_layer(h, plan, keep,
+                          *(store[f"{prefix}.l{layer}.{w}"]
+                            for w in ("bases", "coeffs", "w_self")))
     if rows is not None and need is not rows:
         h = ad.rows(h, np.searchsorted(need, rows))
     return h
@@ -104,13 +101,50 @@ def init_attention_params(store, d_e, rng=None, prefix="attn"):
     return store
 
 
+class IdLists:
+    """Ragged id lists packed as arrays: list i is
+    ``ids[starts[i]:starts[i] + lens[i]]``."""
+
+    __slots__ = ("ids", "lens", "starts")
+
+    def __init__(self, ids, lens, starts=None):
+        self.ids, self.lens = ids, lens
+        self.starts = np.cumsum(lens) - lens if starts is None else starts
+
+    @classmethod
+    def pack(cls, id_lists):
+        lens = np.array([len(c) for c in id_lists], dtype=np.intp)
+        return cls(np.fromiter(itertools.chain.from_iterable(id_lists),
+                               np.intp, int(lens.sum())), lens)
+
+    def __len__(self):
+        return len(self.lens)
+
+    def take(self, idx):
+        """The lists at positions ``idx`` (repeats allowed), in that order."""
+        lens = self.lens[idx]
+        starts = np.cumsum(lens) - lens
+        at = np.arange(int(lens.sum())) + np.repeat(self.starts[idx] - starts,
+                                                    lens)
+        return IdLists(self.ids[at], lens, starts)
+
+    def padded(self, ids=None):
+        """The (len, max(max(lens), 1)) matrix whose row i holds list i
+        (or the same positions of ``ids``, an array shaped like
+        ``self.ids``), then zeros."""
+        real = (np.arange(max(int(self.lens.max(initial=0)), 1))
+                < self.lens[:, None])
+        out = np.zeros(real.shape, dtype=np.intp)
+        out[real] = self.ids if ids is None else ids
+        return out
+
+
 def pool_entities(table, id_lists, w_attn, b_attn):
     """Attention-pool the rows of ``table`` (a Tensor, or a frozen ndarray)
     named by each id list into (B, d_e), as one padded block
-    (``autodiff.attention_pool``); an empty list gives a zero row."""
-    lens = np.array([len(c) for c in id_lists], dtype=np.intp)
-    ids = np.zeros((len(lens), max(int(lens.max(initial=0)), 1)),
-                   dtype=np.intp)
-    for i, ctx in enumerate(id_lists):
-        ids[i, :len(ctx)] = ctx
-    return ad.attention_pool(table, ids, lens, w_attn, b_attn)
+    (``autodiff.attention_pool``); an empty list gives a zero row.
+    ``id_lists`` is a list of id lists or an ``IdLists``."""
+    if not isinstance(id_lists, IdLists):
+        id_lists = IdLists.pack(id_lists)
+    return ad.attention_pool(table, id_lists.padded(), id_lists.lens, w_attn,
+                             b_attn)

@@ -14,8 +14,11 @@ Public surface: ``FlowLM``; ``flow_log_probs_batch``, which validates flows
 and scores them under one prompt pair; ``generate_flows_batch``;
 ``user_prompt(s)``, which pool interaction lists into prompts;
 ``pretrain_flm``; and ``sample_pseudo_flow``. Scoring and pre-training share
-one masked scorer, ``_flow_log_probs``; pre-training pools a batch's seeker
-prompts as one padded block, and its recommender prompts as another
+one masked scorer over arrays, ``_scored_steps``. Pre-training packs each
+length bucket once (``_FlowBucket``: flows, type ids, both sides' prompt id
+lists, and each step's index into the cached step masks it reads), so a
+batch is a few numpy gathers; it pools the batch's seeker prompts as one
+padded block, and its recommender prompts as another
 (``embeddings.pool_entities``).
 """
 
@@ -241,21 +244,35 @@ def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows):
     and the prompt tensors, which is the gradient path preference edits
     rely on.
     """
-    t, n, rows = len(flows), len(flows[0]), len(schemas)
-    row_schemas = schemas if rows == t else schemas * t
+    t = len(flows)
+    row_schemas = schemas if len(schemas) == t else schemas * t
+    masks = np.stack([_step_masks(flm, schema, f)
+                      for f, schema in zip(flows, row_schemas)])
+    return _scored_steps(flm, prompts_u, prompts_v,
+                         np.stack([flm.type_ids(s) for s in schemas]),
+                         np.asarray(flows, dtype=np.intp), masks)
+
+
+def _step_masks(flm, schema, flow):
+    """The cached step mask that each position of a teacher-forced flow
+    reads."""
+    return [flm.step_mask(type_name, prev_entity=flow[j - 1] if j else None,
+                          target=flow[j])
+            for j, type_name in enumerate(schema)]
+
+
+def _scored_steps(flm, prompts_u, prompts_v, type_ids, flows, masks):
+    """The masked scorer over arrays: ``type_ids`` (rows, n) and the
+    prompts' rows as in ``_flow_log_probs``, ``flows`` (t, n) and the
+    additive step ``masks`` (t, n, vocab)."""
+    rows = len(type_ids)
     enc = flm.encode(ad.reshape(ad.as_tensor(prompts_u), (rows, -1)),
                      ad.reshape(ad.as_tensor(prompts_v), (rows, -1)),
-                     np.stack([flm.type_ids(s) for s in schemas]))
-    dec_in = np.array([[flm.bos] + list(f[:-1]) for f in flows],
-                      dtype=np.intp)
-    logits = flm.decode(dec_in, enc)
-    masks = np.stack([
-        [flm.step_mask(schema[j], prev_entity=f[j - 1] if j else None,
-                       target=f[j]) for j in range(n)]
-        for f, schema in zip(flows, row_schemas)
-    ])
-    return ad.log_softmax_pick(logits, np.asarray(flows, dtype=np.intp),
-                               masks)
+                     type_ids)
+    dec_in = np.empty_like(flows)
+    dec_in[:, 0] = flm.bos
+    dec_in[:, 1:] = flows[:, :-1]
+    return ad.log_softmax_pick(flm.decode(dec_in, enc), flows, masks)
 
 
 def flow_log_probs_batch(flm, e_u, e_v, schema, flows):
@@ -367,37 +384,68 @@ def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
     rng = np.random.default_rng(seed)
     for ex in examples:
         flm.check_flow(ex.entities, ex.schema)
-    buckets = {}
+    by_length = {}
     for ex in examples:
-        buckets.setdefault(len(ex.entities), []).append(ex)
+        by_length.setdefault(len(ex.entities), []).append(ex)
+    buckets = [_FlowBucket(flm, by_length[n]) for n in sorted(by_length)]
     history = []
     for _ in range(epochs):
         batches = []
-        for length in sorted(buckets):
-            pool = buckets[length][:]
+        for bucket in buckets:
+            # a list of indices shuffles with the same draws as a list of
+            # the examples
+            pool = list(range(len(bucket)))
             rng.shuffle(pool)
-            for i in range(0, len(pool), batch_size):
-                batches.append(pool[i:i + batch_size])
+            pool = np.array(pool, dtype=np.intp)
+            batches += [(bucket, pool[i:i + batch_size])
+                        for i in range(0, len(pool), batch_size)]
         order = rng.permutation(len(batches))
         total_nll, total_flows = 0.0, 0
         for bi in order:
-            batch = batches[bi]
-            loss = _batch_nll(flm, batch, entity_emb)
+            bucket, idx = batches[bi]
+            loss = bucket.nll(idx, entity_emb)
             grads = ad.backward(loss, flm.store)
             ad.optimizer_step(flm.store, grads, lr=lr)
-            total_nll += loss.item() * len(batch)
-            total_flows += len(batch)
+            total_nll += loss.item() * len(idx)
+            total_flows += len(idx)
         history.append(total_nll / max(total_flows, 1))
     return history
 
 
-def _batch_nll(flm, batch, entity_emb):
-    """Mean per-flow negative log-likelihood of a same-length batch of
-    examples that ``pretrain_flm`` has validated."""
-    steps = _flow_log_probs(
-        flm, user_prompts(flm, [ex.seeker_entities for ex in batch],
-                          entity_emb),
-        user_prompts(flm, [ex.recommender_entities for ex in batch],
-                     entity_emb),
-        [ex.schema for ex in batch], [ex.entities for ex in batch])
-    return -ad.mul(ad.tensor_sum(steps), 1.0 / len(batch))
+class _FlowBucket:
+    """Same-length examples that ``pretrain_flm`` has validated, packed as
+    arrays once: flows, schema type ids, both sides' prompt id lists, and
+    each step's index into ``masks``, the step masks it reads, which are the
+    model's cached arrays themselves."""
+
+    def __init__(self, flm, examples):
+        self.flm = flm
+        self.flows = np.array([ex.entities for ex in examples], dtype=np.intp)
+        self.type_ids = np.stack([flm.type_ids(ex.schema) for ex in examples])
+        self.seeker = emb.IdLists.pack([ex.seeker_entities for ex in examples])
+        self.rec = emb.IdLists.pack([ex.recommender_entities
+                                     for ex in examples])
+        index, self.masks = {}, []
+        self.mask_ids = np.empty(self.flows.shape, dtype=np.intp)
+        for i, ex in enumerate(examples):
+            for j, mask in enumerate(_step_masks(flm, ex.schema,
+                                                 ex.entities)):
+                if id(mask) not in index:
+                    index[id(mask)] = len(self.masks)
+                    self.masks.append(mask)
+                self.mask_ids[i, j] = index[id(mask)]
+
+    def __len__(self):
+        return len(self.flows)
+
+    def nll(self, idx, entity_emb):
+        """Mean per-flow negative log-likelihood of the examples ``idx``."""
+        flm = self.flm
+        masks = np.stack([self.masks[k]
+                          for k in self.mask_ids[idx].ravel().tolist()])
+        steps = _scored_steps(
+            flm, user_prompts(flm, self.seeker.take(idx), entity_emb),
+            user_prompts(flm, self.rec.take(idx), entity_emb),
+            self.type_ids[idx], self.flows[idx],
+            masks.reshape(len(idx), self.flows.shape[1], -1))
+        return -ad.mul(ad.tensor_sum(steps), 1.0 / len(idx))

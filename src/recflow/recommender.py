@@ -5,9 +5,16 @@ early-stopping rule (``EarlyStopping``) that pre-training and every
 curriculum course use.
 
 The context encoder pools the mentioned entities with the user-preference
-attention pool (``embeddings.pool_entities``), under its own parameters.
-Scores are context . item + item_bias; an empty context falls back to the
-learned item prior (the bias), which starts uniform.
+attention pool (``autodiff.attention_pool``), under its own parameters.
+Scores are context . item + item_bias (``autodiff.item_scores``); an empty
+context falls back to the learned item prior (the bias), which starts
+uniform.
+
+Samples are packed into arrays once (``pack_samples``: label item indices
+and the contexts as ``embeddings.IdLists``): ``train_steps`` packs its pool
+once per call, and each step gathers its batch, its R-GCN row set and its
+padded context matrix with a few numpy operations. ``rec_loss``,
+``evaluate`` and ``score_items`` take the same path.
 """
 
 from __future__ import annotations
@@ -138,18 +145,18 @@ class RecModel:
             return self.entity_embeddings().data.copy()
 
     def item_logits(self, table, contexts, rows=None):
-        """Item scores per context; ``table`` holds the embeddings of the
-        increasing node ids ``rows``, or of every node when None."""
-        items = self.item_ids
+        """Item scores per context of the ``embeddings.IdLists``
+        ``contexts``; ``table`` holds the embeddings of the increasing node
+        ids ``rows``, or of every node when None."""
+        ids, items = contexts.ids, self.item_ids
         if rows is not None:
-            local = np.zeros(self.hkg.num_nodes, dtype=np.intp)
+            local = np.empty(self.hkg.num_nodes, dtype=np.intp)
             local[rows] = np.arange(len(rows))
-            contexts = [local[c] for c in contexts]
-            items = local[items]
-        ctx = emb.pool_entities(table, contexts, self.store["rec.attn.w"],
+            ids, items = local[ids], local[items]
+        ctx = ad.attention_pool(table, contexts.padded(ids), contexts.lens,
+                                self.store["rec.attn.w"],
                                 self.store["rec.attn.b"])
-        items = ad.rows(table, items)
-        return ctx @ ad.transpose(items) + self.store["rec.item_bias"]
+        return ad.item_scores(ctx, table, items, self.store["rec.item_bias"])
 
     def label_index(self, entity_id):
         idx = self.item_index.get(int(entity_id))
@@ -158,46 +165,79 @@ class RecModel:
         return idx
 
 
+class SampleBatch:
+    """Samples packed as arrays: ``labels``, the item index of each label,
+    and ``contexts``, the context id lists (``embeddings.IdLists``)."""
+
+    __slots__ = ("labels", "contexts")
+
+    def __init__(self, labels, contexts):
+        self.labels, self.contexts = labels, contexts
+
+    def __len__(self):
+        return len(self.labels)
+
+    def take(self, idx):
+        """The samples at positions ``idx`` (repeats allowed), in order."""
+        return SampleBatch(self.labels[idx], self.contexts.take(idx))
+
+
+def pack_samples(model, samples):
+    """A sample list as a ``SampleBatch``; a label that is not an item
+    raises ``LabelNotItem``."""
+    return SampleBatch(
+        np.array([model.label_index(s.label) for s in samples],
+                 dtype=np.intp),
+        emb.IdLists.pack([s.context for s in samples]))
+
+
+def _packed(model, samples):
+    return (samples if isinstance(samples, SampleBatch)
+            else pack_samples(model, samples))
+
+
 def score_items(model, context):
     """Total order over items for one context: score desc, item id asc."""
     with ad.no_grad():
         table = model.entity_embeddings()
-        logits = model.item_logits(table, [list(context)]).data[0]
+        logits = model.item_logits(table,
+                                   emb.IdLists.pack([context])).data[0]
     order = np.lexsort((model.item_ids, -logits))
     return [(int(model.item_ids[i]), float(logits[i])) for i in order]
 
 
 def rec_loss(model, samples, table=None):
-    """Mean negative log-likelihood of the labels under the item softmax.
+    """Mean negative log-likelihood of the labels under the item softmax,
+    over a sample list or a ``SampleBatch``.
 
     Without a ``table``, the R-GCN computes only the rows the loss reads:
     the items and the batch's context entities.
     """
     if not samples:
         raise ValueError("need at least one sample")
-    labels = np.array([model.label_index(s.label) for s in samples],
-                      dtype=np.intp)
-    contexts = [np.asarray(s.context, dtype=np.intp) for s in samples]
+    batch = _packed(model, samples)
     rows = None
     if table is None:
-        rows = np.unique(np.concatenate([model.item_ids, *contexts]))
+        read = np.zeros(model.hkg.num_nodes, dtype=bool)
+        read[model.item_ids] = True
+        read[batch.contexts.ids] = True
+        rows = np.flatnonzero(read)
         table = emb.rgcn_forward(model.hkg, model.store,
                                  num_layers=model.num_layers,
                                  prefix="rec.rgcn", rows=rows)
-    logits = model.item_logits(table, contexts, rows=rows)
-    return -ad.mean(ad.log_softmax_pick(logits, labels))
+    logits = model.item_logits(table, batch.contexts, rows=rows)
+    return -ad.mean(ad.log_softmax_pick(logits, batch.labels))
 
 
 RANK_CHUNK = 256
 
 
-def _rank_chunk(model, table, samples):
+def _rank_chunk(model, table, batch):
     """1-based label ranks: items scoring higher, plus tied items with a
     lower id, come first."""
-    logits = model.item_logits(table, [list(s.context) for s in samples]).data
-    labels = np.array([model.label_index(s.label) for s in samples],
-                      dtype=np.intp)
-    own = logits[np.arange(len(samples)), labels][:, None]
+    logits = model.item_logits(table, batch.contexts).data
+    labels = batch.labels
+    own = logits[np.arange(len(labels)), labels][:, None]
     ids = model.item_ids
     ahead = (logits > own) | ((logits == own)
                               & (ids < ids[labels][:, None]))
@@ -205,30 +245,36 @@ def _rank_chunk(model, table, samples):
 
 
 def evaluate(model, samples, ks=(10, 50)):
-    """Mean Recall/MRR/NDCG at each cutoff over the test samples, ranked in
-    chunks of ``RANK_CHUNK`` samples against the frozen model."""
+    """Mean Recall/MRR/NDCG at each cutoff over the test samples (a list or
+    a ``SampleBatch``), ranked in chunks of ``RANK_CHUNK`` samples against
+    the frozen model."""
     if not samples:
         raise EmptyTestSet("no test samples")
+    batch = _packed(model, samples)
+    n = len(batch)
     with ad.no_grad():
         table = model.entity_embeddings()
         ranks = np.concatenate([
-            _rank_chunk(model, table, samples[lo:lo + RANK_CHUNK])
-            for lo in range(0, len(samples), RANK_CHUNK)])
+            _rank_chunk(model, table,
+                        batch.take(np.arange(lo, min(lo + RANK_CHUNK, n))))
+            for lo in range(0, n, RANK_CHUNK)])
     per = ranking_metrics(ranks, ks)
     # a running total in sample order; np.sum adds pairwise
-    mean = lambda a: float(np.add.accumulate(a)[-1]) / len(samples)
+    mean = lambda a: float(np.add.accumulate(a)[-1]) / n
     return MetricReport(**{m: {k: mean(per[k][m]) for k in ks}
                            for m in ("recall", "mrr", "ndcg")},
-                        n_samples=len(samples))
+                        n_samples=n)
 
 
 def train_steps(model, pool, steps, batch_size, lr, rng):
     """``steps`` optimizer steps, each on a batch drawn with replacement
-    from ``pool``; returns the per-step losses."""
+    from ``pool`` (a sample list, packed once here, or a ``SampleBatch``);
+    returns the per-step losses."""
+    pool = _packed(model, pool)
     losses = []
     for _ in range(steps):
         idx = rng.integers(0, len(pool), size=min(batch_size, len(pool)))
-        loss = rec_loss(model, [pool[i] for i in idx])
+        loss = rec_loss(model, pool.take(idx))
         grads = ad.backward(loss, model.store)
         ad.optimizer_step(model.store, grads, lr=lr)
         losses.append(loss.item())
@@ -271,6 +317,9 @@ def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
     """
     if not train_samples:
         raise EmptyTrainingSet("need training samples")
+    train_samples = _packed(model, train_samples)
+    if val_samples:
+        val_samples = _packed(model, val_samples)
     rng = np.random.default_rng(seed)
     history = {"loss": [], "val_recall": []}
     stopper = EarlyStopping(model.store, patience)

@@ -832,6 +832,135 @@ def test_ffn_gradients():
     assert ad.grad_check(f, store, eps=1e-5) < 1e-6
 
 
+def _chain_rgcn_layer(h, plan, keep, bases, coeffs, w_self):
+    # the 10-node layer body rgcn_layer replaces, as the bit-for-bit oracle
+    nb, d_in, d_out = bases.shape
+    num_rel = coeffs.shape[0]
+    w_rel = ad.reshape(coeffs @ ad.reshape(bases, (nb, d_in * d_out)),
+                       (num_rel * d_in, d_out))
+    msgs = ad.reshape(ad.segment_sum(h, plan), (-1, num_rel * d_in))
+    if keep is not None:
+        h = ad.rows(h, keep)
+    return ad.tanh(h @ w_self + msgs @ w_rel)
+
+
+def _chain_item_scores(ctx, table, items, bias):
+    # the 5-node chain item_scores replaces
+    return ctx @ ad.transpose(ad.rows(table, items)) + bias
+
+
+@pytest.mark.parametrize("computed", [False, True])
+@pytest.mark.parametrize("rows", [None, [5, 60, 3, 5, -1]])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_rgcn_layer_is_bit_equal_to_the_chain(num_layers, rows, computed,
+                                              monkeypatch):
+    # the whole table, or rows unsorted with a repeat; the node table as a
+    # parameter, or computed from one
+    world = syn.make_world(seed=1, num_clusters=2, items_per_cluster=12,
+                           actors_per_cluster=4, directors_per_cluster=2,
+                           num_dialogues=40)
+    hkg = world.hkg()
+    if rows is not None:
+        rows = np.array(rows) % hkg.num_nodes
+    store = ad.ParamStore()
+    emb.init_rgcn_params(store, hkg, d_e=6, num_layers=num_layers,
+                         num_bases=2, rng=np.random.default_rng(2))
+    fused = ad.rgcn_layer
+
+    def forward(layer):
+        def f():
+            params = {name: store[name] for name in store.names()}
+            if computed:
+                params["rgcn.node_emb"] = ad.tanh(params["rgcn.node_emb"])
+            monkeypatch.setattr(ad, "rgcn_layer", layer)
+            return emb.rgcn_forward(hkg, params, num_layers=num_layers,
+                                    rows=rows)
+        return f
+
+    _assert_fused_equals_chain(forward(fused), forward(_chain_rgcn_layer),
+                               store, ())
+
+
+def _layer_store(rng, n, d, num_rel, num_bases=2):
+    store = ad.ParamStore()
+    store.add("h", rng.normal(size=(n, d)))
+    store.add("bases", rng.normal(size=(num_bases, d, d)) * 0.5)
+    store.add("coeffs", rng.normal(size=(num_rel, num_bases)))
+    store.add("w_self", rng.normal(size=(d, d)) * 0.5)
+    return store
+
+
+def _layer_plan(rng, n, num_rel, num_out, edges=40):
+    return ad.SegmentPlan(rng.integers(0, n, edges),
+                          rng.integers(0, num_out * num_rel, edges),
+                          rng.uniform(0.1, 1.0, edges), num_out * num_rel, n)
+
+
+@pytest.mark.parametrize("keep", [[0, 2, 3, 7], [4, 1, 4, 8, 0]])
+def test_rgcn_layer_keeping_any_rows_is_bit_equal_to_the_chain(keep):
+    # increasing rows scatter with +=, repeated ones through a bincount
+    rng = np.random.default_rng(48)
+    store = _layer_store(rng, n=9, d=4, num_rel=3)
+    plan = _layer_plan(rng, 9, 3, len(keep))
+    _assert_fused_equals_chain(
+        ad.rgcn_layer, _chain_rgcn_layer, store,
+        (store["h"], plan, np.array(keep), store["bases"], store["coeffs"],
+         store["w_self"]))
+
+
+@pytest.mark.parametrize("keep", [None, [4, 1, 4, 8, 0]])
+def test_rgcn_layer_gradients(keep):
+    rng = np.random.default_rng(49)
+    store = _layer_store(rng, n=9, d=3, num_rel=3)
+    plan = _layer_plan(rng, 9, 3, 9 if keep is None else len(keep))
+    w = ad.Tensor(rng.normal(size=(9 if keep is None else len(keep), 3)))
+
+    def f(s):
+        return ad.tensor_sum(ad.rgcn_layer(s["h"], plan, keep, s["bases"],
+                                           s["coeffs"], s["w_self"]) * w)
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("computed", [False, True])
+@pytest.mark.parametrize("items", [[0, 2, 3, 5], [4, 1, 4, 0, 2]])
+def test_item_scores_is_bit_equal_to_the_chain(items, computed):
+    rng = np.random.default_rng(50)
+    store = ad.ParamStore()
+    store.add("ctx", rng.normal(size=(3, 4)))
+    store.add("table", rng.normal(size=(6, 4)))
+    store.add("bias", rng.normal(size=len(items)))
+    items = np.array(items)
+
+    def scores(op):
+        def f(ctx, table, bias):
+            if computed:  # as the R-GCN output and its pooled contexts are
+                table = ad.tanh(table)
+                ctx = ad.tanh(ctx)
+            return op(ctx, table, items, bias)
+        return f
+
+    _assert_fused_equals_chain(scores(ad.item_scores),
+                               scores(_chain_item_scores), store,
+                               (store["ctx"], store["table"], store["bias"]))
+
+
+def test_item_scores_gradients():
+    rng = np.random.default_rng(51)
+    store = ad.ParamStore()
+    store.add("ctx", rng.normal(size=(3, 4)))
+    store.add("table", rng.normal(size=(6, 4)))
+    store.add("bias", rng.normal(size=5))
+    items = np.array([4, 1, 4, 0, 2])
+    w = ad.Tensor(rng.normal(size=(3, 5)))
+
+    def f(s):
+        return ad.tensor_sum(ad.item_scores(s["ctx"], s["table"], items,
+                                            s["bias"]) * w)
+
+    assert ad.grad_check(f, store, eps=1e-5) < 1e-6
+
+
 def _flow_like_mask(rng, shape):
     mask = np.where(rng.random(shape) < 0.4, ad.MASK_NEG, 0.0)
     mask[..., 0] = 0.0  # every row keeps its target (index 0) in support

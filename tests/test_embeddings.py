@@ -370,3 +370,27 @@ def test_pool_entities_ragged_batch_matches_per_list_calls():
             grads_s[name] += g[name]
     for name, g in grads_s.items():
         assert np.allclose(grads_b[name], g, rtol=0, atol=1e-12), name
+
+
+def _loop_padded(id_lists):
+    # the Python padding loop IdLists replaces
+    lens = np.array([len(c) for c in id_lists], dtype=np.intp)
+    ids = np.zeros((len(lens), max(int(lens.max(initial=0)), 1)),
+                   dtype=np.intp)
+    for i, ctx in enumerate(id_lists):
+        ids[i, :len(ctx)] = ctx
+    return ids
+
+
+@pytest.mark.parametrize("picks", [[0, 1, 2, 3, 4], [1, 1], [4, 0, 4, 2],
+                                   [3]])
+def test_id_lists_take_and_pad_as_the_loop_does(picks):
+    id_lists = [[3, 7, 7, 1], [], [5], [0, 19, 2, 8, 4, 11, 6, 9, 13], (2, 2)]
+    packed = emb.IdLists.pack(id_lists).take(np.array(picks))
+    chosen = [id_lists[i] for i in picks]
+    assert packed.padded().tobytes() == _loop_padded(chosen).tobytes()
+    assert packed.padded().shape == _loop_padded(chosen).shape
+    assert list(packed.lens) == [len(c) for c in chosen]
+    # other values at the same positions: the padding stays zero
+    assert packed.padded(packed.ids + 100).tobytes() == _loop_padded(
+        [[e + 100 for e in c] for c in chosen]).tobytes()

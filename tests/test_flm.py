@@ -233,6 +233,12 @@ def test_batch_log_probs_match_single_scorer(full_hkg):
     assert np.allclose(grads_b["e_u"], total_u, atol=1e-12)
 
 
+def packed_nll(flm, batch, emb_table):
+    # the loss pretrain_flm takes a step on: the batch packed as one bucket
+    return flmm._FlowBucket(flm, batch).nll(list(range(len(batch))),
+                                            emb_table)
+
+
 def test_batch_nll_matches_single_scorer_on_mixed_prompts(full_hkg):
     flm = make_flm(full_hkg)
     randomize_head(flm, 29)
@@ -248,7 +254,7 @@ def test_batch_nll_matches_single_scorer_on_mixed_prompts(full_hkg):
         flmm.FlowExample([m2, g2], ("item", "genre"), [m2, g2], []),
         flmm.FlowExample([a1, m2], ("actor", "item"), [m2], [a1]),
     ]
-    loss = flmm._batch_nll(flm, batch, emb_table)
+    loss = packed_nll(flm, batch, emb_table)
     grads_b = ad.backward(loss, flm.store)
 
     total = 0.0
@@ -285,14 +291,13 @@ def test_batch_nll_tape_size_does_not_grow_with_batch(full_hkg):
         flmm.FlowExample([g2, m2], ("genre", "item"), [], [g2, m2, g1]),
         flmm.FlowExample([m1, g1], ("item", "genre"), [m1], [g1]),
     ]
-    sizes = [len(ad._topo_order(flmm._batch_nll(flm, (pool * 4)[:b],
-                                                emb_table)))
+    sizes = [len(ad._topo_order(packed_nll(flm, (pool * 4)[:b], emb_table)))
              for b in (2, 16)]
     assert sizes[0] == sizes[1]
 
 
-# nodes one two-flow _batch_nll built with layer norm and attention as
-# chains of small ops, before they were fused into one node each
+# nodes the loss of one packed two-flow batch built with layer norm and
+# attention as chains of small ops, before they were fused into one node each
 UNFUSED_BATCH_NLL_NODES = 387
 
 
@@ -305,7 +310,7 @@ def test_batch_nll_tape_is_at_most_half_the_unfused_one(full_hkg):
         size=(full_hkg.num_nodes, flm.d_e))
     batch = [flmm.FlowExample([g1, m1], ("genre", "item"), [g1], [m1]),
              flmm.FlowExample([g2, m2], ("genre", "item"), [], [g2, m2, g1])]
-    loss = flmm._batch_nll(flm, batch, emb_table)
+    loss = packed_nll(flm, batch, emb_table)
     assert len(ad._topo_order(loss)) <= UNFUSED_BATCH_NLL_NODES // 2
 
 

@@ -152,6 +152,118 @@ def test_rec_loss_computes_only_its_rows_and_matches_the_full_table(
         assert np.allclose(grads[name], g, rtol=0, atol=1e-12), name
 
 
+@pytest.fixture
+def world_samples():
+    world = syn.make_world(seed=3, num_clusters=2, items_per_cluster=6,
+                           actors_per_cluster=4, directors_per_cluster=2,
+                           num_dialogues=40)
+    return world.hkg(world.train), pl.samples_from_dialogues(world.train,
+                                                             world.kg)
+
+
+def _loss_and_grads(model, samples):
+    loss = rc.rec_loss(model, samples)
+    return loss.data.tobytes(), ad.backward(loss, model.store)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("picks", ["mixed", "all_empty", "repeated"])
+def test_packed_and_list_rec_loss_agree_bit_for_bit(world_samples, picks,
+                                                    num_layers):
+    hkg, samples = world_samples
+    samples = samples + [RecSample(context=(), label=s.label)
+                         for s in samples[:4]]
+    empty = [i for i, s in enumerate(samples) if not s.context]
+    full = [i for i, s in enumerate(samples) if s.context]
+    idx = {"mixed": full[:5] + empty[:2] + full[5:9] + empty[2:3],
+           "all_empty": empty[:4],  # a padded width of 1
+           "repeated": [full[3], full[3], empty[0], full[3], full[0]]}[picks]
+    model = rc.RecModel(hkg, d_e=8, num_layers=num_layers, seed=2)
+    value, grads = _loss_and_grads(model, [samples[i] for i in idx])
+    batch = rc.pack_samples(model, samples).take(np.array(idx))
+    packed_value, packed_grads = _loss_and_grads(model, batch)
+    assert packed_value == value
+    assert packed_grads.keys() == grads.keys()
+    for name, g in grads.items():
+        assert packed_grads[name].tobytes() == g.tobytes(), name
+
+
+def test_rec_loss_records_seven_tape_nodes(world_samples):
+    # the fused R-GCN layer, the pool, the scores, the cross-entropy and
+    # the negated mean
+    hkg, samples = world_samples
+    model = rc.RecModel(hkg, d_e=8, seed=2)
+    loss = rc.rec_loss(model, rc.pack_samples(model, samples).take(
+        np.arange(16)))
+    assert sum(node._vjp is not None for node in ad._topo_order(loss)) == 7
+
+
+def test_packing_a_pool_with_a_non_item_label_raises(small_world):
+    model = rc.RecModel(small_world, d_e=8, seed=0)
+    g1 = small_world.base.entity_id("g1")
+    pool = [RecSample(context=(g1,), label=int(model.item_ids[0])),
+            RecSample(context=(), label=g1)]
+    with pytest.raises(rc.LabelNotItem):
+        rc.pack_samples(model, pool)
+    before = model.store.checksum()
+    with pytest.raises(rc.LabelNotItem):  # before the first step
+        rc.train_steps(model, pool, 3, 2, 1e-2, np.random.default_rng(0))
+    assert model.store.checksum() == before
+
+
+def test_train_steps_runs_loss_backward_and_update_once_per_step(
+        world_samples, monkeypatch):
+    # looked up as module attributes, in this order: a trace of the step
+    # finds it by these three calls in a row
+    hkg, samples = world_samples
+    model = rc.RecModel(hkg, d_e=8, seed=2)
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(f">{name}")
+            out = fn(*args, **kwargs)
+            calls.append(f"<{name}")
+            return out
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in ((rc, "pack_samples"), (rc, "rec_loss"),
+                         (emb, "rgcn_forward"), (ad, "backward"),
+                         (ad, "optimizer_step")):
+        spy(module, name)
+    rc.train_steps(model, samples, 3, 16, 1e-3, np.random.default_rng(0))
+    step = [">rec_loss", ">rgcn_forward", "<rgcn_forward", "<rec_loss",
+            ">backward", "<backward", ">optimizer_step", "<optimizer_step"]
+    assert calls == [">pack_samples", "<pack_samples"] + step * 3
+
+
+def test_evaluate_over_many_chunks_equals_a_per_sample_reference(
+        world_samples):
+    hkg, samples = world_samples
+    model = rc.RecModel(hkg, d_e=8, seed=4)
+    samples = (samples * (2 * rc.RANK_CHUNK // len(samples) + 1))
+    assert len(samples) > 2 * rc.RANK_CHUNK
+    assert len({len(s.context) for s in samples}) > 2
+    ranks = []
+    for s in samples:
+        order = [e for e, _ in rc.score_items(model, s.context)]
+        ranks.append(order.index(s.label) + 1)
+    rep = rc.evaluate(model, samples, ks=(1, 10))
+    for k in (1, 10):
+        recall = mrr = ndcg = 0.0
+        for r in ranks:  # running totals in sample order
+            if r <= k:
+                recall += 1.0
+                mrr += 1.0 / r
+                ndcg += 1.0 / math.log2(r + 1)
+        assert rep.recall[k] == recall / len(samples)
+        assert rep.mrr[k] == mrr / len(samples)
+        assert rep.ndcg[k] == ndcg / len(samples)
+
+
 def rank_fixture_model(small_world, label_rank, n_items=5):
     """Bias-only model placing item_ids[0] at the requested rank."""
     model = rc.RecModel(small_world, d_e=4, seed=0)

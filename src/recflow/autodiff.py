@@ -32,9 +32,10 @@ ones:
 
 A recommender training step records 7 tape nodes in place of 19. The fused
 nodes repeat the numpy operations of the op-by-op chains they replace, in
-the same order, so their values and gradients are bit-equal to the chains'. ``frozen`` marks whole parameter stores as needing no gradient
-for a block, so a backward pass through a fixed model differentiates only
-the path to what is trained.
+the same order, so their values and gradients are bit-equal to the chains'.
+``frozen`` marks whole parameter stores as needing no gradient for a block,
+so a backward pass through a fixed model differentiates only the path to
+what is trained.
 
 VJPs return None for a parent that needs no gradient (a frozen table, a
 mask), and ``backward`` skips it.
@@ -765,13 +766,16 @@ def ffn(x, w1, b1, w2, b2):
     return _make(out, (x, w1, b1, w2, b2), vjp)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gain, bias):
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     scale = 1.0 / x.data.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
     inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale
-           + eps) ** -0.5
+           + LAYER_NORM_EPS) ** -0.5
     xhat = centered * inv
     out = xhat * gain.data + bias.data
 
@@ -965,26 +969,27 @@ def backward(loss, params=None):
 class ParamStore:
     """Named trainable tensors whose values live in one flat f64 buffer.
 
-    Parameters are laid out in the order they were added. ``optimizer_step``
-    makes each ``.data`` it updates a reshaped view into the buffer, copying
-    the values in when ``.data`` is not that view yet: before the first
-    step, after a parameter was added (which lays the buffer out again), or
+    Parameters are laid out in the order they were added, at the first
+    ``optimizer_step``; adding one after that raises ``ValueError``. Each
+    step makes every ``.data`` a reshaped view into the buffer, copying the
+    values in when ``.data`` is not that view yet: at the first step, or
     after ``.data`` was rebound to another array, as ``load_values`` and
-    callers that assign it do. The AdamW moments are flat buffers of the
-    same layout, and each parameter keeps its own step count.
+    callers that assign it do. The Adam moments are flat buffers of the same
+    layout, and ``step_count`` is the one step count of the whole store.
     """
 
     def __init__(self):
         self._params = {}
         self.step_count = 0
         self._flat = self._m = self._v = np.zeros(0)
-        self._t = np.zeros(0, dtype=np.int64)
-        self._bounds = [0]  # parameter i owns [_bounds[i], _bounds[i + 1])
-        self._index, self._views = {}, []
+        self._views = []
 
     def add(self, name, value):
         if name in self._params:
             raise DuplicateParameter(name)
+        if self.step_count:
+            raise ValueError(f"cannot add {name!r}: the store has taken "
+                             f"{self.step_count} optimizer steps")
         t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t
@@ -1017,23 +1022,17 @@ class ParamStore:
             p.data = arr.copy()
 
     def _layout(self):
-        """Give every parameter a view into a new flat buffer when some were
-        added since the last layout, keeping the others' moments and step
-        counts; ``optimizer_step`` copies values into the views it uses."""
+        """Give every parameter a view into a new flat buffer and zero the
+        moments, unless that was done already; ``optimizer_step`` copies
+        the values into the views."""
         if len(self._views) == len(self._params):
             return
         shapes = [p.data.shape for p in self._params.values()]
         bounds = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
-        grow = bounds[-1] - self._bounds[-1]
         self._flat = np.empty(bounds[-1])
-        self._m = np.concatenate([self._m, np.zeros(grow)])
-        self._v = np.concatenate([self._v, np.zeros(grow)])
-        self._t = np.concatenate(
-            [self._t, np.zeros(len(shapes) - len(self._t), dtype=np.int64)])
+        self._m, self._v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
         self._views = [self._flat[lo:hi].reshape(shape)
                        for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-        self._bounds = bounds
-        self._index = {name: i for i, name in enumerate(self._params)}
 
     def checksum(self):
         import hashlib
@@ -1044,63 +1043,51 @@ class ParamStore:
         return h.hexdigest()
 
 
-def optimizer_step(store, grads, lr, weight_decay=0.0,
-                   betas=(0.9, 0.999), eps=1e-8):
-    """One AdamW step (Kingma & Ba, 2015; decoupled weight decay as in
-    Loshchilov & Hutter, 2019) over the parameters named in ``grads``.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
-    The named gradients are copied into one flat array and checked for
-    finiteness once: a non-finite gradient raises ``NonFiniteGradient``,
-    naming the first bad parameter, before anything is written. The update
-    then runs in place over the store's flat buffers, once for each run of
-    parameters that are consecutive in the store and share a step count.
-    Weight decay subtracts lr*wd*param directly, independent of the gradient
-    moments. Parameters absent from ``grads`` are untouched, step count
-    included.
+
+def optimizer_step(store, grads, lr):
+    """One Adam step (Kingma & Ba, 2015) over the whole store.
+
+    ``grads`` names every parameter of the store and nothing else; a
+    missing or extra name raises ``ValueError`` before anything is written.
+    The gradients are copied into one flat array in store order and checked
+    for finiteness once: a non-finite gradient raises
+    ``NonFiniteGradient``, naming the first bad parameter, before anything
+    is written. The update then runs once, in place over the store's flat
+    buffers, at the store's step count.
     """
+    names = store._params.keys()
+    if grads.keys() != names:
+        raise ValueError("optimizer_step needs one gradient per parameter: "
+                         f"missing {sorted(names - grads.keys())}, "
+                         f"extra {sorted(grads.keys() - names)}")
     store._layout()
-    order = sorted(grads, key=store._index.__getitem__)
-    if order:
-        idx = [store._index[name] for name in order]
-        views, bounds = store._views, store._bounds
-        parts = []
-        for name, i in zip(order, idx):
-            p = store._params[name]
-            if p.data is not views[i]:
-                views[i][...] = p.data
-                p.data = views[i]
-            g = grads[name]
-            parts.append(g.data if isinstance(g, Tensor) else g)
-        n = sum(bounds[i + 1] - bounds[i] for i in idx)
-        g, tmp = np.split(_scratch(2 * n), 2)
-        # each part is flattened; a size mismatch raises ValueError
-        np.concatenate(parts, axis=None, out=g)
-        if not np.isfinite(g).all():
-            named = dict(zip(order, parts))
-            raise NonFiniteGradient(next(
-                name for name in grads if not np.isfinite(named[name]).all()))
-        store._t[idx] += 1
-        t = store._t.tolist()
-        first = g_lo = 0  # the run starts at parameter idx[first], at g[g_lo]
-        for j, i in enumerate(idx):
-            if j + 1 < len(idx) and idx[j + 1] == i + 1 and t[i + 1] == t[i]:
-                continue
-            lo, hi = bounds[idx[first]], bounds[i + 1]
-            g_hi = g_lo + hi - lo
-            _adamw(store._flat[lo:hi], store._m[lo:hi], store._v[lo:hi],
-                   g[g_lo:g_hi], tmp[g_lo:g_hi], t[i], lr, weight_decay,
-                   betas, eps)
-            first, g_lo = j + 1, g_hi
+    parts = []
+    for (name, p), view in zip(store._params.items(), store._views):
+        if p.data is not view:
+            view[...] = p.data
+            p.data = view
+        g = grads[name]
+        parts.append(g.data if isinstance(g, Tensor) else g)
+    g, tmp = np.split(_scratch(2 * len(store._flat)), 2)
+    # each part is flattened; a size mismatch raises ValueError
+    np.concatenate(parts, axis=None, out=g)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient(next(
+            name for name, part in zip(store._params, parts)
+            if not np.isfinite(part).all()))
     store.step_count += 1
+    _adam(store._flat, store._m, store._v, g, tmp, store.step_count, lr)
     return store
 
 
-def _adamw(p, m, v, g, tmp, t, lr, weight_decay, betas, eps):
-    """AdamW at step ``t`` on matching 1-D slices, in place; ``g`` and
+def _adam(p, m, v, g, tmp, t, lr):
+    """Adam at step ``t`` on matching 1-D arrays, in place; ``g`` and
     ``tmp`` are overwritten. Each element sees the operations of the
-    textbook formula in one fixed order, so results do not depend on how
-    the slices are cut."""
-    b1, b2 = betas
+    textbook formula in one fixed order."""
+    b1, b2 = ADAM_BETAS
     np.multiply(g, 1.0 - b1, out=tmp)
     m *= b1
     m += tmp
@@ -1111,11 +1098,9 @@ def _adamw(p, m, v, g, tmp, t, lr, weight_decay, betas, eps):
     # lr * m_hat / (sqrt(v_hat) + eps), bias corrections as scalars
     np.multiply(v, 1.0 / (1.0 - b2 ** t), out=g)
     np.sqrt(g, out=g)
-    g += eps
+    g += ADAM_EPS
     np.divide(m, g, out=g)
     g *= lr / (1.0 - b1 ** t)
-    if weight_decay:  # p * 1.0 is p, bit for bit
-        p *= 1.0 - lr * weight_decay
     p -= g
 
 
@@ -1153,9 +1138,9 @@ def grad_check(f, store, eps=1e-5, names=None):
 
 # -- initializers --------------------------------------------------------------
 
-def xavier_uniform(shape, rng, gain=1.0):
+def xavier_uniform(shape, rng):
     fan_in, fan_out = shape[-1], shape[-2] if len(shape) > 1 else shape[-1]
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
@@ -1185,9 +1170,8 @@ def save_checkpoint(path, store):
     dims uint32 each, little-endian value payload. The file is replaced
     atomically (``atomic_write``).
     """
-    params = store.items() if isinstance(store, ParamStore) else store.items()
     entries = [(name, p.data if isinstance(p, Tensor) else np.asarray(p))
-               for name, p in params]
+               for name, p in store.items()]
     with atomic_write(path) as fh:
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
         for name, arr in entries:

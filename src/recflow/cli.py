@@ -35,7 +35,7 @@ DATA_ERRORS = (pl.DataError, kgm.MissingType, kgm.MalformedRecord,
                flmm.TypeMismatch, flmm.EmptyTypeClass,
                flmm.AllSchemasUnreachable, rz.NoCoveringSegmentation,
                rc.LabelNotItem, rc.EmptyTestSet, rc.EmptyTrainingSet,
-               sc.EmptyCatalog, sc.IndexOutOfCatalog, FileNotFoundError)
+               sc.EmptyCatalog, sc.IndexOutOfCatalog, OSError)
 NUMERIC_ERRORS = (ad.NonFinite, ad.NonFiniteGradient, ad.NonScalarLoss,
                   cf.NonFiniteUpdate, cf.PositionOutOfRange)
 
@@ -112,12 +112,9 @@ _RUN_FIELD = {"d_model": "flm_d_model", "n_layers": "flm_layers",
 
 
 def _derived(cls, cfg):
-    """``cls`` filled from ``cfg``; fields RunConfig lacks keep defaults."""
-    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
-    names = {f.name: _RUN_FIELD.get(f.name, f.name)
-             for f in dataclasses.fields(cls)}
-    return cls(**{name: getattr(cfg, run) for name, run in names.items()
-                  if run in run_fields})
+    """``cls`` with every field copied from its ``cfg`` field."""
+    return cls(**{f.name: getattr(cfg, _RUN_FIELD.get(f.name, f.name))
+                  for f in dataclasses.fields(cls)})
 
 
 def sim_config(cfg):
@@ -176,7 +173,7 @@ def _test_report(ws, rec, simulated):
     if ws.test:
         test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
         if test_samples:
-            report = rc.evaluate(rec, test_samples, ks=(10, 50))
+            report = rc.evaluate(rec, test_samples)
     if report is not None and simulated:
         responses = [t.text for r in simulated for t in r.dialogue.turns
                      if t.speaker == cp.RECOMMENDER]
@@ -347,7 +344,7 @@ def cmd_evaluate(cfg, checkpoint=None, responses=None):
         raise pl.DataError("no recommender checkpoint found to evaluate")
     pl.read_checkpoint(ckpt, rec.store)
     test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
-    report = rc.evaluate(rec, test_samples, ks=(10, 50))
+    report = rc.evaluate(rec, test_samples)
     if responses:
         texts = [t.text for d in cp.load_dialogues_file(responses)
                  for t in d.turns if t.speaker == cp.RECOMMENDER]
@@ -383,7 +380,7 @@ def cmd_sweep(cfg):
                        "courses_run": len(log)}
                 eval_samples = test_samples or val_samples
                 if eval_samples:
-                    report = rc.evaluate(rec, eval_samples, ks=(10, 50))
+                    report = rc.evaluate(rec, eval_samples)
                     row["recall@10"] = report.recall[10]
                     row["recall@50"] = report.recall[50]
                 rows.append(row)

@@ -136,7 +136,12 @@ class RunConfig:
     def load(cls, path=None, overrides=None):
         data = {}
         if path:
-            with open(path, encoding="utf-8") as fh:
+            try:
+                fh = open(path, encoding="utf-8")
+            except OSError as err:  # missing, a directory, unreadable
+                raise ConfigError("<root>", f"cannot open config file "
+                                  f"{path!r}: {err.strerror}") from err
+            with fh:
                 try:
                     data = json.load(fh)
                 except ValueError as err:  # bad JSON or bad UTF-8

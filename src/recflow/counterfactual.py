@@ -136,7 +136,7 @@ def default_reward_fn(rec_model, kg):
         if table is None:
             with ad.no_grad():
                 table = rec_model.entity_embeddings()
-        samples = rz.to_rec_samples(realized, kg, source="simulated")
+        samples = rz.to_rec_samples(realized, kg)
         if not samples:
             logger.info("rollout %s produced no recommendation samples",
                         realized.dialogue.dialogue_id)
@@ -268,7 +268,6 @@ class TrainConfig:
     patience: int = 3
     temperature: float = 1.0
     seed: int = 0
-    ks: tuple = (10, 50)
 
 
 def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
@@ -302,11 +301,11 @@ def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
         entry = {"course": course, "lambda": lam,
                  "n_simulated": len(dialogues), **stats}
         if val_samples:
-            report = rc.evaluate(rec_model, val_samples, ks=cfg.ks)
-            for k in cfg.ks:
+            report = rc.evaluate(rec_model, val_samples)
+            for k in rc.KS:
                 entry[f"val_recall@{k}"] = report.recall[k]
         log.append(entry)
-        if val_samples and stopper.update(report.recall[max(cfg.ks)]):
+        if val_samples and stopper.update(report.recall[max(rc.KS)]):
             break
     stopper.restore()
     return log, simulated
@@ -352,8 +351,7 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
                 dialogues.append(realized)
         assert rec_model.store.checksum() == rec_before, \
             "edit phase must not write recommender parameters"
-        samples = pl.samples_from_dialogues(dialogues, sim.hkg.base,
-                                            source="simulated")
+        samples = pl.samples_from_dialogues(dialogues, sim.hkg.base)
         return dialogues, samples, {
             "mean_reward": float(np.mean(rewards)) if rewards else 0.0,
             "edit_norm": float(np.mean(norms)) if norms else 0.0}
@@ -379,7 +377,7 @@ def train_eda(rec_model, bank, hkg, flow_pool, real_train, val_samples, cfg):
                 continue
             dialogues.append(rz.realize(flow, schema, bank, kg, rng,
                                         dialogue_id=f"eda-c{course}-{j}"))
-        samples = pl.samples_from_dialogues(dialogues, kg, source="simulated")
+        samples = pl.samples_from_dialogues(dialogues, kg)
         return dialogues, samples, {}
 
     return curriculum_train(rec_model, real_train, val_samples, cfg,

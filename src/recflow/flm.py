@@ -232,24 +232,19 @@ class FlowLM:
         return np.array([kg.type_id(t) for t in schema], dtype=np.intp)
 
 
-def _flow_log_probs(flm, prompts_u, prompts_v, schemas, flows):
+def _flow_log_probs(flm, e_u, e_v, schema, flows):
     """Per-step log-probabilities, shape (len(flows), n), of same-length
-    flows under the masked decoder. The caller has validated the flows
-    against their schemas (``FlowLM.check_flow``).
+    flows of one schema under the masked decoder and the d_e-vector prompts
+    ``e_u`` and ``e_v``. The caller has validated the flows against the
+    schema (``FlowLM.check_flow``).
 
-    ``schemas`` holds one schema per flow, or one shared by all flows;
-    ``prompts_*`` hold as many d_e-vectors as ``schemas``. A shared prompt
-    is encoded once and broadcast in cross-attention, so its gradients
-    accumulate across the flows. Differentiable w.r.t. the model parameters
-    and the prompt tensors, which is the gradient path preference edits
-    rely on.
+    The prompts are encoded once and broadcast in cross-attention, so their
+    gradients accumulate across the flows. Differentiable w.r.t. the model
+    parameters and the prompt tensors, which is the gradient path
+    preference edits rely on.
     """
-    t = len(flows)
-    row_schemas = schemas if len(schemas) == t else schemas * t
-    masks = np.stack([_step_masks(flm, schema, f)
-                      for f, schema in zip(flows, row_schemas)])
-    return _scored_steps(flm, prompts_u, prompts_v,
-                         np.stack([flm.type_ids(s) for s in schemas]),
+    masks = np.stack([_step_masks(flm, schema, f) for f in flows])
+    return _scored_steps(flm, e_u, e_v, flm.type_ids(schema)[None],
                          np.asarray(flows, dtype=np.intp), masks)
 
 
@@ -262,9 +257,10 @@ def _step_masks(flm, schema, flow):
 
 
 def _scored_steps(flm, prompts_u, prompts_v, type_ids, flows, masks):
-    """The masked scorer over arrays: ``type_ids`` (rows, n) and the
-    prompts' rows as in ``_flow_log_probs``, ``flows`` (t, n) and the
-    additive step ``masks`` (t, n, vocab)."""
+    """The masked scorer over arrays: ``type_ids`` (rows, n) and ``rows``
+    d_e-vectors in each of the prompts, either one per flow or one shared
+    by all flows, ``flows`` (t, n) and the additive step ``masks`` (t, n,
+    vocab)."""
     rows = len(type_ids)
     enc = flm.encode(ad.reshape(ad.as_tensor(prompts_u), (rows, -1)),
                      ad.reshape(ad.as_tensor(prompts_v), (rows, -1)),
@@ -282,7 +278,7 @@ def flow_log_probs_batch(flm, e_u, e_v, schema, flows):
     accumulate across the batch."""
     for f in flows:
         flm.check_flow(f, schema)
-    steps = _flow_log_probs(flm, e_u, e_v, [schema], flows)
+    steps = _flow_log_probs(flm, e_u, e_v, schema, flows)
     return ad.tensor_sum(steps, axis=1)
 
 

@@ -99,10 +99,10 @@ def corpus_flows(dialogues, kg, max_len=None):
     return out
 
 
-def samples_from_dialogues(dialogues, kg, source="real"):
+def samples_from_dialogues(dialogues, kg):
     samples = []
     for d in dialogues:
-        samples.extend(rz.to_rec_samples(d, kg, source=source))
+        samples.extend(rz.to_rec_samples(d, kg))
     return samples
 
 

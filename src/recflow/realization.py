@@ -40,8 +40,6 @@ class RealizedDialogue:
 class RecSample:
     context: tuple      # entity ids mentioned before the label, in order
     label: int          # item entity id
-    source: str = "real"
-    dialogue_id: str = ""
 
 
 class TemplateBank:
@@ -131,7 +129,7 @@ def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
                             schema=tuple(schema), template_ids=template_ids)
 
 
-def to_rec_samples(dialogue, kg, source="real"):
+def to_rec_samples(dialogue, kg):
     """One sample per fresh item mention in a recommender turn.
 
     The context is every mention strictly before the label mention, in flow
@@ -148,8 +146,6 @@ def to_rec_samples(dialogue, kg, source="real"):
             if (turn.speaker == cp.RECOMMENDER
                     and kg.type_name_of(eid) == ITEM_TYPE
                     and eid not in context):
-                samples.append(RecSample(context=tuple(context), label=eid,
-                                         source=source,
-                                         dialogue_id=dialogue.dialogue_id))
+                samples.append(RecSample(context=tuple(context), label=eid))
             context.append(eid)
     return samples

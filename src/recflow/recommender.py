@@ -230,6 +230,7 @@ def rec_loss(model, samples, table=None):
 
 
 RANK_CHUNK = 256
+KS = (10, 50)  # the Recall/MRR/NDCG cutoffs every run reports
 
 
 def _rank_chunk(model, table, batch):
@@ -244,7 +245,7 @@ def _rank_chunk(model, table, batch):
     return ahead.sum(axis=1) + 1
 
 
-def evaluate(model, samples, ks=(10, 50)):
+def evaluate(model, samples, ks=KS):
     """Mean Recall/MRR/NDCG at each cutoff over the test samples (a list or
     a ``SampleBatch``), ranked in chunks of ``RANK_CHUNK`` samples against
     the frozen model."""
@@ -307,7 +308,7 @@ class EarlyStopping:
 
 def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
                          batch_size=64, lr=1e-3, eval_every=50, patience=3,
-                         seed=0, ks=(10, 50)):
+                         seed=0):
     """Cross-entropy training of the scorer jointly with the graph encoder.
 
     Evaluates on validation Recall at the largest cutoff after every full
@@ -328,7 +329,7 @@ def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
         history["loss"] += train_steps(model, train_samples, chunk,
                                        batch_size, lr, rng)
         if val_samples and chunk == eval_every:
-            metric = evaluate(model, val_samples, ks=ks).recall[max(ks)]
+            metric = evaluate(model, val_samples).recall[max(KS)]
             history["val_recall"].append(metric)
             if stopper.update(metric):
                 break

@@ -116,8 +116,10 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
                             val_fraction=0.1, seed=0):
     """Cross-entropy training of the schema classifier.
 
-    ``pairs`` is a list of (e_u, e_v, gold_index). Returns the best-validation
-    parameter snapshot loaded back into ``store`` plus the loss history.
+    ``pairs`` is a list of (e_u, e_v, gold_index); ``store`` holds the
+    classifier's parameters alone (``init_classifier_params``). Loads the
+    best-validation snapshot back into ``store`` and returns the loss
+    history.
     """
     if len(catalog) == 0:
         raise EmptyCatalog("cannot train against an empty catalog")
@@ -135,7 +137,6 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) == 0:
         train_idx = order
-    clf_names = [k for k in store.names() if k.startswith(CLF_PREFIX + ".")]
 
     def batch_loss(idx):
         logits = _classifier_logits(ad.Tensor(x[idx]), store)
@@ -148,16 +149,14 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
         idx = train_idx[rng.integers(0, len(train_idx),
                                      size=min(32, len(train_idx)))]
         loss = batch_loss(idx)
-        grads = ad.backward(loss, store)
-        grads = {k: v for k, v in grads.items() if k in clf_names}
-        ad.optimizer_step(store, grads, lr=lr)
+        ad.optimizer_step(store, ad.backward(loss, store), lr=lr)
         history.append(loss.item())
         if len(val_idx) and (step + 1) % 20 == 0:
             with ad.no_grad():
                 v = batch_loss(val_idx).item()
             if v < best_val:
                 best_val = v
-                best = {k: store[k].data.copy() for k in clf_names}
+                best = store.values_dict()
     if best is not None:
         store.load_values(best)
     return history

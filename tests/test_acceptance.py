@@ -324,7 +324,7 @@ def test_criterion_08_flm_memorization():
         e_u = flmm.user_prompt(model, ex.seeker_entities, emb_table)
         e_v = flmm.user_prompt(model, ex.recommender_entities, emb_table)
         # untrained, zero-init head: per-step perplexity = type-class size
-        steps = flmm._flow_log_probs(model, e_u, e_v, [ex.schema],
+        steps = flmm._flow_log_probs(model, e_u, e_v, ex.schema,
                                      [ex.entities]).data
         assert np.allclose(np.exp(-steps), [2.0, 3.0], rtol=0, atol=1e-12)
         flmm.pretrain_flm(model, [ex], emb_table, epochs=500, batch_size=1,

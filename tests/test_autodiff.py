@@ -107,20 +107,9 @@ def test_optimizer_zero_grad_zero_decay_is_identity():
     store = ad.ParamStore()
     store.add("p", np.array([1.0, -2.0]))
     before = store["p"].data.copy()
-    ad.optimizer_step(store, {"p": np.zeros(2)}, lr=0.1, weight_decay=0.0)
+    ad.optimizer_step(store, {"p": np.zeros(2)}, lr=0.1)
     assert np.array_equal(store["p"].data, before)
     assert store.step_count == 1
-
-
-def test_optimizer_zero_grad_decay_scales_params():
-    store = ad.ParamStore()
-    store.add("p", np.array([1.0, -2.0, 0.5]))
-    lr, wd = 0.1, 0.01
-    expected = store["p"].data.copy()
-    for _ in range(3):
-        ad.optimizer_step(store, {"p": np.zeros(3)}, lr=lr, weight_decay=wd)
-        expected = expected * (1.0 - lr * wd)
-    assert np.allclose(store["p"].data, expected, rtol=0, atol=1e-15)
 
 
 def test_optimizer_converges_on_convex_quadratic():
@@ -145,18 +134,8 @@ def test_optimizer_rejects_non_finite_gradient():
         ad.optimizer_step(store, {"p": np.array([np.nan, 0.0])}, lr=0.1)
 
 
-def test_optimizer_only_touches_named_params():
-    store = ad.ParamStore()
-    store.add("a", np.ones(2))
-    store.add("b", np.ones(2))
-    before_b = store["b"].data.copy()
-    ad.optimizer_step(store, {"a": np.ones(2)}, lr=0.1, weight_decay=0.1)
-    assert np.array_equal(store["b"].data, before_b)
-
-
-def _reference_adamw(params, state, grads, lr, weight_decay=0.0,
-                     betas=(0.9, 0.999), eps=1e-8):
-    """The per-tensor AdamW loop, the oracle of the fused step: ``params``
+def _reference_adam(params, state, grads, lr, betas=(0.9, 0.999), eps=1e-8):
+    """The per-tensor Adam loop, the oracle of the fused step: ``params``
     maps names to arrays, ``state`` holds each name's moments and count."""
     b1, b2 = betas
     for name, g in grads.items():
@@ -172,7 +151,7 @@ def _reference_adamw(params, state, grads, lr, weight_decay=0.0,
         denom += eps
         step = m / denom
         step *= lr / (1.0 - b1 ** t)
-        params[name] = params[name] * (1.0 - lr * weight_decay) - step
+        params[name] = params[name] - step
 
 
 def _assert_same_bytes(store, arrays):
@@ -188,20 +167,15 @@ def test_fused_step_equals_per_tensor_reference():
         store.add(name, rng.normal(size=shape))
     ref, state = store.values_dict(), {}
 
-    def step(names, wd=0.01):
+    def step(names):
         grads = {n: rng.normal(size=shapes[n]) for n in names}
-        ad.optimizer_step(store, grads, lr=0.05, weight_decay=wd)
-        _reference_adamw(ref, state, grads, lr=0.05, weight_decay=wd)
+        ad.optimizer_step(store, grads, lr=0.05)
+        _reference_adam(ref, state, grads, lr=0.05)
         _assert_same_bytes(store, ref)
 
     for _ in range(3):
-        step(["b", "k"])  # now the step counts differ between parameters
-    for _ in range(3):
         step(list(shapes))
-    step(["e", "w"])  # not in store order
-    shapes["late"] = (2, 2)  # a new parameter lays the buffer out again
-    ref["late"] = store.add("late", rng.normal(size=(2, 2))).data.copy()
-    step(["late", "b"])
+    step(["e", "w", "s", "k", "b"])  # not in store order
     loaded = {n: rng.normal(size=shapes[n]) for n in ("w", "k")}
     store.load_values(loaded)
     ref.update({n: a.copy() for n, a in loaded.items()})
@@ -211,8 +185,32 @@ def test_fused_step_equals_per_tensor_reference():
     ref["b"] = store["b"].data.copy()
     for _ in range(2):
         step(list(shapes))
-    step(list(shapes), wd=0.0)
+    assert store.step_count == 8
     assert all(p.data.base is store._flat for _, p in store.items())
+
+
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c")],
+                         ids=["missing", "extra"])
+def test_optimizer_rejects_missing_or_extra_gradients(names):
+    init = np.random.default_rng(9).normal(size=(2, 3))
+    store = ad.ParamStore()
+    for name, row in zip("ab", init):
+        store.add(name, row)
+    ad.optimizer_step(store, {n: np.full(3, 0.5) for n in "ab"}, lr=0.1)
+    before = store.values_dict()
+    with pytest.raises(ValueError):
+        ad.optimizer_step(store, {n: np.ones(3) for n in names}, lr=0.1)
+    assert store.step_count == 1
+    _assert_same_bytes(store, before)
+
+
+def test_param_store_rejects_add_after_a_step():
+    store = ad.ParamStore()
+    store.add("p", np.ones(2))
+    ad.optimizer_step(store, {"p": np.ones(2)}, lr=0.1)
+    with pytest.raises(ValueError):
+        store.add("late", np.ones(2))
+    assert store.names() == ["p"]
 
 
 def test_non_finite_gradient_leaves_the_store_unchanged():
@@ -249,7 +247,7 @@ def test_snapshots_are_not_aliased_to_the_flat_buffer():
     def step():
         grads = {n: rng.normal(size=a.shape) for n, a in ref.items()}
         ad.optimizer_step(store, grads, lr=0.1)
-        _reference_adamw(ref, state, grads, lr=0.1)
+        _reference_adam(ref, state, grads, lr=0.1)
         _assert_same_bytes(store, ref)
 
     step()

@@ -119,6 +119,30 @@ def test_cli_missing_file_exits_3(tmp_path, world_files):
     assert code == 3
 
 
+@pytest.mark.parametrize("name", ["a_directory", "missing.json"])
+def test_cli_unopenable_config_file_exits_2(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    code = cli.main(["train", "--config", str(tmp_path / name)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_directory_as_dialogues_exits_3(tmp_path, world_files):
+    cfg = fast_config(world_files, tmp_path / "out",
+                      dialogues_path=str(tmp_path))
+    code = cli.main(["mine-schemas", "--config",
+                     write_config(tmp_path, cfg)])
+    assert code == 3
+
+
+def test_cli_file_as_out_dir_exits_3(tmp_path, world_files):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg_path = write_config(tmp_path, fast_config(world_files, taken))
+    assert cli.main(["mine-schemas", "--config", cfg_path]) == 3
+    assert taken.read_text() == "not a directory\n"
+
+
 def write_dialogues_keeping(tmp_path, world_files, speaker):
     """The training dialogues with only ``speaker``'s turns kept (none when
     ``speaker`` is None)."""
@@ -445,10 +469,8 @@ def test_derived_configs_draw_each_field_from_one_run_field():
                     assert getattr(after, f.name) == getattr(
                         changed, run_field.name)
                     sources.setdefault(f.name, []).append(run_field.name)
-        expected = {f.name for f in dataclasses.fields(cls)} - {"ks"}
-        assert set(sources) == expected
+        assert set(sources) == {f.name for f in dataclasses.fields(cls)}
         assert all(len(runs) == 1 for runs in sources.values()), sources
         drawn = {name: runs[0] for name, runs in sources.items()}
         assert len(set(drawn.values())) == len(drawn)
         assert {k: v for k, v in drawn.items() if k != v} == renames
-    assert cli.train_config(base).ks == cf.TrainConfig().ks

@@ -72,7 +72,7 @@ def test_total_equals_sum_of_steps(full_hkg):
     kg = full_hkg.base
     flow = [kg.entity_id("g1"), kg.entity_id("m2"), kg.entity_id("a1")]
     schema = ("genre", "item", "actor")
-    steps = flmm._flow_log_probs(flm, e_u, e_v, [schema], [flow])
+    steps = flmm._flow_log_probs(flm, e_u, e_v, schema, [flow])
     total = log_prob(flm, e_u, e_v, schema, flow)
     assert abs(total.item() - steps.data.sum()) < 1e-12
 
@@ -109,7 +109,7 @@ def test_untrained_per_step_perplexity_equals_type_class_size(full_hkg):
     e_u, e_v = rand_prompts(flm, 4)
     kg = full_hkg.base
     flow = [kg.entity_id("g2"), kg.entity_id("m1")]
-    steps = flmm._flow_log_probs(flm, e_u, e_v, [("genre", "item")],
+    steps = flmm._flow_log_probs(flm, e_u, e_v, ("genre", "item"),
                                  [flow]).data
     assert np.allclose(np.exp(-steps), [2.0, 2.0])
 

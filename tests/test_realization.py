@@ -195,6 +195,5 @@ def test_rec_sample_label_never_in_context(movie_kg):
         schema = ("item",) * int(rng.integers(1, 5))
         flow = [items[rng.integers(len(items))] for _ in schema]
         out = rz.realize(flow, schema, bank, movie_kg, rng)
-        for s in rz.to_rec_samples(out, movie_kg, source="simulated"):
+        for s in rz.to_rec_samples(out, movie_kg):
             assert s.label not in s.context
-            assert s.source == "simulated"

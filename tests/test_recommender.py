@@ -356,11 +356,11 @@ def test_pretrain_memorizes_five_samples(small_world):
     g1, g2 = (small_world.base.entity_id(x) for x in ("g1", "g2"))
     m = model.item_ids
     samples = [
-        RecSample(context=(g1,), label=int(m[0]), dialogue_id="a"),
-        RecSample(context=(g1, int(m[0])), label=int(m[1]), dialogue_id="b"),
-        RecSample(context=(g2,), label=int(m[2]), dialogue_id="c"),
-        RecSample(context=(g2, int(m[2])), label=int(m[3]), dialogue_id="d"),
-        RecSample(context=(int(m[3]),), label=int(m[4]), dialogue_id="e"),
+        RecSample(context=(g1,), label=int(m[0])),
+        RecSample(context=(g1, int(m[0])), label=int(m[1])),
+        RecSample(context=(g2,), label=int(m[2])),
+        RecSample(context=(g2, int(m[2])), label=int(m[3])),
+        RecSample(context=(int(m[3]),), label=int(m[4])),
     ]
     rc.pretrain_recommender(model, samples, steps=500, batch_size=5, lr=5e-3,
                             seed=0)
@@ -370,8 +370,7 @@ def test_pretrain_memorizes_five_samples(small_world):
 
 def test_pretrain_zero_steps_keeps_untrained_metrics(small_world):
     model = rc.RecModel(small_world, d_e=8, seed=2)
-    samples = [RecSample(context=(), label=int(model.item_ids[0]),
-                         dialogue_id="a")]
+    samples = [RecSample(context=(), label=int(model.item_ids[0]))]
     before = rc.evaluate(model, samples).to_dict()
     rc.pretrain_recommender(model, samples, steps=0)
     assert rc.evaluate(model, samples).to_dict() == before
@@ -392,9 +391,9 @@ def test_pretrain_beats_random_on_separable_world():
     train, test = [], []
     for i in range(5):
         (train if i < 4 else test).append(
-            RecSample(context=(g1,), label=items[i], dialogue_id=f"t{i}"))
+            RecSample(context=(g1,), label=items[i]))
         (train if i < 4 else test).append(
-            RecSample(context=(g2,), label=items[5 + i], dialogue_id=f"u{i}"))
+            RecSample(context=(g2,), label=items[5 + i]))
     rc.pretrain_recommender(model, train, steps=300, batch_size=8, lr=5e-3,
                             seed=0)
     # trained labels occupy the top-4; the held-out cluster item can reach

@@ -17,7 +17,8 @@ ones:
   from a batch-1 tensor shared by every row.
 - ``matmul`` of an N-D tensor by a 2-D one runs forward and backward as one
   2-D GEMM over the flattened rows.
-- ``ffn``: the flow model's tanh MLP, ``tanh(x @ w1 + b1) @ w2 + b2``.
+- ``ffn``: the tanh MLP ``tanh(x @ w1 + b1) @ w2 + b2`` of the flow model's
+  feed-forward blocks and of the schema classifier.
 - ``attention_pool``: the masked attention pool of padded id lists over an
   entity table, which pools every recommender context and flow-LM prompt.
 - ``log_softmax_pick``: the masked log-softmax read at target ids, the
@@ -39,6 +40,10 @@ what is trained.
 
 VJPs return None for a parent that needs no gradient (a frozen table, a
 mask), and ``backward`` skips it.
+
+The engine holds only the ops recflow differentiates. The op-by-op chains
+that the tests compare the fused nodes against, and the finite-difference
+``grad_check``, live in ``tests/chain_ops.py``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import numpy as np
 
 _F64_TAG = 0
 _F32_TAG = 1
+_DTYPES = {_F64_TAG: np.dtype("<f8"), _F32_TAG: np.dtype("<f4")}
 CHECKPOINT_VERSION = 1
 
 
@@ -65,10 +71,6 @@ class NonFiniteGradient(FloatingPointError):
     def __init__(self, name):
         super().__init__(f"non-finite gradient for parameter {name!r}")
         self.name = name
-
-
-class NonFinite(FloatingPointError):
-    pass
 
 
 class DuplicateParameter(ValueError):
@@ -123,9 +125,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -134,9 +133,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take(self, key)
 
 
 def as_tensor(value):
@@ -214,67 +210,40 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """``a @ b`` for an (..., k) ``a`` and a (k, n) ``b``: one 2-D GEMM over
+    the flattened rows of ``a``, forward and backward."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
-    if a.ndim > 2 and b.ndim == 2:
-        # (..., k) @ (k, n) is one GEMM over the flattened rows
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
-
-        def vjp(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return ((g2 @ b.data.T).reshape(a.data.shape)
-                    if a.requires_grad else None,
-                    a2.T @ g2 if b.requires_grad else None)
-
-        return _make(out, (a, b), vjp)
-    out = a.data @ b.data
+    if a.ndim < 2 or b.ndim != 2:
+        raise ValueError(f"matmul takes an (..., k) tensor times a (k, n) "
+                         f"one, not {a.data.shape} @ {b.data.shape}")
+    a2 = a.data.reshape(-1, a.data.shape[-1])
+    out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def vjp(g):
-        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-              if a.requires_grad else None)
-        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-              if b.requires_grad else None)
-        return ga, gb
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ b.data.T).reshape(a.data.shape)
+                if a.requires_grad else None,
+                a2.T @ g2 if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
 
-def tanh(a):
+def tensor_sum(a, axis=None):
     a = as_tensor(a)
-    out = np.tanh(a.data)
+    out = a.data.sum(axis=axis)
 
     def vjp(g):
-        return (g * (1.0 - out * out),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make(out, (a,), vjp)
 
 
-def tensor_sum(a, axis=None, keepdims=False):
+def mean(a):
+    """The mean of every element of ``a``."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        g2 = g
-        if not keepdims:
-            g2 = np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.data.shape).copy(),)
-
-    return _make(out, (a,), vjp)
-
-
-def mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[i] for i in axis]))
-    else:
-        n = a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tensor_sum(a), 1.0 / a.data.size)
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -287,23 +256,6 @@ def reshape(a, shape):
         return (g.reshape(a.data.shape),)
 
     return _make(out, (a,), vjp)
-
-
-def swapaxes(a, ax1, ax2):
-    a = as_tensor(a)
-    out = np.swapaxes(a.data, ax1, ax2)
-
-    def vjp(g):
-        return (np.swapaxes(g, ax1, ax2),)
-
-    return _make(out, (a,), vjp)
-
-
-def transpose(a):
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor; use swapaxes")
-    return swapaxes(a, 0, 1)
 
 
 def concat(tensors, axis=0):
@@ -319,51 +271,35 @@ def concat(tensors, axis=0):
 
 
 def _distinct_rows(key):
-    """True when ``key`` is a strictly increasing, non-negative 1-D integer
-    array, or a tuple of equal-length ones led by such an array: then no
-    element is named twice."""
-    parts = key if isinstance(key, tuple) else (key,)
-    if not parts:
-        return False
-    first = parts[0]
-    for p in parts:
-        if not (isinstance(p, np.ndarray) and p.dtype.kind in "iu"
-                and p.ndim == 1 and len(p) == len(first)):
-            return False
-    return len(first) == 0 or (first[0] >= 0
-                               and bool((first[1:] > first[:-1]).all()))
+    """True when the 1-D integer array ``key`` is strictly increasing and
+    non-negative: then no row is named twice."""
+    return len(key) == 0 or (key[0] >= 0 and bool((key[1:] > key[:-1]).all()))
 
 
 def _scatter_add(source, key, g):
-    """A zero array shaped like ``source`` with ``g`` added at ``key``, bit
-    for bit as ``np.add.at`` would add it."""
+    """A zero array shaped like ``source`` with the rows of ``g`` added at
+    the rows ``key`` (a 1-D integer array), bit for bit as ``np.add.at``
+    would add them."""
     if _distinct_rows(key):
         ga = np.zeros_like(source)
         ga[key] += g  # the same 0.0 + g as np.add.at, without its loop
-    elif (isinstance(key, np.ndarray) and key.dtype.kind in "iu"
-          and key.ndim == 1):
-        # bincount adds each bin's weights to 0.0 in input order, as
-        # np.add.at does: one (row, column) bin per element of g
-        n, cols = source.shape[0], source.size // source.shape[0]
-        bins = (key % n)[:, None] * cols + np.arange(cols)
-        ga = np.bincount(bins.ravel(), weights=g.ravel(),
-                         minlength=source.size).reshape(source.shape)
-    else:
-        ga = np.zeros_like(source)
-        np.add.at(ga, key, g)
-    return ga
-
-
-def take(a, key):
-    """Generic indexing; gradients scatter-add into the source."""
-    a = as_tensor(a)
-    return _make(a.data[key], (a,), lambda g: (_scatter_add(a.data, key, g),))
+        return ga
+    # bincount adds each bin's weights to 0.0 in input order, as np.add.at
+    # does: one (row, column) bin per element of g
+    n, cols = source.shape[0], source.size // source.shape[0]
+    bins = (key % n)[:, None] * cols + np.arange(cols)
+    return np.bincount(bins.ravel(), weights=g.ravel(),
+                       minlength=source.size).reshape(source.shape)
 
 
 def rows(a, indices):
-    """Gather rows along axis 0 (embedding lookup)."""
+    """The rows ``indices`` (a 1-D id list) of ``a`` (embedding lookup); the
+    gradient scatter-adds into the source rows."""
+    a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    return take(a, idx)
+    if idx.ndim != 1:
+        raise ValueError(f"rows takes a 1-D id list, not shape {idx.shape}")
+    return _make(a.data[idx], (a,), lambda g: (_scatter_add(a.data, idx, g),))
 
 
 # scratch memory shared by the segment sums and optimizer_step, which never
@@ -606,13 +542,6 @@ class _Cut:
         return out
 
 
-def segment_sum(x, plan):
-    """Rows of ``x`` summed under a ``SegmentPlan`` or a restriction of one;
-    the VJP is the same op on the transposed plan."""
-    x = as_tensor(x)
-    return _make(plan.apply(x.data), (x,), lambda g: (plan.T.apply(g),))
-
-
 def rgcn_layer(h, plan, keep, bases, coeffs, w_self):
     """One R-GCN layer over the node rows ``h``:
 
@@ -686,31 +615,6 @@ def item_scores(ctx, table, items, bias):
 # Additive logit mask for excluded entries: finite, so a fully masked row
 # still normalises instead of producing NaN.
 MASK_NEG = -1e30
-
-
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), vjp)
-
-
-def log_softmax(a, axis=-1):
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def vjp(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _make(out, (a,), vjp)
 
 
 def log_softmax_pick(logits, targets, mask=None):
@@ -990,7 +894,8 @@ class ParamStore:
         if self.step_count:
             raise ValueError(f"cannot add {name!r}: the store has taken "
                              f"{self.step_count} optimizer steps")
-        t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.array(value, dtype=np.float64, order="C"),
+                   requires_grad=True)
         self._params[name] = t
         return t
 
@@ -1104,38 +1009,6 @@ def _adam(p, m, v, g, tmp, t, lr):
     p -= g
 
 
-def grad_check(f, store, eps=1e-5, names=None):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps the store to a scalar Tensor and must be evaluable repeatedly.
-    Relative error per coordinate is |a - d| / max(|a|, |d|, 1e-12).
-    """
-    analytic = backward(f(store), store)
-    worst = 0.0
-    for name in (names if names is not None else store.names()):
-        p = store[name]
-        a = analytic.get(name)
-        if a is None:
-            a = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        a_flat = np.asarray(a, dtype=np.float64).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(f(store).data)
-            flat[i] = orig - eps
-            lo = float(f(store).data)
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NonFinite(f"non-finite evaluation at {name}[{i}]")
-            d = (hi - lo) / (2.0 * eps)
-            err = abs(a_flat[i] - d) / max(abs(a_flat[i]), abs(d), 1e-12)
-            worst = max(worst, err)
-    if not np.isfinite(worst):
-        raise NonFinite("non-finite gradient-check error")
-    return worst
-
-
 # -- initializers --------------------------------------------------------------
 
 def xavier_uniform(shape, rng):
@@ -1181,8 +1054,7 @@ def save_checkpoint(path, store):
             fh.write(raw)
             fh.write(struct.pack("<BB", tag, arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            dt = "<f4" if tag == _F32_TAG else "<f8"
-            fh.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes())
 
 
 def _read_exact(fh, n):
@@ -1196,7 +1068,8 @@ def _read_exact(fh, n):
 def load_checkpoint(path):
     """Read a checkpoint into an ordered name -> ndarray mapping.
 
-    A file that ends early raises ValueError.
+    A file that ends early, has an unknown dtype tag or holds bytes after
+    its last entry raises ValueError.
     """
     out = {}
     with open(path, "rb") as fh:
@@ -1207,10 +1080,14 @@ def load_checkpoint(path):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
             name = _read_exact(fh, name_len).decode("utf-8")
             tag, rank = struct.unpack("<BB", _read_exact(fh, 2))
+            if tag not in _DTYPES:
+                raise ValueError(f"unknown dtype tag {tag} for {name!r}")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-            dt = np.dtype("<f4") if tag == _F32_TAG else np.dtype("<f8")
+            dt = _DTYPES[tag]
             n = int(np.prod(dims)) if dims else 1
             arr = np.frombuffer(_read_exact(fh, n * dt.itemsize),
                                 dtype=dt).reshape(dims)
             out[name] = arr.astype(dt.base, copy=True)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last checkpoint entry")
     return out

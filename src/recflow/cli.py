@@ -36,7 +36,7 @@ DATA_ERRORS = (pl.DataError, kgm.MissingType, kgm.MalformedRecord,
                flmm.AllSchemasUnreachable, rz.NoCoveringSegmentation,
                rc.LabelNotItem, rc.EmptyTestSet, rc.EmptyTrainingSet,
                sc.EmptyCatalog, sc.IndexOutOfCatalog, OSError)
-NUMERIC_ERRORS = (ad.NonFinite, ad.NonFiniteGradient, ad.NonScalarLoss,
+NUMERIC_ERRORS = (ad.NonFiniteGradient, ad.NonScalarLoss,
                   cf.NonFiniteUpdate, cf.PositionOutOfRange)
 
 

@@ -1,8 +1,8 @@
 """Entity representations over the heterogeneous graph and the attentive
 user-preference encoder.
 
-The relational graph encoder follows the basis-decomposition formulation:
-per layer, node n receives mean-normalized messages per relation plus a
+The relational graph encoder is an R-GCN (Schlichtkrull et al., 2018) in
+its basis-decomposition formulation: per layer, node n receives mean-normalized messages per relation plus a
 self-connection,
 
     h'_n = tanh( sum_r sum_{m in N_r(n)} (1/c_{n,r}) W_r h_m + W_self h_n ),

@@ -130,28 +130,25 @@ class FlowLM:
             raise EmptyTypeClass(type_name)
         return ids
 
-    def allowed_entities(self, type_name, prev_entity=None):
-        """Candidate token ids for a step: the type class, optionally
-        intersected with the hop neighborhood of the previous entity
-        (falling back to the whole class when that intersection is empty)."""
-        return self._step(type_name, prev_entity)[0]
-
     def step_mask(self, type_name, prev_entity=None, target=None):
         """Additive logit mask for one decoding step: a read-only array,
         built once and shared by every step of this type after this entity.
         ``target`` (when given) is kept in support by widening to the type
         class if necessary."""
-        mask = self._step(type_name, prev_entity)[1]
+        mask = self._step(type_name, prev_entity)
         if target is not None and mask[target] != 0.0:
-            mask = self._step(type_name, None)[1]
+            mask = self._step(type_name, None)
         return mask
 
     def _step(self, type_name, prev_entity):
-        """(allowed ids, additive mask) of a step, built on first use."""
+        """The additive mask of a step, built on first use: zero on the type
+        class, optionally intersected with the hop neighborhood of the
+        previous entity (falling back to the whole class when that
+        intersection is empty)."""
         key = (type_name, prev_entity if self.cfg.connectivity_mask else None)
-        cached = self._steps.get(key)
-        if cached is not None:
-            return cached
+        mask = self._steps.get(key)
+        if mask is not None:
+            return mask
         ids = self._type_entities(type_name)
         if key[1] is not None:
             hood = self.hkg.neighborhood(prev_entity, self.cfg.hop_limit)
@@ -161,8 +158,8 @@ class FlowLM:
         mask = np.full(self.vocab_size, ad.MASK_NEG)
         mask[list(ids)] = 0.0
         mask.flags.writeable = False
-        self._steps[key] = cached = (tuple(ids), mask)
-        return cached
+        self._steps[key] = mask
+        return mask
 
     # -- transformer pieces ---------------------------------------------------
     def _attention(self, x, kv, base, tag, mask=None):

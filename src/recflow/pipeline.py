@@ -57,7 +57,7 @@ class SimulatorBundle:
             return flmm.user_prompt(self.flm, entity_ids, self.entity_emb)
 
     def predict_schema(self, e_u, e_v):
-        probs, best = sc.predict_schema(e_u, e_v, self.clf_store, self.catalog)
+        _, best = sc.predict_schema(e_u, e_v, self.clf_store, self.catalog)
         return self.catalog.schemas[best]
 
     def simulate(self, e_u, e_v, rng, dialogue_id="sim", temperature=1.0,
@@ -205,14 +205,23 @@ def read_checkpoint(path, store=None):
     save), is a DataError."""
     try:
         values = ad.load_checkpoint(path)
-        if store is not None:
-            missing = sorted(set(store.names()) - set(values))
-            if missing:
-                raise ValueError(f"no values for {', '.join(missing)}")
-            store.load_values(values)
+    except ValueError as err:
+        raise DataError(f"cannot load checkpoint {path}: {err}") from err
+    if store is not None:
+        _fill(store, values, path)
+    return values
+
+
+def _fill(store, values, path):
+    """Load ``values``, read from checkpoint ``path``, into ``store``; a
+    missing, extra or misshaped value is a DataError."""
+    try:
+        missing = sorted(set(store.names()) - set(values))
+        if missing:
+            raise ValueError(f"no values for {', '.join(missing)}")
+        store.load_values(values)
     except (ValueError, KeyError) as err:
         raise DataError(f"cannot load checkpoint {path}: {err}") from err
-    return values
 
 
 def load_simulator(hkg, train_dialogues, path, cfg):
@@ -232,7 +241,8 @@ def load_simulator(hkg, train_dialogues, path, cfg):
     model = flmm.FlowLM(hkg, cfg, entity_emb.shape[1])
     read_checkpoint(path("flm.ckpt"), model.store)
     clf_store = _classifier_store(cfg, entity_emb.shape[1], len(catalog))
-    read_checkpoint(path("clf.ckpt"), clf_store)
+    _fill(clf_store, sc.classifier_values(read_checkpoint(path("clf.ckpt"))),
+          path("clf.ckpt"))
     bank = rz.build_template_bank(train_dialogues, hkg.base)
     return SimulatorBundle(flm=model, catalog=catalog, clf_store=clf_store,
                            bank=bank, entity_emb=entity_emb, hkg=hkg)

@@ -131,10 +131,6 @@ class RecModel:
         emb.init_attention_params(self.store, d_e, rng=rng, prefix="rec.attn")
         self.store.add("rec.item_bias", np.zeros(len(self.item_ids)))
 
-    @property
-    def num_items(self):
-        return len(self.item_ids)
-
     def entity_embeddings(self):
         return emb.rgcn_forward(self.hkg, self.store,
                                 num_layers=self.num_layers,

@@ -74,42 +74,56 @@ def mine_schemas(type_sequences, min_support=5, max_len=16):
 
 
 CLF_PREFIX = "schema_clf"
+_CLF_NAMES = [f"{CLF_PREFIX}.{n}" for n in ("ff1", "ff1_b", "ff2", "ff2_b")]
 
 
 def init_classifier_params(store, d_e, num_schemas, rng=None):
-    """One-hidden-layer MLP over [e_u, e_v] with a hidden width of 2 * d_e;
-    the output head starts at zero so an untrained classifier is exactly
-    uniform."""
+    """One-hidden-layer tanh MLP over [e_u, e_v] (``autodiff.ffn``) with a
+    hidden width of 2 * d_e; the output head starts at zero so an untrained
+    classifier is exactly uniform."""
     rng = rng or np.random.default_rng(0)
     hidden = 2 * d_e
-    store.add(f"{CLF_PREFIX}.w1", ad.xavier_uniform((hidden, 2 * d_e), rng))
-    store.add(f"{CLF_PREFIX}.b1", np.zeros((1, hidden)))
-    store.add(f"{CLF_PREFIX}.w2", np.zeros((num_schemas, hidden)))
-    store.add(f"{CLF_PREFIX}.b2", np.zeros((1, num_schemas)))
+    ff1, ff1_b, ff2, ff2_b = _CLF_NAMES
+    # drawn as an (out, in) matrix, so the values are those of the layout
+    # that checkpoints from before the ffn rename hold
+    store.add(ff1, ad.xavier_uniform((hidden, 2 * d_e), rng).T)
+    store.add(ff1_b, np.zeros((1, hidden)))
+    store.add(ff2, np.zeros((hidden, num_schemas)))
+    store.add(ff2_b, np.zeros((1, num_schemas)))
     return store
 
 
+def classifier_values(values):
+    """Checkpoint ``values`` of the classifier under the current names. A
+    checkpoint from before the classifier ran on ``ffn`` holds (out, in)
+    matrices ``w1`` and ``w2`` and biases ``b1`` and ``b2``; they come back
+    transposed and renamed. Other values pass through as they are."""
+    old = [f"{CLF_PREFIX}.{n}" for n in ("w1", "b1", "w2", "b2")]
+    if not all(name in values for name in old):
+        return values
+    w1, b1, w2, b2 = (values[name] for name in old)
+    return dict(zip(_CLF_NAMES, (w1.T, b1, w2.T, b2)))
+
+
 def _classifier_logits(pair_matrix, store):
-    h = ad.tanh(pair_matrix @ ad.transpose(store[f"{CLF_PREFIX}.w1"])
-                + store[f"{CLF_PREFIX}.b1"])
-    return (h @ ad.transpose(store[f"{CLF_PREFIX}.w2"])
-            + store[f"{CLF_PREFIX}.b2"])
+    return ad.ffn(pair_matrix, *(store[name] for name in _CLF_NAMES))
 
 
 def predict_schema(e_u, e_v, store, catalog):
-    """Distribution over the catalog plus the argmax schema index.
+    """Distribution over the catalog (an array) plus the argmax schema
+    index, computed without a tape.
 
     Ties break toward the lower catalog index (the catalog is sorted by
     support, so ties prefer the more frequent schema).
     """
     if len(catalog) == 0:
         raise EmptyCatalog("cannot predict over an empty schema catalog")
-    e_u, e_v = ad.as_tensor(e_u), ad.as_tensor(e_v)
-    pair = ad.reshape(ad.concat([e_u, e_v], axis=0), (1, -1))
-    logits = _classifier_logits(pair, store)
-    probs = ad.softmax(logits, axis=-1)
-    best = int(np.argmax(probs.data[0]))
-    return ad.reshape(probs, (-1,)), best
+    pair = np.concatenate([e_u, e_v]).reshape(1, -1)
+    with ad.no_grad():
+        logits = _classifier_logits(pair, store).data[0]
+    e = np.exp(logits - logits.max())
+    probs = e / e.sum()
+    return probs, int(np.argmax(probs))
 
 
 def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
@@ -139,7 +153,7 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
         train_idx = order
 
     def batch_loss(idx):
-        logits = _classifier_logits(ad.Tensor(x[idx]), store)
+        logits = _classifier_logits(x[idx], store)
         return -ad.mean(ad.log_softmax_pick(logits, y[idx]))
 
     best = None

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -335,6 +336,21 @@ def test_evaluate_loads_f32_checkpoint(tmp_path, world_files):
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
 
 
+def test_evaluate_checkpoint_with_an_unknown_dtype_tag_exits_3(tmp_path,
+                                                              world_files):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path,
+                            fast_config(world_files, out, rec_steps=20))
+    assert cli.main(["pretrain-rec", "--config", cfg_path]) == 0
+    blob = bytearray((out / "rec.ckpt").read_bytes())
+    (name_len,) = struct.unpack_from("<I", blob, 8)
+    blob[12 + name_len] = 7  # the first entry's dtype tag
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    assert cli.main(["evaluate", "--config", cfg_path,
+                     "--checkpoint", str(bad)]) == 3
+
+
 @pytest.mark.parametrize("command, override, truncate", [
     ("evaluate", "d_e=16", False),
     ("pretrain-flm", "d_e=16", False),
@@ -419,6 +435,18 @@ def _cut_in_half(path):
     path.write_text(text[:len(text) // 2])
 
 
+def _old_clf_of_half_the_width(path):
+    # the names of a classifier checkpoint from before it ran on ffn, with
+    # the shapes of one for half the config's d_e
+    values = ad.load_checkpoint(path)
+    half = values["schema_clf.ff1"].shape[0] // 2
+    num_schemas = values["schema_clf.ff2_b"].shape[1]
+    ad.save_checkpoint(path, {"schema_clf.w1": np.zeros((half, half)),
+                              "schema_clf.b1": np.zeros((1, half)),
+                              "schema_clf.w2": np.zeros((num_schemas, half)),
+                              "schema_clf.b2": np.zeros((1, num_schemas))})
+
+
 @pytest.mark.parametrize("name, damage", [
     ("catalog.json", _cut_in_half),
     ("catalog.json", lambda p: p.write_text('[{"support": 3}]')),
@@ -428,8 +456,9 @@ def _cut_in_half(path):
      lambda p: p.write_bytes((p.parent / "rec.ckpt").read_bytes())),
     ("sim_emb.ckpt",
      lambda p: ad.save_checkpoint(p, {"entity_emb": np.zeros(16)})),
+    ("clf.ckpt", _old_clf_of_half_the_width),
 ], ids=["truncated", "no-types", "not-a-list", "no-entity-emb",
-        "1d-entity-emb"])
+        "1d-entity-emb", "old-clf-misshaped"])
 def test_simulate_with_corrupt_simulator_file_exits_3(tmp_path, world_files,
                                                       name, damage):
     out = tmp_path / "out"

@@ -150,8 +150,8 @@ def enumerate_pair_gradient(state, sim, rec, reward_fn):
     flows = [[]]
     for j, tname in enumerate(schema):
         flows = [f + [e] for f in flows
-                 for e in sim.flm.allowed_entities(tname,
-                                                   f[-1] if f else None)]
+                 for e in np.flatnonzero(sim.flm.step_mask(
+                     tname, f[-1] if f else None) == 0)]
     probs, rewards, grads = {}, {}, {}
     exact = {n: np.zeros_like(state.store[n].data)
              for n in ("delta_u", "delta_v")}

@@ -6,6 +6,7 @@ import pytest
 from recflow import autodiff as ad
 from recflow import flm as flmm
 from recflow import pipeline as pl
+from recflow import schema as sc
 
 
 def test_saved_simulator_reloads_bit_for_bit(mini, tmp_path):
@@ -30,6 +31,40 @@ def test_saved_simulator_reloads_bit_for_bit(mini, tmp_path):
                          out.schema, out.flow_entities,
                          out.dialogue.to_record()))
         assert outs[0] == outs[1]
+
+
+# the classifier's names and layout before it ran on ``ffn``: (out, in)
+# matrices, then the names they had
+OLD_CLF_NAMES = (("w1", "ff1", True), ("b1", "ff1_b", False),
+                 ("w2", "ff2", True), ("b2", "ff2_b", False))
+
+
+def test_classifier_checkpoint_from_before_ffn_loads_the_same(mini,
+                                                               tmp_path):
+    def path(name):
+        return str(tmp_path / name)
+
+    pl.save_simulator(mini.sim, path)
+    current = pl.load_simulator(mini.hkg, mini.world.train, path,
+                                mini.sim_cfg)
+    values = ad.load_checkpoint(path("clf.ckpt"))
+    old = {}
+    for old_name, name, transposed in OLD_CLF_NAMES:
+        value = values[f"{sc.CLF_PREFIX}.{name}"]
+        old[f"{sc.CLF_PREFIX}.{old_name}"] = value.T if transposed else value
+    ad.save_checkpoint(path("clf.ckpt"), old)
+    upgraded = pl.load_simulator(mini.hkg, mini.world.train, path,
+                                 mini.sim_cfg)
+    assert upgraded.clf_store.names() == current.clf_store.names()
+    for name, p in current.clf_store.items():
+        assert upgraded.clf_store[name].data.tobytes() == p.data.tobytes()
+    for pair in mini.pairs[:4]:
+        e_u = current.prompt(pair.u_entities).data
+        e_v = current.prompt(pair.v_entities).data
+        (p_cur, best_cur), (p_up, best_up) = (
+            sc.predict_schema(e_u, e_v, sim.clf_store, sim.catalog)
+            for sim in (current, upgraded))
+        assert p_up.tobytes() == p_cur.tobytes() and best_up == best_cur
 
 
 def test_failed_catalog_write_keeps_earlier_catalog(mini, tmp_path):

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import chain_ops as co
 import numpy as np
 import pytest
 
@@ -71,11 +72,11 @@ def make_classifier(num_schemas, d_e=4, seed=0):
 def test_predict_zero_weights_uniform():
     cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
     store = make_classifier(len(cat))
-    store["schema_clf.w1"].data = np.zeros_like(store["schema_clf.w1"].data)
+    store["schema_clf.ff1"].data = np.zeros_like(store["schema_clf.ff1"].data)
     rng = np.random.default_rng(0)
     probs, best = sc.predict_schema(rng.normal(size=4), rng.normal(size=4),
                                     store, cat)
-    assert np.allclose(probs.data, np.full(len(cat), 1.0 / len(cat)))
+    assert np.allclose(probs, np.full(len(cat), 1.0 / len(cat)))
     assert best == 0  # tie-break toward catalog order
 
 
@@ -83,7 +84,7 @@ def test_predict_singleton_catalog():
     cat = sc.mine_schemas([("a",)], min_support=1)
     store = make_classifier(1)
     probs, best = sc.predict_schema(np.ones(4), -np.ones(4), store, cat)
-    assert np.allclose(probs.data, [1.0])
+    assert np.allclose(probs, [1.0])
     assert best == 0
 
 
@@ -95,14 +96,14 @@ def test_predict_empty_catalog_raises():
 
 
 def test_predict_matches_hand_computed_softmax():
-    # 2 schemas, d_e = 1, hand-set weights: hidden = tanh(w1 @ [u, v]),
-    # logits = w2 @ hidden
+    # 2 schemas, d_e = 1, hand-set weights: hidden = tanh([u, v] @ ff1),
+    # logits = hidden @ ff2 + ff2_b
     cat = sc.mine_schemas([("a",), ("b",)], min_support=1)
     store = ad.ParamStore()
-    store.add("schema_clf.w1", np.array([[0.5, -1.0], [0.25, 0.75]]))
-    store.add("schema_clf.b1", np.zeros((1, 2)))
-    store.add("schema_clf.w2", np.array([[1.0, 0.0], [0.5, -0.5]]))
-    store.add("schema_clf.b2", np.array([[0.1, -0.2]]))
+    store.add("schema_clf.ff1", np.array([[0.5, 0.25], [-1.0, 0.75]]))
+    store.add("schema_clf.ff1_b", np.zeros((1, 2)))
+    store.add("schema_clf.ff2", np.array([[1.0, 0.5], [0.0, -0.5]]))
+    store.add("schema_clf.ff2_b", np.array([[0.1, -0.2]]))
     u, v = 0.3, -0.6
     h1 = math.tanh(0.5 * u + -1.0 * v)
     h2 = math.tanh(0.25 * u + 0.75 * v)
@@ -112,21 +113,63 @@ def test_predict_matches_hand_computed_softmax():
     expected = np.array([z1, z2]) / (z1 + z2)
 
     probs, best = sc.predict_schema(np.array([u]), np.array([v]), store, cat)
-    assert np.allclose(probs.data, expected, atol=1e-12, rtol=0)
+    assert np.allclose(probs, expected, atol=1e-12, rtol=0)
     assert best == int(np.argmax(expected))
+
+
+def test_predict_returns_an_array_and_records_no_tape(monkeypatch):
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    store = make_classifier(len(cat), seed=5)
+    assert all(p.requires_grad for _, p in store.items())
+    made = []
+    real_make = ad._make
+
+    def recording(data, parents, vjp):
+        made.append(real_make(data, parents, vjp))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "_make", recording)
+    rng = np.random.default_rng(8)
+    probs, best = sc.predict_schema(rng.normal(size=4), rng.normal(size=4),
+                                    store, cat)
+    assert type(probs) is np.ndarray and probs.shape == (len(cat),)
+    assert best == int(np.argmax(probs))
+    assert made
+    assert not any(t.requires_grad or t._parents for t in made)
+
+
+def test_classifier_batch_loss_records_nine_tape_nodes(monkeypatch):
+    # the four parameters, ffn, log_softmax_pick, the mean's sum and scale
+    # and the negation; the op-by-op MLP recorded 15
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    store = make_classifier(len(cat))
+    rng = np.random.default_rng(9)
+    pairs = [(rng.normal(size=4), rng.normal(size=4), i % 3)
+             for i in range(8)]
+    sizes = []
+    real_backward = ad.backward
+
+    def recording(loss, params=None):
+        sizes.append(len(ad._topo_order(loss)))
+        return real_backward(loss, params)
+
+    monkeypatch.setattr(ad, "backward", recording)
+    sc.train_schema_classifier(pairs, store, cat, steps=1, val_fraction=0.0)
+    assert sizes == [9]
 
 
 def test_logit_scaling_keeps_argmax():
     cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
     store = make_classifier(len(cat), seed=5)
     rng = np.random.default_rng(1)
-    store["schema_clf.w2"].data = rng.normal(size=store["schema_clf.w2"].shape)
+    store["schema_clf.ff2"].data = rng.normal(
+        size=store["schema_clf.ff2"].shape)
     u, v = rng.normal(size=4), rng.normal(size=4)
     _, best = sc.predict_schema(u, v, store, cat)
     for scale in (0.5, 3.0, 10.0):
         scaled = make_classifier(len(cat), seed=5)
-        scaled["schema_clf.w1"].data = store["schema_clf.w1"].data.copy()
-        scaled["schema_clf.w2"].data = store["schema_clf.w2"].data * scale
+        scaled["schema_clf.ff1"].data = store["schema_clf.ff1"].data.copy()
+        scaled["schema_clf.ff2"].data = store["schema_clf.ff2"].data * scale
         _, best_scaled = sc.predict_schema(u, v, scaled, cat)
         assert best_scaled == best
 
@@ -140,14 +183,14 @@ def test_train_memorizes_single_pair():
                                val_fraction=0.0)
     probs, best = sc.predict_schema(pairs[0][0], pairs[0][1], store, cat)
     assert best == 1
-    assert probs.data[1] > 0.99
+    assert probs[1] > 0.99
 
 
 def test_untrained_outputs_uniform():
     cat = sc.mine_schemas([("a",), ("b",), ("c",), ("d",)], min_support=1)
     store = make_classifier(len(cat))
     probs, _ = sc.predict_schema(np.ones(4) * 2.0, -np.ones(4), store, cat)
-    assert np.allclose(probs.data, 0.25)
+    assert np.allclose(probs, 0.25)
 
 
 def test_train_separable_two_class():
@@ -180,11 +223,11 @@ def test_classifier_grad_check():
     sc.init_classifier_params(store, d_e=2, num_schemas=3,
                               rng=np.random.default_rng(6))
     rng = np.random.default_rng(7)
-    store["schema_clf.w2"].data = rng.normal(size=(3, 4)) * 0.3
+    store["schema_clf.ff2"].data = rng.normal(size=(4, 3)) * 0.3
     x = np.concatenate([rng.normal(size=2), rng.normal(size=2)])[None, :]
 
     def f(s):
         logits = sc._classifier_logits(ad.Tensor(x), s)
-        return -ad.log_softmax(logits, axis=-1)[0, 1]
+        return -co.take(co.log_softmax(logits, axis=-1), (0, 1))
 
-    assert ad.grad_check(f, store, eps=1e-5) < 1e-4
+    assert co.grad_check(f, store, eps=1e-5) < 1e-4

@@ -96,13 +96,12 @@ _F64 = np.dtype(np.float64)
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_vjp", "requires_grad")
+    __slots__ = ("data", "_parents", "_vjp", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         # the ops' results are f64 arrays already and need no conversion
         self.data = (data if type(data) is np.ndarray and data.dtype is _F64
                      else np.asarray(data, dtype=np.float64))
-        self.grad = None
         self._parents = ()
         self._vjp = None
         self.requires_grad = requires_grad
@@ -550,8 +549,13 @@ def rgcn_layer(h, plan, keep, bases, coeffs, w_self):
     with ``msgs`` the (rows, R*d_in) segment sums of ``h`` under ``plan``
     (each output row's R mean neighbour vectors side by side) and ``w_rel``
     the (R*d_in, d_out) stack of the basis-mixed relation weights
-    ``coeffs @ bases``. ``keep`` picks the output rows' own rows of ``h``;
-    None keeps every row."""
+    ``coeffs @ bases``. ``keep`` picks the output rows' own rows of ``h``
+    (strictly increasing positions, so none is read twice); None keeps
+    every row."""
+    if keep is not None:
+        keep = np.asarray(keep, dtype=np.intp)
+        if not _distinct_rows(keep):
+            raise ValueError("keep must be strictly increasing row positions")
     h, bases, coeffs, w_self = (as_tensor(t) for t in (h, bases, coeffs,
                                                          w_self))
     nb, d_in, d_out = bases.data.shape
@@ -561,8 +565,6 @@ def rgcn_layer(h, plan, keep, bases, coeffs, w_self):
     w_rel = mixed.reshape(num_rel * d_in, d_out)
     sums = plan.apply(h.data)
     msgs = sums.reshape(-1, num_rel * d_in)
-    if keep is not None:
-        keep = np.asarray(keep, dtype=np.intp)
     own = h.data if keep is None else h.data[keep]
     out = np.tanh(own @ w_self.data + msgs @ w_rel)
 
@@ -575,10 +577,8 @@ def rgcn_layer(h, plan, keep, bases, coeffs, w_self):
             # the self path's gradient goes straight into the rows it read
             if keep is None:
                 g_h += g_own
-            elif _distinct_rows(keep):
-                g_h[keep] += g_own
             else:
-                g_h += _scatter_add(h.data, keep, g_own)
+                g_h[keep] += g_own
         if bases.requires_grad or coeffs.requires_grad:
             g_mixed = (msgs.T @ gz).reshape(mixed.shape)
             if coeffs.requires_grad:
@@ -824,31 +824,28 @@ def _topo_order(root):
     return order
 
 
-def backward(loss, params=None):
-    """Accumulate gradients of a scalar ``loss`` back to the leaves.
-
-    Returns a name -> ndarray map for the reachable parameters of ``params``
-    when given, otherwise None; leaf tensors also get their ``.grad`` set.
-    Gradients are not checked for finiteness here: ``optimizer_step`` checks
-    the ones it applies.
+def backward(loss, params):
+    """Gradients of a scalar ``loss`` with respect to the parameters of the
+    store ``params``: a name -> ndarray map, in store order, holding the
+    parameters that ``loss`` reaches. No tensor keeps a gradient after the
+    call. Gradients are not checked for finiteness here: ``optimizer_step``
+    checks the ones it applies.
     """
     if not isinstance(loss, Tensor):
         raise NonScalarLoss("loss must be a Tensor")
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.data.shape}")
-    if params is not None:
-        for p in params._params.values():
-            p.grad = None
     if not loss.requires_grad:
-        return {} if params is not None else None
+        return {}
 
     grads = {loss: np.ones_like(loss.data)}
+    leaves = {}
     for node in reversed(_topo_order(loss)):
         g = grads.pop(node, None)
         if g is None:
             continue
         if node._vjp is None:
-            node.grad = g  # fresh per backward call
+            leaves[node] = g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad or pg is None:
@@ -858,14 +855,7 @@ def backward(loss, params=None):
             else:
                 grads[parent] = pg
 
-    if params is None:
-        return None
-    out = {}
-    for name, p in params.items():
-        if p.grad is not None:
-            out[name] = p.grad
-            p.grad = None
-    return out
+    return {name: leaves[p] for name, p in params.items() if p in leaves}
 
 
 # -- parameters and optimizer ------------------------------------------------

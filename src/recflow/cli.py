@@ -61,6 +61,11 @@ class OutputTracker:
             fh.write(text)
         return full
 
+    def write_jsonl(self, name, records):
+        """One sorted-key JSON line per record; no records, an empty file."""
+        return self.write_text(name, "".join(
+            json.dumps(r, sort_keys=True) + "\n" for r in records))
+
     def write_json(self, name, obj):
         return self.write_text(name, json.dumps(obj, indent=2,
                                                  sort_keys=True) + "\n")
@@ -162,10 +167,11 @@ def _load_or_build_simulator(cfg, ws, rec, tracker):
     return _build_simulator(cfg, ws, rec, tracker)
 
 
-def _write_simulated(tracker, name, realized):
-    lines = [json.dumps(r.dialogue.to_record(), sort_keys=True)
-             for r in realized]
-    tracker.write_text(name, "\n".join(lines) + ("\n" if lines else ""))
+def _response_distinct(dialogues):
+    """Distinct-2/3/4 over the recommender turns of ``dialogues``."""
+    texts = [t.text for d in dialogues for t in d.turns
+             if t.speaker == cp.RECOMMENDER]
+    return {n: rc.distinct_n(texts, n) for n in (2, 3, 4)}
 
 
 def _test_report(ws, rec, simulated):
@@ -175,9 +181,7 @@ def _test_report(ws, rec, simulated):
         if test_samples:
             report = rc.evaluate(rec, test_samples)
     if report is not None and simulated:
-        responses = [t.text for r in simulated for t in r.dialogue.turns
-                     if t.speaker == cp.RECOMMENDER]
-        report.distinct = {n: rc.distinct_n(responses, n) for n in (2, 3, 4)}
+        report.distinct = _response_distinct(r.dialogue for r in simulated)
     return report
 
 
@@ -186,22 +190,15 @@ def _test_report(ws, rec, simulated):
 def cmd_ingest(cfg):
     tracker = OutputTracker(cfg.out_dir, "ingest")
     ws = load_workspace(cfg)
-    flows = pl.corpus_flows(ws.train, ws.kg)
-    flow_lines = []
-    for ex, d in flows:
-        flow_lines.append(json.dumps(
-            {"dialogue_id": d.dialogue_id,
-             "entities": [ws.kg.entity_names[e] for e in ex.entities],
-             "schema": list(ex.schema)}, sort_keys=True))
-    tracker.write_text("flows.jsonl", "\n".join(flow_lines) + "\n")
-    template_lines = []
-    for d in ws.train:
-        for tpl in cp.extract_templates(d, ws.kg):
-            template_lines.append(json.dumps(
-                {"speaker": tpl.speaker, "text": tpl.text,
-                 "signature": list(tpl.signature),
-                 "dialogue_id": tpl.dialogue_id}, sort_keys=True))
-    tracker.write_text("templates.jsonl", "\n".join(template_lines) + "\n")
+    tracker.write_jsonl("flows.jsonl", (
+        {"dialogue_id": d.dialogue_id,
+         "entities": [ws.kg.entity_names[e] for e in ex.entities],
+         "schema": list(ex.schema)}
+        for ex, d in pl.corpus_flows(ws.train, ws.kg)))
+    tracker.write_jsonl("templates.jsonl", (
+        {"speaker": tpl.speaker, "text": tpl.text,
+         "signature": list(tpl.signature), "dialogue_id": tpl.dialogue_id}
+        for d in ws.train for tpl in cp.extract_templates(d, ws.kg)))
     tracker.write_json("interactions.json",
                        cp.derive_interactions(ws.train))
     stats = {"dialogues": len(ws.train),
@@ -275,10 +272,9 @@ def _run_training(cfg, arm):
                                       real_train, val_samples, tc)
         final_name = "rec_eda.ckpt"
     ad.save_checkpoint(tracker.path(final_name), rec.store)
-    tracker.write_text("train_log.jsonl",
-                       "\n".join(json.dumps(e, sort_keys=True)
-                                 for e in log) + "\n")
-    _write_simulated(tracker, "simulated.jsonl", simulated)
+    tracker.write_jsonl("train_log.jsonl", log)
+    tracker.write_jsonl("simulated.jsonl",
+                        (r.dialogue.to_record() for r in simulated))
     report = _test_report(ws, rec, simulated)
     if report is not None:
         tracker.write_text("metrics_test.json", report.to_json() + "\n")
@@ -320,10 +316,9 @@ def cmd_simulate(cfg):
             "response": {"flow": [ws.kg.entity_names[e]
                                   for e in out.flow_entities],
                          "dialogue": out.dialogue.to_record()}})
-    _write_simulated(tracker, "simulated.jsonl", realized)
-    tracker.write_text("simulate_log.jsonl",
-                       "\n".join(json.dumps(r, sort_keys=True)
-                                 for r in requests) + "\n")
+    tracker.write_jsonl("simulated.jsonl",
+                        (r.dialogue.to_record() for r in realized))
+    tracker.write_jsonl("simulate_log.jsonl", requests)
     tracker.finalize(cfg)
     print(f"simulated {len(realized)} dialogues")
     return 0
@@ -346,9 +341,7 @@ def cmd_evaluate(cfg, checkpoint=None, responses=None):
     test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
     report = rc.evaluate(rec, test_samples)
     if responses:
-        texts = [t.text for d in cp.load_dialogues_file(responses)
-                 for t in d.turns if t.speaker == cp.RECOMMENDER]
-        report.distinct = {n: rc.distinct_n(texts, n) for n in (2, 3, 4)}
+        report.distinct = _response_distinct(cp.load_dialogues_file(responses))
     tracker.write_text("metrics_test.json", report.to_json() + "\n")
     tracker.finalize(cfg)
     print(report.format_table(os.path.basename(ckpt)))

@@ -49,10 +49,9 @@ import numpy as np
 from . import autodiff as ad
 
 
-def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
-                     rng=None, prefix="rgcn"):
+def init_rgcn_params(store, hkg, d_e, rng, num_layers=1, num_bases=8,
+                     prefix="rgcn"):
     """Register the node table and per-layer relational weights."""
-    rng = rng or np.random.default_rng(0)
     num_rel = len(hkg.rgcn_relations())
     if num_bases > num_rel:
         raise ValueError(f"num_bases {num_bases} exceeds relation count {num_rel}")
@@ -69,8 +68,9 @@ def init_rgcn_params(store, hkg, d_e, num_layers=1, num_bases=8,
 
 
 def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", rows=None):
-    """Return the R-GCN embeddings of the node ids ``rows``, in their order,
-    or the (num_nodes, d_e) table when ``rows`` is None.
+    """Return the R-GCN embeddings of the node ids ``rows``, which must be
+    strictly increasing, or the (num_nodes, d_e) table when ``rows`` is
+    None.
 
     Differentiable w.r.t. the node table and all layer weights in ``store``.
     A row set computes only the rows it needs, layer by layer
@@ -81,21 +81,19 @@ def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", rows=None):
         layers = [(hkg.rgcn_plan(), None)] * num_layers
     else:
         rows = np.asarray(rows, dtype=np.intp)
-        need = rows if (rows[1:] > rows[:-1]).all() else np.unique(rows)
-        layers = hkg.rgcn_layer_plans(need, num_layers)
+        if not (rows[1:] > rows[:-1]).all():
+            raise ValueError("rows must be strictly increasing node ids")
+        layers = hkg.rgcn_layer_plans(rows, num_layers)
         if not layers:
-            h = ad.rows(h, need)
+            h = ad.rows(h, rows)
     for layer, (plan, keep) in enumerate(layers):
         h = ad.rgcn_layer(h, plan, keep,
                           *(store[f"{prefix}.l{layer}.{w}"]
                             for w in ("bases", "coeffs", "w_self")))
-    if rows is not None and need is not rows:
-        h = ad.rows(h, np.searchsorted(need, rows))
     return h
 
 
-def init_attention_params(store, d_e, rng=None, prefix="attn"):
-    rng = rng or np.random.default_rng(0)
+def init_attention_params(store, d_e, rng, prefix="attn"):
     store.add(f"{prefix}.w", ad.xavier_uniform((d_e, d_e), rng))
     store.add(f"{prefix}.b", ad.xavier_uniform((d_e, 1), rng))
     return store

@@ -32,6 +32,10 @@ from . import autodiff as ad
 from . import embeddings as emb
 from .kg import sample_path
 
+# consecutive schemas that may fail to yield a path before
+# ``sample_pseudo_flow`` gives the catalog up as unreachable
+MAX_SCHEMA_TRIES = 200
+
 
 class AllSchemasUnreachable(RuntimeError):
     pass
@@ -62,6 +66,19 @@ class FlowExample:
     schema: tuple
     seeker_entities: list
     recommender_entities: list
+
+    @classmethod
+    def from_roles(cls, entities, schema, to_seeker):
+        """The example whose seeker list holds the entities at the positions
+        where ``to_seeker`` is true and whose recommender list holds the
+        rest, each without repeats, in flow order."""
+        seeker, rec = [], []
+        for eid, is_seeker in zip(entities, to_seeker):
+            bucket = seeker if is_seeker else rec
+            if eid not in bucket:
+                bucket.append(eid)
+        return cls(entities=list(entities), schema=tuple(schema),
+                   seeker_entities=seeker, recommender_entities=rec)
 
 
 class FlowLM:
@@ -280,7 +297,7 @@ def flow_log_probs_batch(flm, e_u, e_v, schema, flows):
 
 
 def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
-                         temperature=1.0, greedy=False):
+                         temperature=1.0):
     """Decode ``count`` flows in parallel for one pair of prompt arrays
     ``e_u``, ``e_v`` and a schema.
 
@@ -290,7 +307,7 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
     masking on, consecutive entities stay within hop_limit of each other
     whenever the graph allows it.
     """
-    if not greedy and temperature <= 0:
+    if temperature <= 0:
         raise ValueError("temperature must be positive when sampling")
     for t in schema:
         flm._type_entities(t)  # EmptyTypeClass early
@@ -307,31 +324,25 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
                 masks = np.stack([flm.step_mask(tname, prev_entity=int(p))
                                   for p in tokens[:, -1]])
                 masked = logits + masks
-            if greedy:
-                nxt = np.argmax(masked, axis=-1)
-            else:
-                gumbel = -np.log(-np.log(
-                    rng.uniform(size=masked.shape)))
-                nxt = np.argmax(masked / temperature + gumbel, axis=-1)
+            gumbel = -np.log(-np.log(rng.uniform(size=masked.shape)))
+            nxt = np.argmax(masked / temperature + gumbel, axis=-1)
             tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
     return [list(map(int, row)) for row in tokens[:, 1:]]
 
 
-def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2, retry_budget=50,
-                       max_schema_tries=200):
+def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2):
     """Draw a schema uniformly, sample a graph path for it, and split the
     entities into two preference groups.
 
     Schemas that cannot produce a path are resampled; after
-    ``max_schema_tries`` consecutive failures the catalog is considered
+    ``MAX_SCHEMA_TRIES`` consecutive failures the catalog is considered
     unreachable as a whole.
     """
     if len(catalog) == 0:
         raise AllSchemasUnreachable("empty schema catalog")
-    for _ in range(max_schema_tries):
+    for _ in range(MAX_SCHEMA_TRIES):
         schema = catalog.schemas[int(rng.integers(len(catalog)))]
-        flow = sample_path(hkg, schema, rng, retry_budget=retry_budget,
-                           hop_limit=hop_limit)
+        flow = sample_path(hkg, schema, rng, hop_limit=hop_limit)
         if flow is None:
             continue
         n = len(flow)
@@ -343,15 +354,9 @@ def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2, retry_budget=50,
                 groups = rng.integers(0, 2, size=n) == 0
                 if groups.any() and not groups.all():
                     break
-        seeker, rec = [], []
-        for eid, to_seeker in zip(flow, groups):
-            bucket = seeker if to_seeker else rec
-            if eid not in bucket:
-                bucket.append(eid)
-        return FlowExample(entities=flow, schema=tuple(schema),
-                           seeker_entities=seeker, recommender_entities=rec)
+        return FlowExample.from_roles(flow, schema, groups)
     raise AllSchemasUnreachable(
-        f"no schema produced a path in {max_schema_tries} tries")
+        f"no schema produced a path in {MAX_SCHEMA_TRIES} tries")
 
 
 def user_prompts(flm, id_lists, entity_emb):

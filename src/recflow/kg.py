@@ -319,13 +319,17 @@ def attach_users(kg, interactions):
     return HeterogeneousKG(base=kg, users=users, interactions=resolved)
 
 
-def sample_path(hkg, schema, rng, retry_budget=50, hop_limit=2):
+# attempts ``sample_path`` makes before it gives a schema up
+PATH_RETRIES = 50
+
+
+def sample_path(hkg, schema, rng, hop_limit=2):
     """Sample an entity sequence matching ``schema`` (type names) such that
     consecutive entities are within ``hop_limit`` undirected base-graph edges.
 
     Rejection sampling: uniform candidate choice per position, restart on a
-    dead end. Returns the entity-id list, or None when the retry budget is
-    exhausted (the schema is treated as unreachable and the caller picks
+    dead end. Returns the entity-id list, or None after ``PATH_RETRIES``
+    dead ends (the schema is treated as unreachable and the caller picks
     another one).
     """
     if not schema:
@@ -336,7 +340,7 @@ def sample_path(hkg, schema, rng, retry_budget=50, hop_limit=2):
     candidates0 = kg.entities_of_type(schema[0])  # raises UnknownType
     type_ids = [kg.type_id(t) for t in schema]
 
-    for _ in range(retry_budget):
+    for _ in range(PATH_RETRIES):
         if not candidates0:
             return None
         flow = [candidates0[rng.integers(len(candidates0))]]

@@ -87,15 +87,8 @@ def corpus_flows(dialogues, kg, max_len=None):
             entities = entities[:max_len]
             schema = schema[:max_len]
             speakers = speakers[:max_len]
-        seeker, rec = [], []
-        for eid, role in zip(entities, speakers):
-            bucket = seeker if role == cp.SEEKER else rec
-            if eid not in bucket:
-                bucket.append(eid)
-        out.append((flmm.FlowExample(entities=list(entities),
-                                     schema=tuple(schema),
-                                     seeker_entities=seeker,
-                                     recommender_entities=rec), d))
+        out.append((flmm.FlowExample.from_roles(
+            entities, schema, [role == cp.SEEKER for role in speakers]), d))
     return out
 
 
@@ -137,14 +130,13 @@ def _classifier_store(cfg, d_e, num_schemas):
     return store
 
 
-def build_simulator(hkg, train_dialogues, entity_emb, cfg=None):
+def build_simulator(hkg, train_dialogues, entity_emb, cfg):
     """Mine schemas, pre-train the flow model on real + pseudo flows, train
     the schema classifier, and collect the template bank.
 
     ``entity_emb`` is the frozen node table (from the pre-trained
     recommender); the simulator never writes it.
     """
-    cfg = cfg or SimulatorConfig()
     kg = hkg.base
     rng = np.random.default_rng(cfg.seed)
     real = corpus_flows(train_dialogues, kg, max_len=cfg.max_len)

@@ -45,26 +45,25 @@ class RecSample:
 class TemplateBank:
     """Templates indexed by slot signature, with role grouping.
 
-    When ``add_fallbacks`` is set, a single-slot template is synthesized for
-    every type in ``type_names`` so that any schema can be tiled; fallback
-    use is logged.
+    A single-slot fallback template is synthesized for every type in
+    ``type_names`` so that any schema over those types can be tiled;
+    fallback use is logged.
     """
 
-    def __init__(self, templates, type_names=(), add_fallbacks=True):
+    def __init__(self, templates, type_names=()):
         self.templates = list(templates)
         self.fallback_ids = set()
-        if add_fallbacks:
-            for tname in type_names:
-                if tname == ITEM_TYPE:
-                    text_parts = ("What about ", "?")
-                    role = cp.RECOMMENDER
-                else:
-                    text_parts = ("I am interested in ", ".")
-                    role = cp.SEEKER
-                self.fallback_ids.add(len(self.templates))
-                self.templates.append(cp.Template(
-                    speaker=role, segments=text_parts, signature=(tname,),
-                    dialogue_id="fallback"))
+        for tname in type_names:
+            if tname == ITEM_TYPE:
+                text_parts = ("What about ", "?")
+                role = cp.RECOMMENDER
+            else:
+                text_parts = ("I am interested in ", ".")
+                role = cp.SEEKER
+            self.fallback_ids.add(len(self.templates))
+            self.templates.append(cp.Template(
+                speaker=role, segments=text_parts, signature=(tname,),
+                dialogue_id="fallback"))
         by_signature = {}
         for i, tpl in enumerate(self.templates):
             if tpl.signature:
@@ -79,10 +78,9 @@ class TemplateBank:
         self.max_signature = max((len(s) for s in self.pools), default=0)
 
 
-def build_template_bank(dialogues, kg, add_fallbacks=True):
+def build_template_bank(dialogues, kg):
     templates = [tpl for d in dialogues for tpl in cp.extract_templates(d, kg)]
-    return TemplateBank(templates, type_names=kg.type_names,
-                        add_fallbacks=add_fallbacks)
+    return TemplateBank(templates, type_names=kg.type_names)
 
 
 def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",

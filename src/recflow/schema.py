@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import recommender as rc
 
 
 class EmptyCatalog(ValueError):
@@ -77,11 +78,10 @@ CLF_PREFIX = "schema_clf"
 _CLF_NAMES = [f"{CLF_PREFIX}.{n}" for n in ("ff1", "ff1_b", "ff2", "ff2_b")]
 
 
-def init_classifier_params(store, d_e, num_schemas, rng=None):
+def init_classifier_params(store, d_e, num_schemas, rng):
     """One-hidden-layer tanh MLP over [e_u, e_v] (``autodiff.ffn``) with a
     hidden width of 2 * d_e; the output head starts at zero so an untrained
     classifier is exactly uniform."""
-    rng = rng or np.random.default_rng(0)
     hidden = 2 * d_e
     ff1, ff1_b, ff2, ff2_b = _CLF_NAMES
     # drawn as an (out, in) matrix, so the values are those of the layout
@@ -126,14 +126,19 @@ def predict_schema(e_u, e_v, store, catalog):
     return probs, int(np.argmax(probs))
 
 
+# share of the classifier's pairs held out for picking its snapshot
+VAL_FRACTION = 0.1
+
+
 def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
-                            val_fraction=0.1, seed=0):
+                            seed=0):
     """Cross-entropy training of the schema classifier.
 
     ``pairs`` is a list of (e_u, e_v, gold_index); ``store`` holds the
-    classifier's parameters alone (``init_classifier_params``). Loads the
-    best-validation snapshot back into ``store`` and returns the loss
-    history.
+    classifier's parameters alone (``init_classifier_params``). Every 20
+    steps it measures the loss on the held-out ``VAL_FRACTION`` of the
+    pairs; it loads the snapshot with the lowest one back into ``store``
+    and returns the training loss history.
     """
     if len(catalog) == 0:
         raise EmptyCatalog("cannot train against an empty catalog")
@@ -146,7 +151,7 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
                   for u, v, _ in pairs])
     y = np.array([g for _, _, g in pairs], dtype=np.intp)
     n = len(pairs)
-    n_val = int(n * val_fraction)
+    n_val = int(n * VAL_FRACTION)
     order = rng.permutation(n)
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) == 0:
@@ -156,8 +161,8 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
         logits = _classifier_logits(x[idx], store)
         return -ad.mean(ad.log_softmax_pick(logits, y[idx]))
 
-    best = None
-    best_val = np.inf
+    # patience never runs out: the rule only keeps the best snapshot
+    best = rc.EarlyStopping(store, patience=np.inf)
     history = []
     for step in range(steps):
         idx = train_idx[rng.integers(0, len(train_idx),
@@ -167,10 +172,6 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
         history.append(loss.item())
         if len(val_idx) and (step + 1) % 20 == 0:
             with ad.no_grad():
-                v = batch_loss(val_idx).item()
-            if v < best_val:
-                best_val = v
-                best = store.values_dict()
-    if best is not None:
-        store.load_values(best)
+                best.update(-batch_loss(val_idx).item())
+    best.restore()
     return history

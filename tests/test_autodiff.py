@@ -553,7 +553,7 @@ def test_rgcn_rows_are_bit_equal_to_reduceat_sub_plans(num_layers,
                            actors_per_cluster=4, directors_per_cluster=2,
                            num_dialogues=40)
     hkg = world.hkg()
-    rows = [5, 60, 3, 5, hkg.num_nodes - 1]
+    rows = [3, 5, 60, hkg.num_nodes - 1]
 
     def run():
         store = ad.ParamStore()
@@ -872,12 +872,12 @@ def _chain_item_scores(ctx, table, items, bias):
 
 
 @pytest.mark.parametrize("computed", [False, True])
-@pytest.mark.parametrize("rows", [None, [5, 60, 3, 5, -1]])
+@pytest.mark.parametrize("rows", [None, [3, 5, 60, -1]])
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_rgcn_layer_is_bit_equal_to_the_chain(num_layers, rows, computed,
                                               monkeypatch):
-    # the whole table, or rows unsorted with a repeat; the node table as a
-    # parameter, or computed from one
+    # the whole table, or increasing rows up to the last node; the node
+    # table as a parameter, or computed from one
     world = syn.make_world(seed=1, num_clusters=2, items_per_cluster=12,
                            actors_per_cluster=4, directors_per_cluster=2,
                            num_dialogues=40)
@@ -918,9 +918,9 @@ def _layer_plan(rng, n, num_rel, num_out, edges=40):
                           rng.uniform(0.1, 1.0, edges), num_out * num_rel, n)
 
 
-@pytest.mark.parametrize("keep", [[0, 2, 3, 7], [4, 1, 4, 8, 0]])
+@pytest.mark.parametrize("keep", [[0, 2, 3, 7], [1, 4, 8]])
 def test_rgcn_layer_keeping_any_rows_is_bit_equal_to_the_chain(keep):
-    # increasing rows scatter with +=, repeated ones through a bincount
+    # the kept rows' self-path gradients scatter with +=
     rng = np.random.default_rng(48)
     store = _layer_store(rng, n=9, d=4, num_rel=3)
     plan = _layer_plan(rng, 9, 3, len(keep))
@@ -930,7 +930,7 @@ def test_rgcn_layer_keeping_any_rows_is_bit_equal_to_the_chain(keep):
          store["w_self"]))
 
 
-@pytest.mark.parametrize("keep", [None, [4, 1, 4, 8, 0]])
+@pytest.mark.parametrize("keep", [None, [1, 4, 8]])
 def test_rgcn_layer_gradients(keep):
     rng = np.random.default_rng(49)
     store = _layer_store(rng, n=9, d=3, num_rel=3)
@@ -942,6 +942,17 @@ def test_rgcn_layer_gradients(keep):
                                            s["coeffs"], s["w_self"]) * w)
 
     assert co.grad_check(f, store, eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("keep", [[4, 1, 4, 8, 0], [1, 4, 4, 8]])
+def test_rgcn_layer_rejects_rows_that_are_not_increasing(keep):
+    # a repeated or unsorted keep would read one row twice or out of order
+    rng = np.random.default_rng(49)
+    store = _layer_store(rng, n=9, d=3, num_rel=3)
+    plan = _layer_plan(rng, 9, 3, len(keep))
+    with pytest.raises(ValueError):
+        ad.rgcn_layer(store["h"], plan, keep, store["bases"],
+                      store["coeffs"], store["w_self"])
 
 
 @pytest.mark.parametrize("computed", [False, True])
@@ -1053,11 +1064,10 @@ def test_frozen_store_gets_no_gradient_and_the_rest_is_unchanged():
         return ad.tensor_sum(co.tanh(edit["d"] @ model["w"]) * edit["d"])
 
     free = ad.backward(loss(), edit)
-    assert model["w"].grad is not None
-    model["w"].grad = None
+    assert ad.backward(loss(), model).keys() == {"w"}
     with ad.frozen(model):
         fixed = ad.backward(loss(), edit)
-    assert model["w"].grad is None
+        assert ad.backward(loss(), model) == {}
     assert fixed["d"].tobytes() == free["d"].tobytes()
 
 

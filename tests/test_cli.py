@@ -215,17 +215,30 @@ def test_manifest_lists_every_output_no_orphans(tmp_path, world_files):
     assert on_disk <= listed | {"manifest.json"}
 
 
-def test_train_zero_courses_keeps_pretrained_checkpoint(tmp_path,
-                                                        world_files):
-    out = tmp_path / "out"
-    cfg = fast_config(world_files, out, courses=0)
-    assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+@pytest.fixture(scope="module")
+def zero_course_out(tmp_path_factory, world_files):
+    """The output directory of one ``train`` with no courses."""
+    root = tmp_path_factory.mktemp("zero_courses")
+    cfg = fast_config(world_files, root / "out", courses=0)
+    assert cli.main(["train", "--config", write_config(root, cfg)]) == 0
+    return root / "out"
+
+
+def test_train_zero_courses_keeps_pretrained_checkpoint(zero_course_out):
+    out = zero_course_out
     base = (out / "rec.ckpt").read_bytes()
     final = (out / "rec_final.ckpt").read_bytes()
     assert base == final
     manifest = read_manifest(out)
     assert "rec.ckpt" in manifest["outputs"]
     assert "rec_final.ckpt" in manifest["outputs"]
+
+
+def test_train_zero_courses_writes_empty_jsonl_files(zero_course_out):
+    # no records is an empty file, not a lone newline that json.loads
+    # rejects as a line
+    for name in ("train_log.jsonl", "simulated.jsonl"):
+        assert (zero_course_out / name).read_text() == "", name
 
 
 def test_train_pipeline_and_artifacts(tmp_path, world_files):

@@ -129,7 +129,7 @@ def tiny_sim(seed=0, head_scale=0.6, catalog_schema=("genre", "item")):
     clf_store = ad.ParamStore()
     sc.init_classifier_params(clf_store, d_e=5, num_schemas=1,
                               rng=np.random.default_rng(seed))
-    bank = rz.TemplateBank([], type_names=g.type_names, add_fallbacks=True)
+    bank = rz.TemplateBank([], type_names=g.type_names)
     entity_emb = np.random.default_rng(seed + 20).normal(
         size=(hkg.num_nodes, 5)) * 0.5
     sim = pl.SimulatorBundle(flm=model, catalog=catalog, clf_store=clf_store,
@@ -268,17 +268,26 @@ def test_frozen_simulator_gives_the_same_gradient_bytes(monkeypatch):
     # reinforce_step freezes the simulator's stores; differentiating them
     # anyway must not change a bit of the edit gradient or the update
     results = []
+    real_backward = ad.backward
     for freeze in (True, False):
         if not freeze:
             monkeypatch.setattr(ad, "frozen",
                                 lambda *stores: contextlib.nullcontext())
         sim, rec, pair = tiny_sim()
+        touched = []
+
+        def recording(loss, params):
+            # the simulator parameters on the objective's tape
+            tape = set(ad._topo_order(loss))
+            touched.extend(n for n, p in sim.flm.store.items() if p in tape)
+            return real_backward(loss, params)
+
+        monkeypatch.setattr(ad, "backward", recording)
         state = cf.make_edit_state(pair, 2, 5, np.random.default_rng(0))
         init = np.random.default_rng(6).normal(size=(2, state.k, 5)) * 0.3
         state.store["delta_u"].data, state.store["delta_v"].data = init
         stats = cf.reinforce_step(state, sim, rec, 0.1, 0.05, rollouts=4,
                                   rng=np.random.default_rng(17))
-        touched = [n for n, p in sim.flm.store.items() if p.grad is not None]
         results.append((stats["gradient"], state.store.values_dict(),
                         touched))
         assert all(p.requires_grad for store in (sim.flm.store, sim.clf_store)

@@ -16,9 +16,15 @@ def movie_kg():
                        [f"{e}\t{t}" for e, t in MOVIE_TYPES.items()])
 
 
-def bank_from(records, kg, **kwargs):
+def bank_from(records, kg):
     dialogues = cp.load_dialogues([json.dumps(r) for r in records])
-    return rz.build_template_bank(dialogues, kg, **kwargs)
+    return rz.build_template_bank(dialogues, kg)
+
+
+def bank_without_fallbacks(records, kg):
+    dialogues = cp.load_dialogues([json.dumps(r) for r in records])
+    return rz.TemplateBank([tpl for d in dialogues
+                            for tpl in cp.extract_templates(d, kg)])
 
 
 def test_realize_two_turn_movie_dialogue(movie_kg):
@@ -26,7 +32,7 @@ def test_realize_two_turn_movie_dialogue(movie_kg):
         ("seeker", "I love all kinds of comedy movies.", ["comedy"]),
         ("recommender", "Have you seen 21 Jump Street?", ["21 Jump Street"]),
     ])]
-    bank = bank_from(records, movie_kg, add_fallbacks=False)
+    bank = bank_without_fallbacks(records, movie_kg)
     flow = [movie_kg.entity_id("comedy"), movie_kg.entity_id("21 Jump Street")]
     out = rz.realize(flow, ("genre", "item"), bank, movie_kg,
                      np.random.default_rng(0), dialogue_id="sim-0")
@@ -51,7 +57,7 @@ def test_realize_single_slot_bank_round_trip(movie_kg):
         ("recommender", "Watch Superbad!", ["Superbad"]),
         ("seeker", "Jonah Hill rocks.", ["Jonah Hill"]),
     ])]
-    bank = bank_from(records, movie_kg, add_fallbacks=False)
+    bank = bank_without_fallbacks(records, movie_kg)
     schema = ("genre", "item", "actor", "genre", "item")
     flow = [movie_kg.entity_id(n) for n in
             ("comedy", "21 Jump Street", "Jonah Hill", "comedy", "Superbad")]
@@ -69,7 +75,7 @@ def test_realize_prefers_longest_signature(movie_kg):
         ("recommender", "Since you like comedy, watch Superbad!",
          ["comedy", "Superbad"]),
     ])]
-    bank = bank_from(records, movie_kg, add_fallbacks=False)
+    bank = bank_without_fallbacks(records, movie_kg)
     flow = [movie_kg.entity_id("comedy"), movie_kg.entity_id("21 Jump Street")]
     out = rz.realize(flow, ("genre", "item"), bank, movie_kg,
                      np.random.default_rng(2))
@@ -80,14 +86,14 @@ def test_realize_prefers_longest_signature(movie_kg):
 
 def test_realize_no_covering_segmentation_without_fallbacks(movie_kg):
     records = [mk_dialogue("src", [("seeker", "I love comedy.", ["comedy"])])]
-    bank = bank_from(records, movie_kg, add_fallbacks=False)
+    bank = bank_without_fallbacks(records, movie_kg)
     with pytest.raises(rz.NoCoveringSegmentation):
         rz.realize([movie_kg.entity_id("Superbad")], ("item",), bank,
                    movie_kg, np.random.default_rng(0))
 
 
 def test_realize_fallbacks_cover_any_schema(movie_kg):
-    bank = bank_from([], movie_kg, add_fallbacks=True)
+    bank = bank_from([], movie_kg)
     schema = ("actor", "item")
     flow = [movie_kg.entity_id("Jonah Hill"), movie_kg.entity_id("Superbad")]
     out = rz.realize(flow, schema, bank, movie_kg, np.random.default_rng(0))
@@ -99,7 +105,7 @@ def test_realize_fallbacks_cover_any_schema(movie_kg):
 
 
 def test_realize_faithfulness_over_random_flows(movie_kg):
-    bank = bank_from([two_turn_example()], movie_kg, add_fallbacks=True)
+    bank = bank_from([two_turn_example()], movie_kg)
     rng = np.random.default_rng(33)
     type_pool = {t: movie_kg.entities_of_type(t)
                  for t in movie_kg.type_names}
@@ -115,7 +121,7 @@ def test_realize_faithfulness_over_random_flows(movie_kg):
 
 
 def test_realized_turns_map_to_bank_templates(movie_kg):
-    bank = bank_from([two_turn_example()], movie_kg, add_fallbacks=True)
+    bank = bank_from([two_turn_example()], movie_kg)
     rng = np.random.default_rng(4)
     flow = [movie_kg.entity_id("comedy"), movie_kg.entity_id("Superbad")]
     out = rz.realize(flow, ("genre", "item"), bank, movie_kg, rng)
@@ -177,7 +183,7 @@ def test_realize_optional_chitchat_interleaving(movie_kg):
         ("seeker", "I love comedy.", ["comedy"]),
         ("recommender", "Watch Superbad!", ["Superbad"]),
     ])]
-    bank = bank_from(records, movie_kg, add_fallbacks=False)
+    bank = bank_without_fallbacks(records, movie_kg)
     flow = [movie_kg.entity_id("comedy"), movie_kg.entity_id("Superbad")]
     # the bank holds a mention-free template, but no mention-free turn
     # appears
@@ -188,7 +194,7 @@ def test_realize_optional_chitchat_interleaving(movie_kg):
 
 
 def test_rec_sample_label_never_in_context(movie_kg):
-    bank = bank_from([two_turn_example()], movie_kg, add_fallbacks=True)
+    bank = bank_from([two_turn_example()], movie_kg)
     rng = np.random.default_rng(9)
     items = movie_kg.entities_of_type("item")
     for _ in range(100):

@@ -154,7 +154,7 @@ def test_classifier_batch_loss_records_nine_tape_nodes(monkeypatch):
         return real_backward(loss, params)
 
     monkeypatch.setattr(ad, "backward", recording)
-    sc.train_schema_classifier(pairs, store, cat, steps=1, val_fraction=0.0)
+    sc.train_schema_classifier(pairs, store, cat, steps=1)
     assert sizes == [9]
 
 
@@ -179,8 +179,7 @@ def test_train_memorizes_single_pair():
     store = make_classifier(len(cat))
     rng = np.random.default_rng(2)
     pairs = [(rng.normal(size=4), rng.normal(size=4), 1)]
-    sc.train_schema_classifier(pairs, store, cat, steps=200, lr=0.05,
-                               val_fraction=0.0)
+    sc.train_schema_classifier(pairs, store, cat, steps=200, lr=0.05)
     probs, best = sc.predict_schema(pairs[0][0], pairs[0][1], store, cat)
     assert best == 1
     assert probs[1] > 0.99
@@ -193,7 +192,9 @@ def test_untrained_outputs_uniform():
     assert np.allclose(probs, 0.25)
 
 
-def test_train_separable_two_class():
+def test_train_separable_two_class(monkeypatch):
+    # every pair trains, none is held out
+    monkeypatch.setattr(sc, "VAL_FRACTION", 0.0)
     cat = sc.mine_schemas([("a",), ("b",)], min_support=1)
     store = make_classifier(len(cat), d_e=2)
     rng = np.random.default_rng(4)
@@ -202,8 +203,7 @@ def test_train_separable_two_class():
         offset = rng.normal(size=2) * 0.1
         pairs.append((np.array([2.0, 0.0]) + offset, offset, 0))
         pairs.append((np.array([-2.0, 0.0]) + offset, offset, 1))
-    sc.train_schema_classifier(pairs, store, cat, steps=400, lr=0.05,
-                               val_fraction=0.0)
+    sc.train_schema_classifier(pairs, store, cat, steps=400, lr=0.05)
     correct = 0
     for u, v, gold in pairs:
         _, best = sc.predict_schema(u, v, store, cat)

@@ -1,14 +1,8 @@
 from types import SimpleNamespace
 
-import tempfile
-from pathlib import Path
-
 import chain_ops as co
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from recflow import autodiff as ad
 from recflow import embeddings as emb
@@ -304,33 +298,6 @@ def test_checkpoint_preserves_float32(tmp_path):
     ad.save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
     loaded = ad.load_checkpoint(path)
     assert loaded["w"].dtype == np.float32
-
-
-@st.composite
-def raw_float_arrays(draw):
-    """f32 or f64 arrays of any bit pattern (NaN payloads, -0.0,
-    subnormals), 0-d and zero-size shapes included."""
-    dtype = draw(st.sampled_from([np.dtype("<f4"), np.dtype("<f8")]))
-    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
-                                  max_side=3))
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    raw = draw(st.binary(min_size=nbytes, max_size=nbytes))
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-
-
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(store=st.dictionaries(st.text(max_size=8), raw_float_arrays(),
-                             max_size=4))
-def test_checkpoint_round_trips_names_dtypes_shapes_and_bits(store):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "p.ckpt"
-        ad.save_checkpoint(path, store)
-        loaded = ad.load_checkpoint(path)
-    assert list(loaded) == list(store)
-    for name, arr in store.items():
-        assert loaded[name].dtype == arr.dtype
-        assert loaded[name].shape == arr.shape
-        assert loaded[name].tobytes() == arr.tobytes()
 
 
 def test_truncated_checkpoint_raises_value_error(tmp_path):

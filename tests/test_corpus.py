@@ -1,8 +1,6 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from recflow import corpus as cp
 from recflow import kg as kgm
@@ -162,19 +160,6 @@ def test_template_round_trip_reproduces_source(movie_kg):
         text, spans = tpl.fill(list(tpl.surfaces))
         assert text == turn.text
         assert spans == [(m.start, m.end) for m in turn.mentions]
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(data=st.data())
-def test_fill_spans_slice_their_own_values(data):
-    values = data.draw(st.lists(st.text(max_size=6), max_size=4))
-    segments = data.draw(st.lists(st.text(max_size=6),
-                                  min_size=len(values) + 1,
-                                  max_size=len(values) + 1))
-    tpl = cp.Template(speaker=cp.SEEKER, segments=tuple(segments),
-                      signature=("item",) * len(values), dialogue_id="d")
-    text, spans = tpl.fill(values)
-    assert [text[start:end] for start, end in spans] == values
 
 
 def test_slot_counts_sum_to_flow_length(movie_kg):

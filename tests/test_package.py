@@ -38,9 +38,7 @@ print(json.dumps({"numpy": "numpy" in sys.modules,
 
 def test_import_sets_one_blas_thread_without_importing_numpy():
     got = run_python(REPORT, {})
-    assert got == {"numpy": False, "env": {
-        "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-        "BLIS_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": "1"}}
+    assert got == {"numpy": False, "env": {"OPENBLAS_NUM_THREADS": "1"}}
 
 
 @pytest.mark.parametrize("caller_env", [

@@ -3,8 +3,9 @@
 Subcommands: ingest, mine-schemas, pretrain-rec, pretrain-flm, train,
 simulate, evaluate, eda-baseline, sweep. Every run writes a resolved-config
 snapshot and a manifest listing all produced files into the output
-directory. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-error.
+directory. The library's trainers and simulator take the same ``RunConfig``
+that the command resolves, passed straight through. Exit codes: 0 success,
+2 config error, 3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -109,27 +110,6 @@ def build_rec(cfg, hkg):
                        num_bases=cfg.rgcn_bases, seed=cfg.seed)
 
 
-# SimulatorConfig and TrainConfig fields whose RunConfig field is named
-# differently; every other field copies the RunConfig field of its own name.
-_RUN_FIELD = {"d_model": "flm_d_model", "n_layers": "flm_layers",
-              "n_heads": "flm_heads", "ff_mult": "flm_ff_mult",
-              "rec_steps": "course_rec_steps"}
-
-
-def _derived(cls, cfg):
-    """``cls`` with every field copied from its ``cfg`` field."""
-    return cls(**{f.name: getattr(cfg, _RUN_FIELD.get(f.name, f.name))
-                  for f in dataclasses.fields(cls)})
-
-
-def sim_config(cfg):
-    return _derived(pl.SimulatorConfig, cfg)
-
-
-def train_config(cfg):
-    return _derived(cf.TrainConfig, cfg)
-
-
 def _pretrain_rec(cfg, ws, tracker):
     rec = build_rec(cfg, ws.hkg)
     train_samples = pl.samples_from_dialogues(ws.train, ws.kg)
@@ -154,7 +134,7 @@ def _load_or_pretrain_rec(cfg, ws, tracker):
 
 def _build_simulator(cfg, ws, rec, tracker):
     sim = pl.build_simulator(ws.hkg, ws.train, rec.entity_embeddings_array(),
-                             sim_config(cfg))
+                             cfg)
     pl.save_simulator(sim, tracker.path)
     return sim
 
@@ -163,7 +143,7 @@ def _load_or_build_simulator(cfg, ws, rec, tracker):
     def saved(name):
         return os.path.join(cfg.out_dir, name)
     if all(os.path.exists(saved(n)) for n in pl.SIMULATOR_FILES):
-        return pl.load_simulator(ws.hkg, ws.train, saved, sim_config(cfg))
+        return pl.load_simulator(ws.hkg, ws.train, saved, cfg)
     return _build_simulator(cfg, ws, rec, tracker)
 
 
@@ -257,19 +237,18 @@ def _run_training(cfg, arm):
     rec = _load_or_pretrain_rec(cfg, ws, tracker)
     real_train = pl.samples_from_dialogues(ws.train, ws.kg)
     val_samples = pl.samples_from_dialogues(ws.val, ws.kg) if ws.val else None
-    tc = train_config(cfg)
     if arm == "train":
         sim = _load_or_build_simulator(cfg, ws, rec, tracker)
         pairs = pl.build_user_pairs(ws.train, ws.hkg)
         log, simulated = cf.train_augmented(rec, sim, pairs, real_train,
-                                            val_samples, tc)
+                                            val_samples, cfg)
         final_name = "rec_final.ckpt"
     else:
         bank = rz.build_template_bank(ws.train, ws.kg)
         flow_pool = [ex for ex, _ in pl.corpus_flows(ws.train, ws.kg,
                                                      max_len=cfg.max_len)]
         log, simulated = cf.train_eda(rec, bank, ws.hkg, flow_pool,
-                                      real_train, val_samples, tc)
+                                      real_train, val_samples, cfg)
         final_name = "rec_eda.ckpt"
     ad.save_checkpoint(tracker.path(final_name), rec.store)
     tracker.write_jsonl("train_log.jsonl", log)
@@ -365,10 +344,10 @@ def cmd_sweep(cfg):
             for mix in cfg.sweep_mix:
                 rec = build_rec(cfg, ws.hkg)
                 rec.store.load_values(snapshot)
-                tc = train_config(cfg)
-                tc.rho, tc.delta, tc.mix_ratio = rho, delta, mix
+                point = dataclasses.replace(cfg, rho=rho, delta=delta,
+                                            mix_ratio=mix)
                 log, _ = cf.train_augmented(rec, sim, pairs, real_train,
-                                            val_samples, tc)
+                                            val_samples, point)
                 row = {"rho": rho, "delta": delta, "mix_ratio": mix,
                        "courses_run": len(log)}
                 eval_samples = test_samples or val_samples

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import kg as kgm
+
 SEEKER = "seeker"
 RECOMMENDER = "recommender"
 ROLES = (SEEKER, RECOMMENDER)
@@ -128,25 +130,37 @@ class Template:
         return "".join(parts), mentions
 
 
-def _parse_turn(obj, dialogue_id, turn_index):
-    speaker = obj.get("speaker")
+def _parse_turn(obj, record_index, dialogue_id, turn_index):
+    def fail(detail):
+        return ParseError(record_index, f"turn {turn_index}: {detail}")
+
+    if not isinstance(obj, dict):
+        raise fail("turn must be an object")
+    speaker, text = obj.get("speaker"), obj.get("text")
     if speaker not in ROLES:
-        raise ParseError(turn_index, f"bad speaker {speaker!r}")
-    text = obj.get("text")
+        raise fail(f"bad speaker {speaker!r}")
     if not isinstance(text, str):
-        raise ParseError(turn_index, "turn text must be a string")
+        raise fail("turn text must be a string")
+    raw = obj.get("mentions", [])
+    # JSON integers only: bools are ints in Python, and int() would
+    # truncate 1.5 and accept "22"
+    if not isinstance(raw, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("entity"), str)
+            and type(m.get("start")) is int and type(m.get("end")) is int
+            for m in raw):
+        raise fail("mentions must be objects with a string entity and "
+                   "integer start and end")
     mentions = []
     prev_end = 0
-    raw = sorted(obj.get("mentions", []), key=lambda m: (m["start"], m["end"]))
-    for m in raw:
-        start, end = int(m["start"]), int(m["end"])
+    for m in sorted(raw, key=lambda m: (m["start"], m["end"])):
+        start, end = m["start"], m["end"]
         if start < 0 or end > len(text) or start >= end:
             raise SpanOutOfBounds(dialogue_id, turn_index,
                                   f"span ({start}, {end}) vs len {len(text)}")
         if start < prev_end:
             raise SpanOutOfBounds(dialogue_id, turn_index, "overlapping spans")
         prev_end = end
-        mentions.append(Mention(entity=str(m["entity"]), start=start, end=end))
+        mentions.append(Mention(entity=m["entity"], start=start, end=end))
     return Turn(speaker=speaker, text=text, mentions=mentions)
 
 
@@ -158,25 +172,24 @@ def load_dialogues(lines):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # or too deep
             raise ParseError(i, str(e)) from None
         if not isinstance(obj, dict) or "dialogue_id" not in obj \
-                or "turns" not in obj:
-            raise ParseError(i, "missing dialogue_id or turns")
+                or not isinstance(obj.get("turns"), list):
+            raise ParseError(i, "missing dialogue_id or a list of turns")
+        users = [obj.get(key) for key in ("seeker_id", "recommender_id")]
+        if not all(u is None or isinstance(u, str) for u in users):
+            raise ParseError(i, "seeker_id and recommender_id must be strings")
         did = str(obj["dialogue_id"])
-        try:
-            turns = [_parse_turn(t, did, j) for j, t in enumerate(obj["turns"])]
-        except ParseError as e:
-            raise ParseError(i, str(e)) from None
+        turns = [_parse_turn(t, i, did, j) for j, t in enumerate(obj["turns"])]
         dialogues.append(Dialogue(dialogue_id=did, turns=turns,
-                                  seeker_id=obj.get("seeker_id"),
-                                  recommender_id=obj.get("recommender_id")))
+                                  seeker_id=users[0],
+                                  recommender_id=users[1]))
     return dialogues
 
 
 def load_dialogues_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return load_dialogues(list(fh))
+    return load_dialogues(kgm.read_lines(path))
 
 
 def save_dialogues(path, dialogues):

@@ -11,7 +11,8 @@ recommender's loss through the score-function estimator
 
 with lambda annealed as rho * delta^course. Within a course the edit phase
 never writes recommender parameters and the recommender phase never writes
-edit parameters.
+edit parameters. The trainers read the run's ``config.RunConfig``; a course
+fine-tunes the recommender for ``course_rec_steps`` steps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import flm as flmm
 from . import pipeline as pl
 from . import realization as rz
 from . import recommender as rc
+from .config import RunConfig
 
 logger = logging.getLogger(__name__)
 
@@ -250,24 +252,12 @@ def eda_augment(flow, schema, kg, rng):
 
 # -- training loops -----------------------------------------------------------
 
-@dataclass
-class TrainConfig:
-    courses: int = 20
-    rho: float = 0.1
-    delta: float = 0.9
-    alpha: float = 1e-4
-    rollouts: int = 8
-    edit_steps: int = 3
-    k_edits: int = 1
-    pairs_per_course: int = 8
-    sims_per_pair: int = 2
-    mix_ratio: float = 1.0       # simulated : real samples per course
-    rec_steps: int = 50
-    rec_lr: float = 1e-3
-    rec_batch: int = 64
-    patience: int = 3
-    temperature: float = 1.0
-    seed: int = 0
+def TrainConfig(**fields):
+    """A ``RunConfig`` built from the field names of the former training
+    config, which called ``course_rec_steps`` ``rec_steps``. The benchmark's
+    workloads are its only caller."""
+    return RunConfig(**{"course_rec_steps" if k == "rec_steps" else k: v
+                        for k, v in fields.items()})
 
 
 def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
@@ -296,7 +286,7 @@ def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
             pool = list(sim_samples)
         else:
             pool = list(real_train)
-        rc.train_steps(rec_model, pool, cfg.rec_steps, cfg.rec_batch,
+        rc.train_steps(rec_model, pool, cfg.course_rec_steps, cfg.rec_batch,
                        cfg.rec_lr, rng)
         entry = {"course": course, "lambda": lam,
                  "n_simulated": len(dialogues), **stats}

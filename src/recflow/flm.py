@@ -84,14 +84,14 @@ class FlowExample:
 class FlowLM:
     """Holds the parameter store and the masking tables for one HKG.
 
-    ``cfg`` is a ``pipeline.SimulatorConfig``, of which the model reads
-    d_model, n_layers, n_heads, ff_mult, max_len, connectivity_mask,
+    ``cfg`` is a ``config.RunConfig``, of which the model reads flm_d_model,
+    flm_layers, flm_heads, flm_ff_mult, max_len, connectivity_mask,
     hop_limit and seed; ``d_e`` is the width of the entity embeddings.
     """
 
     def __init__(self, hkg, cfg, d_e):
-        if cfg.d_model % cfg.n_heads:
-            raise ValueError("d_model must be divisible by n_heads")
+        if cfg.flm_d_model % cfg.flm_heads:
+            raise ValueError("flm_d_model must be divisible by flm_heads")
         self.hkg = hkg
         self.cfg = cfg
         self.d_e = d_e
@@ -110,7 +110,7 @@ class FlowLM:
         cfg = self.cfg
         rng = np.random.default_rng(cfg.seed)
         s = self.store
-        d, ff = cfg.d_model, cfg.ff_mult * cfg.d_model
+        d, ff = cfg.flm_d_model, cfg.flm_ff_mult * cfg.flm_d_model
         n_types = len(self.hkg.base.type_names)
         s.add("flm.tok_emb", ad.xavier_uniform((self.vocab_size, d), rng))
         s.add("flm.type_emb", ad.xavier_uniform((max(n_types, 1), d), rng))
@@ -120,7 +120,7 @@ class FlowLM:
         s.add("flm.prompt_b", np.zeros(d))
         emb.init_attention_params(s, self.d_e, rng=rng, prefix="flm.attn")
         for side, blocks in (("enc", 1), ("dec", 2)):
-            for layer in range(cfg.n_layers):
+            for layer in range(cfg.flm_layers):
                 base = f"flm.{side}.l{layer}"
                 for blk in range(blocks):
                     tag = "self" if blk == 0 else "cross"
@@ -182,7 +182,7 @@ class FlowLM:
     def _attention(self, x, kv, base, tag, mask=None):
         s = self.store
         return ad.attention(x, kv, *(s[f"{base}.{tag}.{w}"] for w in "qkvo"),
-                            self.cfg.n_heads, mask)
+                            self.cfg.flm_heads, mask)
 
     def _ffn(self, x, base):
         s = self.store
@@ -200,11 +200,12 @@ class FlowLM:
         proj_u = prompts_u @ s["flm.prompt_w"] + s["flm.prompt_b"]
         proj_v = prompts_v @ s["flm.prompt_w"] + s["flm.prompt_b"]
         types = ad.reshape(ad.rows(s["flm.type_emb"], type_ids.reshape(-1)),
-                           (b, n, cfg.d_model))
-        x = ad.concat([ad.reshape(proj_u, (b, 1, cfg.d_model)),
-                       ad.reshape(proj_v, (b, 1, cfg.d_model)), types], axis=1)
+                           (b, n, cfg.flm_d_model))
+        x = ad.concat([ad.reshape(proj_u, (b, 1, cfg.flm_d_model)),
+                       ad.reshape(proj_v, (b, 1, cfg.flm_d_model)), types],
+                      axis=1)
         x = x + ad.rows(s["flm.pos_enc"], np.arange(n + 2))
-        for layer in range(cfg.n_layers):
+        for layer in range(cfg.flm_layers):
             base = f"flm.enc.l{layer}"
             h = self._ln(x, f"{base}.ln0")
             x = x + self._attention(h, h, base, "self")
@@ -217,10 +218,10 @@ class FlowLM:
         s, cfg = self.store, self.cfg
         b, n = token_ids.shape
         x = ad.reshape(ad.rows(s["flm.tok_emb"], token_ids.reshape(-1)),
-                       (b, n, cfg.d_model))
+                       (b, n, cfg.flm_d_model))
         x = x + ad.rows(s["flm.pos_dec"], np.arange(n))
         causal = np.triu(np.full((n, n), ad.MASK_NEG), k=1)
-        for layer in range(cfg.n_layers):
+        for layer in range(cfg.flm_layers):
             base = f"flm.dec.l{layer}"
             h = self._ln(x, f"{base}.ln0")
             x = x + self._attention(h, h, base, "self", mask=causal)

@@ -9,6 +9,7 @@ concurrent read-only use.
 
 from __future__ import annotations
 
+import io
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -180,10 +181,20 @@ def load_kg(triple_lines, type_lines):
                           relation_names, triples)
 
 
+def read_lines(path):
+    """The lines of UTF-8 text file ``path``, split as text-mode reading
+    splits them; a byte that is not UTF-8 is a MalformedRecord."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return list(io.StringIO(raw.decode("utf-8"), newline=None))
+    except UnicodeDecodeError as err:
+        raise MalformedRecord(raw.count(b"\n", 0, err.start) + 1,
+                              f"{path} is not valid UTF-8") from None
+
+
 def load_kg_files(triples_path, types_path):
-    with open(triples_path, encoding="utf-8") as tf, \
-            open(types_path, encoding="utf-8") as yf:
-        return load_kg(list(tf), list(yf))
+    return load_kg(read_lines(triples_path), read_lines(types_path))
 
 
 @dataclass

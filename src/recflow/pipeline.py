@@ -1,6 +1,8 @@
 """Assembly helpers shared by the CLI and the training loops: corpus
 artifacts, sample extraction, and the simulator, which this module alone
-builds, saves and loads (it owns the simulator's file names)."""
+builds, saves and loads (it owns the simulator's file names). The
+simulator reads its sizes and pre-training settings from the run's
+``config.RunConfig``."""
 
 from __future__ import annotations
 
@@ -13,29 +15,21 @@ from . import corpus as cp
 from . import flm as flmm
 from . import realization as rz
 from . import schema as sc
+from .config import RunConfig
 
 
 class DataError(ValueError):
     pass
 
 
-@dataclass
-class SimulatorConfig:
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    ff_mult: int = 4
-    max_len: int = 16
-    min_support: int = 5
-    hop_limit: int = 2
-    connectivity_mask: bool = True
-    pseudo_ratio: int = 4        # pseudo flows per real flow
-    flm_epochs: int = 3
-    flm_batch: int = 16
-    flm_lr: float = 1e-3
-    clf_steps: int = 200
-    clf_lr: float = 1e-3
-    seed: int = 0
+def SimulatorConfig(**fields):
+    """A ``RunConfig`` built from the field names of the former simulator
+    config, which called the ``flm_*`` sizes ``d_model``, ``n_layers``,
+    ``n_heads`` and ``ff_mult``. The benchmark's workloads are its only
+    caller."""
+    renames = {"d_model": "flm_d_model", "n_layers": "flm_layers",
+               "n_heads": "flm_heads", "ff_mult": "flm_ff_mult"}
+    return RunConfig(**{renames.get(k, k): v for k, v in fields.items()})
 
 
 @dataclass

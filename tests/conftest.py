@@ -9,6 +9,7 @@ import pytest
 from recflow import pipeline as pl
 from recflow import recommender as rc
 from recflow import synthetic as syn
+from recflow.config import RunConfig
 
 
 @dataclass
@@ -44,10 +45,9 @@ def mini():
     rec = rc.RecModel(hkg, d_e=16, seed=0)
     rc.pretrain_recommender(rec, train_samples, val_samples, steps=200,
                             batch_size=32, lr=3e-3, eval_every=50, seed=0)
-    sim_cfg = pl.SimulatorConfig(d_model=16, n_layers=1, n_heads=2,
-                                 ff_mult=2, min_support=2, pseudo_ratio=2,
-                                 flm_epochs=2, flm_batch=8, clf_steps=100,
-                                 seed=0)
+    sim_cfg = RunConfig(flm_d_model=16, flm_layers=1, flm_heads=2,
+                        flm_ff_mult=2, min_support=2, pseudo_ratio=2,
+                        flm_epochs=2, flm_batch=8, clf_steps=100, seed=0)
     sim = pl.build_simulator(hkg, world.train, rec.entity_embeddings_array(),
                              sim_cfg)
     pairs = pl.build_user_pairs(world.train, hkg)

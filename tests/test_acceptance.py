@@ -26,6 +26,7 @@ from recflow import realization as rz
 from recflow import recommender as rc
 from recflow import schema as sc
 from recflow import synthetic as syn
+from recflow.config import RunConfig
 
 from test_counterfactual import enumerate_pair_gradient, tiny_sim
 
@@ -312,9 +313,9 @@ def test_criterion_08_flm_memorization():
         g = kgm.load_kg([f"{h}\t{r}\t{t}" for h, r, t in triples],
                         [f"{e}\t{t}" for e, t in types.items()])
         hkg = kgm.attach_users(g, {})
-        model = flmm.FlowLM(hkg, pl.SimulatorConfig(d_model=32, n_layers=1,
-                                                    n_heads=2, ff_mult=2,
-                                                    max_len=4, seed=0), 6)
+        model = flmm.FlowLM(hkg, RunConfig(flm_d_model=32, flm_layers=1,
+                                           flm_heads=2, flm_ff_mult=2,
+                                           max_len=4, seed=0), 6)
         emb_table = np.random.default_rng(0).normal(
             size=(hkg.num_nodes, 6)) * 0.5
         ex = flmm.FlowExample(entities=[g.entity_id("g0"),
@@ -373,12 +374,12 @@ def directional():
             m.store.load_values(snapshot)
             return m
 
-        tc = cf.TrainConfig(courses=8, rho=0.1, delta=0.9, alpha=5e-2,
-                            rollouts=4, edit_steps=2, k_edits=1,
-                            pairs_per_course=8, sims_per_pair=3,
-                            mix_ratio=0.7, rec_steps=30, rec_lr=1e-3,
-                            rec_batch=64, patience=3, temperature=1.2,
-                            seed=seed)
+        tc = RunConfig(courses=8, rho=0.1, delta=0.9, alpha=5e-2,
+                       rollouts=4, edit_steps=2, k_edits=1,
+                       pairs_per_course=8, sims_per_pair=3,
+                       mix_ratio=0.7, course_rec_steps=30, rec_lr=1e-3,
+                       rec_batch=64, patience=3, temperature=1.2,
+                       seed=seed)
         out = {}
         arm = fresh()
         cf.train_baseline(arm, train_samples, val_samples, tc)
@@ -392,10 +393,10 @@ def directional():
             out["eda"] = rc.evaluate(arm, test_samples).recall[10]
         sim = pl.build_simulator(
             hkg, train, rec0.entity_embeddings_array(),
-            pl.SimulatorConfig(d_model=32, n_layers=1, n_heads=2, ff_mult=2,
-                               min_support=5, pseudo_ratio=4, flm_epochs=2,
-                               flm_batch=16, flm_lr=2e-3, clf_steps=150,
-                               seed=seed))
+            RunConfig(flm_d_model=32, flm_layers=1, flm_heads=2,
+                      flm_ff_mult=2, min_support=5, pseudo_ratio=4,
+                      flm_epochs=2, flm_batch=16, flm_lr=2e-3, clf_steps=150,
+                      seed=seed))
         arm = fresh()
         pairs = pl.build_user_pairs(train, hkg)
         cf.train_augmented(arm, sim, pairs, train_samples, val_samples, tc)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import struct
@@ -9,7 +8,6 @@ import pytest
 from recflow import autodiff as ad
 from recflow import cli
 from recflow import corpus as cp
-from recflow import counterfactual as cf
 from recflow import pipeline as pl
 from recflow import synthetic as syn
 from recflow.config import ConfigError, RunConfig
@@ -202,6 +200,77 @@ def test_ingest_writes_expected_artifacts(tmp_path, world_files):
         assert (out / name).exists(), name
     manifest = read_manifest(out)
     assert manifest["command"] == "ingest"
+
+
+def _set_mention(key, value):
+    def damage(rec):
+        rec["turns"][0]["mentions"][0][key] = value
+    return damage
+
+
+def _drop_mention_key(key):
+    def damage(rec):
+        del rec["turns"][0]["mentions"][0][key]
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    lambda rec: rec.update(turns="x"),
+    lambda rec: rec.update(turns=[5]),
+    lambda rec: rec["turns"][0].update(mentions="x"),
+    lambda rec: rec["turns"][0].update(mentions=[5]),
+    _drop_mention_key("start"),
+    _drop_mention_key("entity"),
+    _set_mention("start", "x"),
+    _set_mention("start", 1.5),
+    _set_mention("start", True),
+    _set_mention("start", "22"),
+    _set_mention("entity", 7),
+    lambda rec: rec.update(seeker_id=["u"]),
+], ids=["turns-str", "turn-int", "mentions-str", "mention-int",
+        "no-start", "no-entity", "start-str", "start-float", "start-bool",
+        "start-digits", "entity-int", "seeker-id-list"])
+def test_ingest_malformed_dialogue_record_exits_3(tmp_path, world_files,
+                                                  capsys, damage):
+    with open(world_files["train"], encoding="utf-8") as fh:
+        rec = json.loads(fh.readline())
+    damage(rec)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    cfg = fast_config(world_files, tmp_path / "out", dialogues_path=str(path))
+    assert cli.main(["ingest", "--config", write_config(tmp_path, cfg)]) == 3
+    assert "data error: unparseable dialogue record 0: " in (
+        capsys.readouterr().err)
+
+
+def test_ingest_bad_speaker_names_record_and_turn_once(tmp_path, world_files,
+                                                       capsys):
+    with open(world_files["train"], encoding="utf-8") as fh:
+        lines = [fh.readline() for _ in range(2)]
+    rec = json.loads(lines[1])
+    rec["turns"][1]["speaker"] = 5
+    path = tmp_path / "bad.jsonl"
+    path.write_text(lines[0] + json.dumps(rec) + "\n")
+    cfg = fast_config(world_files, tmp_path / "out", dialogues_path=str(path))
+    assert cli.main(["ingest", "--config", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "data error: unparseable dialogue record 1: turn 1: bad speaker 5\n")
+
+
+@pytest.mark.parametrize("key, field", [("kg", "kg_path"),
+                                        ("types", "types_path"),
+                                        ("train", "dialogues_path")])
+def test_ingest_non_utf8_input_exits_3(tmp_path, world_files, capsys, key,
+                                       field):
+    with open(world_files[key], "rb") as fh:
+        first, rest = fh.readline(), fh.read()
+    path = tmp_path / os.path.basename(world_files[key])
+    path.write_bytes(first + b"\xff" + rest)
+    cfg = fast_config(world_files, tmp_path / "out", **{field: str(path)})
+    assert cli.main(["ingest", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"data error: malformed record at line 2: {path} is not "
+                   "valid UTF-8\n")
 
 
 def test_manifest_lists_every_output_no_orphans(tmp_path, world_files):
@@ -479,40 +548,3 @@ def test_simulate_with_corrupt_simulator_file_exits_3(tmp_path, world_files,
     assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
     damage(out / name)
     assert cli.main(["simulate", "--config", cfg_path]) == 3
-
-
-def test_derived_configs_draw_each_field_from_one_run_field():
-    def bumped(value):
-        if isinstance(value, bool):
-            return not value
-        if isinstance(value, (int, float)):
-            return value * 2 + 3
-        if isinstance(value, str):
-            return value + "x"
-        return list(value) + [0.5]
-
-    base = RunConfig()
-    sim_renames = {"d_model": "flm_d_model", "n_layers": "flm_layers",
-                   "n_heads": "flm_heads", "ff_mult": "flm_ff_mult"}
-    train_renames = {"rec_steps": "course_rec_steps"}
-    for cls, derive, renames in (
-            (pl.SimulatorConfig, cli.sim_config, sim_renames),
-            (cf.TrainConfig, cli.train_config, train_renames)):
-        before = derive(base)
-        assert type(before) is cls
-        sources = {}
-        for run_field in dataclasses.fields(RunConfig):
-            changed = dataclasses.replace(
-                base, **{run_field.name: bumped(getattr(base,
-                                                        run_field.name))})
-            after = derive(changed)
-            for f in dataclasses.fields(cls):
-                if getattr(after, f.name) != getattr(before, f.name):
-                    assert getattr(after, f.name) == getattr(
-                        changed, run_field.name)
-                    sources.setdefault(f.name, []).append(run_field.name)
-        assert set(sources) == {f.name for f in dataclasses.fields(cls)}
-        assert all(len(runs) == 1 for runs in sources.values()), sources
-        drawn = {name: runs[0] for name, runs in sources.items()}
-        assert len(set(drawn.values())) == len(drawn)
-        assert {k: v for k, v in drawn.items() if k != v} == renames

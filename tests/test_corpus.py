@@ -90,6 +90,12 @@ def test_load_parse_error_carries_record_index():
     assert exc.value.record_index == 1
 
 
+def test_load_nesting_too_deep_for_the_json_parser_is_a_parse_error():
+    with pytest.raises(cp.ParseError) as exc:
+        cp.load_dialogues(["[" * 100000])
+    assert exc.value.record_index == 0
+
+
 def test_load_bad_speaker():
     rec = {"dialogue_id": "d",
            "turns": [{"speaker": "robot", "text": "hi", "mentions": []}]}

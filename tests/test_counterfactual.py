@@ -12,6 +12,7 @@ from recflow import pipeline as pl
 from recflow import realization as rz
 from recflow import recommender as rc
 from recflow import schema as sc
+from recflow.config import RunConfig
 from test_autodiff import _chain_attention_pool
 
 
@@ -119,9 +120,9 @@ def tiny_sim(seed=0, head_scale=0.6, catalog_schema=("genre", "item")):
     g = kgm.load_kg([f"{h}\t{r}\t{t}" for h, r, t in triples],
                     [f"{e}\t{t}" for e, t in types.items()])
     hkg = kgm.attach_users(g, {"u": ["g0", "m0"], "v": ["m1", "m2"]})
-    model = flmm.FlowLM(hkg, pl.SimulatorConfig(d_model=8, n_layers=1,
-                                                n_heads=2, ff_mult=2,
-                                                max_len=4, seed=seed), 5)
+    model = flmm.FlowLM(hkg, RunConfig(flm_d_model=8, flm_layers=1,
+                                       flm_heads=2, flm_ff_mult=2,
+                                       max_len=4, seed=seed), 5)
     rng = np.random.default_rng(seed + 10)
     model.store["flm.head_w"].data = rng.normal(
         size=model.store["flm.head_w"].shape) * head_scale
@@ -454,7 +455,7 @@ def test_eda_rejects_empty_flow():
 def test_zero_courses_returns_pretrained_model(mini):
     rec = mini.fresh_rec()
     before = rec.store.checksum()
-    cfg = cf.TrainConfig(courses=0, seed=0)
+    cfg = RunConfig(courses=0, seed=0)
     log, sims = cf.train_augmented(rec, mini.sim, mini.pairs,
                                    mini.train_samples, mini.val_samples, cfg)
     assert log == [] and sims == []
@@ -464,8 +465,8 @@ def test_zero_courses_returns_pretrained_model(mini):
 def test_curriculum_early_stops_and_restores_best(mini, scripted_evaluate):
     rec = mini.fresh_rec()
     seen = scripted_evaluate([0.2, 0.5, 0.4, 0.3, 0.9])
-    cfg = cf.TrainConfig(courses=10, patience=2, rec_steps=2, rec_batch=8,
-                         seed=0)
+    cfg = RunConfig(courses=10, patience=2, course_rec_steps=2, rec_batch=8,
+                    seed=0)
     log, _ = cf.train_baseline(rec, mini.train_samples, mini.val_samples,
                                cfg)
     assert [e["val_recall@50"] for e in log] == [0.2, 0.5, 0.4, 0.3]
@@ -475,9 +476,9 @@ def test_curriculum_early_stops_and_restores_best(mini, scripted_evaluate):
 
 def test_train_augmented_runs_and_logs(mini):
     rec = mini.fresh_rec()
-    cfg = cf.TrainConfig(courses=2, rho=0.1, delta=0.9, alpha=1e-3,
-                         rollouts=2, edit_steps=1, pairs_per_course=2,
-                         sims_per_pair=1, rec_steps=5, rec_batch=16, seed=1)
+    cfg = RunConfig(courses=2, rho=0.1, delta=0.9, alpha=1e-3,
+                    rollouts=2, edit_steps=1, pairs_per_course=2,
+                    sims_per_pair=1, course_rec_steps=5, rec_batch=16, seed=1)
     log, sims = cf.train_augmented(rec, mini.sim, mini.pairs,
                                    mini.train_samples, mini.val_samples, cfg)
     assert len(log) == 2
@@ -499,9 +500,9 @@ def test_train_augmented_never_touches_simulator(mini):
     rec = mini.fresh_rec()
     flm_sum = mini.sim.flm.store.checksum()
     clf_sum = mini.sim.clf_store.checksum()
-    cfg = cf.TrainConfig(courses=1, rollouts=2, edit_steps=1,
-                         pairs_per_course=2, sims_per_pair=1, rec_steps=3,
-                         seed=2)
+    cfg = RunConfig(courses=1, rollouts=2, edit_steps=1,
+                    pairs_per_course=2, sims_per_pair=1, course_rec_steps=3,
+                    seed=2)
     cf.train_augmented(rec, mini.sim, mini.pairs, mini.train_samples,
                        mini.val_samples, cfg)
     assert mini.sim.flm.store.checksum() == flm_sum
@@ -518,9 +519,9 @@ def test_train_augmented_simulates_from_untaped_prompts(mini, monkeypatch):
         return simulate(self, e_u, e_v, *args, **kwargs)
 
     monkeypatch.setattr(pl.SimulatorBundle, "simulate", recording)
-    cfg = cf.TrainConfig(courses=1, rollouts=2, edit_steps=1,
-                         pairs_per_course=2, sims_per_pair=2, rec_steps=1,
-                         seed=3)
+    cfg = RunConfig(courses=1, rollouts=2, edit_steps=1,
+                    pairs_per_course=2, sims_per_pair=2, course_rec_steps=1,
+                    seed=3)
     cf.train_augmented(mini.fresh_rec(), mini.sim, mini.pairs,
                        mini.train_samples, [], cfg)
     assert len(seen) == 2 * 2
@@ -532,9 +533,9 @@ def test_train_augmented_seed_reproducible(mini):
     sums = []
     for _ in range(2):
         rec = mini.fresh_rec()
-        cfg = cf.TrainConfig(courses=2, rollouts=2, edit_steps=1,
-                             pairs_per_course=2, sims_per_pair=1, rec_steps=5,
-                             seed=7)
+        cfg = RunConfig(courses=2, rollouts=2, edit_steps=1,
+                        pairs_per_course=2, sims_per_pair=1,
+                        course_rec_steps=5, seed=7)
         log, _ = cf.train_augmented(rec, mini.sim, mini.pairs,
                                     mini.train_samples, mini.val_samples,
                                     cfg)
@@ -560,9 +561,9 @@ def test_train_augmented_one_rgcn_forward_per_edit_phase(mini, monkeypatch):
     monkeypatch.setattr(cf, "reinforce_step", counting_step)
     # no fine-tuning steps and no validation: only the edit phase reads
     # the recommender
-    cfg = cf.TrainConfig(courses=2, rollouts=2, edit_steps=2,
-                         pairs_per_course=2, sims_per_pair=1, rec_steps=0,
-                         seed=5)
+    cfg = RunConfig(courses=2, rollouts=2, edit_steps=2,
+                    pairs_per_course=2, sims_per_pair=1, course_rec_steps=0,
+                    seed=5)
     cf.train_augmented(rec, mini.sim, mini.pairs, mini.train_samples, [],
                        cfg)
     assert len(steps) == 2 * 2 * 2
@@ -587,9 +588,9 @@ def test_per_course_reward_matches_fresh_reward_fn(mini, monkeypatch):
     monkeypatch.setattr(cf, "default_reward_fn", checked_reward_fn)
     # fine-tuning between the two courses changes the recommender, so the
     # second course must see a new table
-    cfg = cf.TrainConfig(courses=2, rollouts=2, edit_steps=2,
-                         pairs_per_course=2, sims_per_pair=1, rec_steps=3,
-                         rec_lr=1e-2, seed=6)
+    cfg = RunConfig(courses=2, rollouts=2, edit_steps=2,
+                    pairs_per_course=2, sims_per_pair=1, course_rec_steps=3,
+                    rec_lr=1e-2, seed=6)
     cf.train_augmented(rec, mini.sim, mini.pairs, mini.train_samples, [],
                        cfg)
     assert len(pairs) == 2 * 2 * 2 * 2
@@ -601,8 +602,8 @@ def test_train_eda_runs(mini):
     rec = mini.fresh_rec()
     flow_pool = [ex for ex, _ in pl.corpus_flows(mini.world.train,
                                                  mini.world.kg)]
-    cfg = cf.TrainConfig(courses=2, pairs_per_course=2, sims_per_pair=1,
-                         rec_steps=5, seed=3)
+    cfg = RunConfig(courses=2, pairs_per_course=2, sims_per_pair=1,
+                    course_rec_steps=5, seed=3)
     log, sims = cf.train_eda(rec, mini.sim.bank, mini.hkg, flow_pool,
                              mini.train_samples, mini.val_samples, cfg)
     assert len(log) == 2
@@ -611,7 +612,7 @@ def test_train_eda_runs(mini):
 
 def test_train_baseline_runs(mini):
     rec = mini.fresh_rec()
-    cfg = cf.TrainConfig(courses=2, rec_steps=5, seed=4)
+    cfg = RunConfig(courses=2, course_rec_steps=5, seed=4)
     log, sims = cf.train_baseline(rec, mini.train_samples, mini.val_samples,
                                   cfg)
     assert len(log) == 2 and sims == []

@@ -6,8 +6,8 @@ import pytest
 from recflow import autodiff as ad
 from recflow import flm as flmm
 from recflow import kg as kgm
-from recflow import pipeline as pl
 from recflow import schema as sc
+from recflow.config import RunConfig
 
 
 def build_hkg(triples, types, interactions=None):
@@ -25,7 +25,8 @@ FULL_TRIPLES = [
     ("a1", "acted_in", "m1"), ("a1", "acted_in", "m2"),
 ]
 
-TINY_CFG = dict(d_model=16, n_layers=1, n_heads=2, ff_mult=2, max_len=8)
+TINY_CFG = dict(flm_d_model=16, flm_layers=1, flm_heads=2, flm_ff_mult=2,
+                max_len=8)
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ def full_hkg():
 def make_flm(hkg, seed=0, d_e=6, **overrides):
     cfg = dict(TINY_CFG)
     cfg.update(overrides)
-    return flmm.FlowLM(hkg, pl.SimulatorConfig(seed=seed, **cfg), d_e)
+    return flmm.FlowLM(hkg, RunConfig(seed=seed, **cfg), d_e)
 
 
 def log_prob(flm, e_u, e_v, schema, flow):
@@ -310,7 +311,7 @@ UNFUSED_BATCH_NLL_NODES = 387
 
 
 def test_batch_nll_tape_is_at_most_half_the_unfused_one(full_hkg):
-    flm = make_flm(full_hkg, n_layers=2)
+    flm = make_flm(full_hkg, flm_layers=2)
     kg = full_hkg.base
     g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
     m1, m2 = kg.entity_id("m1"), kg.entity_id("m2")
@@ -378,7 +379,7 @@ def test_sample_pseudo_flow_all_unreachable():
 
 
 def test_pretrain_memorizes_single_flow(full_hkg):
-    flm = make_flm(full_hkg, d_model=32, n_heads=2)
+    flm = make_flm(full_hkg, flm_d_model=32, flm_heads=2)
     kg = full_hkg.base
     emb_table = np.random.default_rng(0).normal(
         size=(full_hkg.num_nodes, flm.d_e)) * 0.5
@@ -418,8 +419,8 @@ def test_pretrain_loss_decreases_and_prompts_matter(full_hkg):
 
 
 def test_grad_check_through_blocks_and_prompts(full_hkg):
-    flm = make_flm(full_hkg, d_model=4, n_heads=2, ff_mult=2, d_e=3,
-                   max_len=4, seed=2)
+    flm = make_flm(full_hkg, flm_d_model=4, flm_heads=2, flm_ff_mult=2,
+                   d_e=3, max_len=4, seed=2)
     randomize_head(flm, 19, scale=0.3)
     kg = full_hkg.base
     flow = [kg.entity_id("g1"), kg.entity_id("m1")]
@@ -509,4 +510,4 @@ def test_flows_are_checked_once_in_pretraining(full_hkg, monkeypatch):
 
 def test_heads_must_divide_d_model(full_hkg):
     with pytest.raises(ValueError):
-        flmm.FlowLM(full_hkg, pl.SimulatorConfig(d_model=10, n_heads=4), 6)
+        flmm.FlowLM(full_hkg, RunConfig(flm_d_model=10, flm_heads=4), 6)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from recflow import autodiff as ad
+from recflow import counterfactual as cf
 from recflow import flm as flmm
 from recflow import pipeline as pl
 from recflow import schema as sc
+from recflow.config import RunConfig
 
 
 def test_saved_simulator_reloads_bit_for_bit(mini, tmp_path):
@@ -113,3 +115,49 @@ def test_simulator_prompt_is_untaped_and_equals_the_taped_prompt(mini):
             taped = flmm.user_prompt(mini.sim.flm, ids, mini.sim.entity_emb)
             assert prompt._parents == () and not prompt.requires_grad
             assert prompt.data.tobytes() == taped.data.tobytes()
+
+
+# The fields of the former simulator and training configs, by the names the
+# benchmark's workloads still pass to ``pl.SimulatorConfig`` and
+# ``cf.TrainConfig``, with the ``RunConfig`` field each renames to.
+FORMER_FIELDS = {
+    pl.SimulatorConfig: (
+        ("d_model", "n_layers", "n_heads", "ff_mult", "max_len",
+         "min_support", "hop_limit", "connectivity_mask", "pseudo_ratio",
+         "flm_epochs", "flm_batch", "flm_lr", "clf_steps", "clf_lr", "seed"),
+        {"d_model": "flm_d_model", "n_layers": "flm_layers",
+         "n_heads": "flm_heads", "ff_mult": "flm_ff_mult"}),
+    cf.TrainConfig: (
+        ("courses", "rho", "delta", "alpha", "rollouts", "edit_steps",
+         "k_edits", "pairs_per_course", "sims_per_pair", "mix_ratio",
+         "rec_steps", "rec_lr", "rec_batch", "patience", "temperature",
+         "seed"),
+        {"rec_steps": "course_rec_steps"}),
+}
+
+
+def test_bench_configs_rename_each_former_field_onto_one_run_field(mini):
+    base = RunConfig()
+    for build, (names, renames) in FORMER_FIELDS.items():
+        assert build() == base
+        drawn = {}
+        for name in names:
+            marker = object()
+            cfg = build(**{name: marker})
+            hit = [f.name for f in dataclasses.fields(RunConfig)
+                   if getattr(cfg, f.name) is marker]
+            assert len(hit) == 1, (name, hit)
+            assert dataclasses.replace(
+                cfg, **{hit[0]: getattr(base, hit[0])}) == base
+            drawn[name] = hit[0]
+        assert len(set(drawn.values())) == len(drawn)
+        assert {k: v for k, v in drawn.items() if k != v} == renames
+    # as the benchmark does: re-seed a built config, read the simulator's
+    # hop_limit
+    sim_cfg = dataclasses.replace(pl.SimulatorConfig(
+        d_model=8, n_layers=1, n_heads=2, ff_mult=2, min_support=2,
+        pseudo_ratio=1, flm_epochs=1, flm_batch=8, clf_steps=10), seed=3)
+    sim = pl.build_simulator(mini.hkg, mini.world.train, mini.sim.entity_emb,
+                             sim_cfg)
+    assert sim.flm.cfg.hop_limit == base.hop_limit
+    assert (sim.flm.cfg.flm_d_model, sim.flm.cfg.seed) == (8, 3)

@@ -231,25 +231,15 @@ def cmd_pretrain_flm(cfg):
     return 0
 
 
-def _run_training(cfg, arm):
-    tracker = OutputTracker(cfg.out_dir, arm)
+def _run_training(cfg, command, arm, final_name):
+    """Train the pre-trained recommender in place as ``arm``."""
+    tracker = OutputTracker(cfg.out_dir, command)
     ws = load_workspace(cfg)
     rec = _load_or_pretrain_rec(cfg, ws, tracker)
-    real_train = pl.samples_from_dialogues(ws.train, ws.kg)
     val_samples = pl.samples_from_dialogues(ws.val, ws.kg) if ws.val else None
-    if arm == "train":
-        sim = _load_or_build_simulator(cfg, ws, rec, tracker)
-        pairs = pl.build_user_pairs(ws.train, ws.hkg)
-        log, simulated = cf.train_augmented(rec, sim, pairs, real_train,
-                                            val_samples, cfg)
-        final_name = "rec_final.ckpt"
-    else:
-        bank = rz.build_template_bank(ws.train, ws.kg)
-        flow_pool = [ex for ex, _ in pl.corpus_flows(ws.train, ws.kg,
-                                                     max_len=cfg.max_len)]
-        log, simulated = cf.train_eda(rec, bank, ws.hkg, flow_pool,
-                                      real_train, val_samples, cfg)
-        final_name = "rec_eda.ckpt"
+    sim = (_load_or_build_simulator(cfg, ws, rec, tracker)
+           if arm == "augmented" else None)
+    log, simulated = cf.train_arm(arm, rec, ws.train, val_samples, cfg, sim)
     ad.save_checkpoint(tracker.path(final_name), rec.store)
     tracker.write_jsonl("train_log.jsonl", log)
     tracker.write_jsonl("simulated.jsonl",
@@ -257,17 +247,17 @@ def _run_training(cfg, arm):
     report = _test_report(ws, rec, simulated)
     if report is not None:
         tracker.write_text("metrics_test.json", report.to_json() + "\n")
-        print(report.format_table(arm))
+        print(report.format_table(command))
     tracker.finalize(cfg)
     return 0
 
 
 def cmd_train(cfg):
-    return _run_training(cfg, "train")
+    return _run_training(cfg, "train", "augmented", "rec_final.ckpt")
 
 
 def cmd_eda_baseline(cfg):
-    return _run_training(cfg, "eda-baseline")
+    return _run_training(cfg, "eda-baseline", "eda", "rec_eda.ckpt")
 
 
 def cmd_simulate(cfg):
@@ -309,7 +299,7 @@ def cmd_evaluate(cfg, checkpoint=None, responses=None):
     rec = build_rec(cfg, ws.hkg)
     ckpt = checkpoint
     if ckpt is None:
-        for name in ("rec_final.ckpt", "rec.ckpt"):
+        for name in ("rec_final.ckpt", "rec_eda.ckpt", "rec.ckpt"):
             candidate = os.path.join(cfg.out_dir, name)
             if os.path.exists(candidate):
                 ckpt = candidate
@@ -331,10 +321,7 @@ def cmd_sweep(cfg):
     tracker = OutputTracker(cfg.out_dir, "sweep")
     ws = load_workspace(cfg)
     rec0 = _load_or_pretrain_rec(cfg, ws, tracker)
-    snapshot = rec0.store.values_dict()
     sim = _load_or_build_simulator(cfg, ws, rec0, tracker)
-    pairs = pl.build_user_pairs(ws.train, ws.hkg)
-    real_train = pl.samples_from_dialogues(ws.train, ws.kg)
     val_samples = pl.samples_from_dialogues(ws.val, ws.kg) if ws.val else None
     test_samples = (pl.samples_from_dialogues(ws.test, ws.kg)
                     if ws.test else None)
@@ -342,12 +329,11 @@ def cmd_sweep(cfg):
     for rho in cfg.sweep_rho:
         for delta in cfg.sweep_delta:
             for mix in cfg.sweep_mix:
-                rec = build_rec(cfg, ws.hkg)
-                rec.store.load_values(snapshot)
+                rec = rec0.copy()
                 point = dataclasses.replace(cfg, rho=rho, delta=delta,
                                             mix_ratio=mix)
-                log, _ = cf.train_augmented(rec, sim, pairs, real_train,
-                                            val_samples, point)
+                log, _ = cf.train_arm("augmented", rec, ws.train,
+                                      val_samples, point, sim)
                 row = {"rho": rho, "delta": delta, "mix_ratio": mix,
                        "courses_run": len(log)}
                 eval_samples = test_samples or val_samples

@@ -165,8 +165,11 @@ def _parse_turn(obj, record_index, dialogue_id, turn_index):
 
 
 def load_dialogues(lines):
-    """Parse JSON Lines into Dialogue objects, preserving input order."""
+    """Parse JSON Lines into Dialogue objects, preserving input order; each
+    ``dialogue_id`` is a string no other record uses, so no two dialogues
+    share a per-role user."""
     dialogues = []
+    seen = set()
     for i, line in enumerate(lines):
         if not line.strip():
             continue
@@ -180,7 +183,11 @@ def load_dialogues(lines):
         users = [obj.get(key) for key in ("seeker_id", "recommender_id")]
         if not all(u is None or isinstance(u, str) for u in users):
             raise ParseError(i, "seeker_id and recommender_id must be strings")
-        did = str(obj["dialogue_id"])
+        did = obj["dialogue_id"]
+        if not isinstance(did, str) or did in seen:
+            raise ParseError(i, f"dialogue_id {json.dumps(did)} is not a "
+                                "string that no earlier record uses")
+        seen.add(did)
         turns = [_parse_turn(t, i, did, j) for j, t in enumerate(obj["turns"])]
         dialogues.append(Dialogue(dialogue_id=did, turns=turns,
                                   seeker_id=users[0],

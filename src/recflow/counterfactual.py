@@ -13,6 +13,10 @@ with lambda annealed as rho * delta^course. Within a course the edit phase
 never writes recommender parameters and the recommender phase never writes
 edit parameters. The trainers read the run's ``config.RunConfig``; a course
 fine-tunes the recommender for ``course_rec_steps`` steps.
+
+``train_arm`` runs any arm of the paper's comparison (``train_baseline``,
+``train_eda`` or ``train_augmented``) from the training dialogues; arms that
+branch from one pre-trained model each train a ``RecModel.copy``.
 """
 
 from __future__ import annotations
@@ -382,3 +386,26 @@ def train_baseline(rec_model, real_train, val_samples, cfg):
 
     return curriculum_train(rec_model, real_train, val_samples, cfg,
                             course_fn)
+
+
+ARMS = ("baseline", "eda", "augmented")
+
+
+def train_arm(arm, rec_model, train, val_samples, cfg, sim):
+    """Train ``rec_model`` in place as one of ``ARMS`` and return the
+    trainer's ``(log, simulated)``. The arm's inputs are built from the
+    training dialogues ``train`` on the model's graph; only ``"augmented"``
+    reads the simulator ``sim``."""
+    hkg = rec_model.hkg
+    real_train = pl.samples_from_dialogues(train, hkg.base)
+    if arm == "baseline":
+        return train_baseline(rec_model, real_train, val_samples, cfg)
+    if arm == "eda":
+        flows = pl.corpus_flows(train, hkg.base, max_len=cfg.max_len)
+        return train_eda(rec_model, rz.build_template_bank(train, hkg.base),
+                         hkg, [ex for ex, _ in flows], real_train,
+                         val_samples, cfg)
+    if arm != "augmented":
+        raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
+    return train_augmented(rec_model, sim, pl.build_user_pairs(train, hkg),
+                           real_train, val_samples, cfg)

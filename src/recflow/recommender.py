@@ -19,6 +19,7 @@ padded context matrix with a few numpy operations. ``rec_loss``,
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -130,6 +131,15 @@ class RecModel:
                              prefix="rec.rgcn")
         emb.init_attention_params(self.store, d_e, rng=rng, prefix="rec.attn")
         self.store.add("rec.item_bias", np.zeros(len(self.item_ids)))
+
+    def copy(self):
+        """A model on the same graph with this model's parameter values and
+        a fresh Adam state: zero moments and ``step_count`` 0."""
+        clone = copy.copy(self)
+        clone.store = ad.ParamStore()
+        for name, p in self.store.items():
+            clone.store.add(name, p.data)
+        return clone
 
     def entity_embeddings(self):
         return emb.rgcn_forward(self.hkg, self.store,

@@ -1,6 +1,6 @@
 """Shared fixtures: a miniature synthetic world with a pre-trained
-recommender and simulator, built once per session. Tests that mutate models
-must work on fresh clones (see fresh_rec)."""
+recommender and simulator, built once per session. Tests that train the
+recommender train a copy of it (``mini.rec.copy()``)."""
 
 from dataclasses import dataclass
 
@@ -16,20 +16,13 @@ from recflow.config import RunConfig
 class MiniWorld:
     world: object
     hkg: object
-    rec_seed: int
-    rec_d_e: int
-    rec_snapshot: dict
+    rec: object
     sim: object
     sim_cfg: object
     pairs: list
     train_samples: list
     val_samples: list
     test_samples: list
-
-    def fresh_rec(self):
-        model = rc.RecModel(self.hkg, d_e=self.rec_d_e, seed=self.rec_seed)
-        model.store.load_values(self.rec_snapshot)
-        return model
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +44,7 @@ def mini():
     sim = pl.build_simulator(hkg, world.train, rec.entity_embeddings_array(),
                              sim_cfg)
     pairs = pl.build_user_pairs(world.train, hkg)
-    return MiniWorld(world=world, hkg=hkg, rec_seed=0, rec_d_e=16,
-                     rec_snapshot=rec.store.values_dict(), sim=sim,
+    return MiniWorld(world=world, hkg=hkg, rec=rec, sim=sim,
                      sim_cfg=sim_cfg, pairs=pairs,
                      train_samples=train_samples,
                      val_samples=val_samples, test_samples=test_samples)

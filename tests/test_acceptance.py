@@ -358,7 +358,7 @@ def directional():
     assert len(kg.type_names) == 20
     assert len(world.dialogues) == 500
 
-    def arms(seed, train, include_eda):
+    def arms(seed, train, names):
         hkg = world.hkg(train)
         train_samples = pl.samples_from_dialogues(train, kg)
         val_samples = pl.samples_from_dialogues(world.val, kg)
@@ -367,45 +367,27 @@ def directional():
         rc.pretrain_recommender(rec0, train_samples, val_samples, steps=150,
                                 batch_size=64, lr=3e-3, eval_every=50,
                                 seed=seed)
-        snapshot = rec0.store.values_dict()
-
-        def fresh():
-            m = rc.RecModel(hkg, d_e=32, num_bases=8, seed=seed)
-            m.store.load_values(snapshot)
-            return m
-
-        tc = RunConfig(courses=8, rho=0.1, delta=0.9, alpha=5e-2,
-                       rollouts=4, edit_steps=2, k_edits=1,
-                       pairs_per_course=8, sims_per_pair=3,
-                       mix_ratio=0.7, course_rec_steps=30, rec_lr=1e-3,
-                       rec_batch=64, patience=3, temperature=1.2,
-                       seed=seed)
+        cfg = RunConfig(courses=8, rho=0.1, delta=0.9, alpha=5e-2,
+                        rollouts=4, edit_steps=2, k_edits=1,
+                        pairs_per_course=8, sims_per_pair=3,
+                        mix_ratio=0.7, course_rec_steps=30, rec_lr=1e-3,
+                        rec_batch=64, patience=3, temperature=1.2,
+                        flm_d_model=32, flm_layers=1, flm_heads=2,
+                        flm_ff_mult=2, min_support=5, pseudo_ratio=4,
+                        flm_epochs=2, flm_batch=16, flm_lr=2e-3,
+                        clf_steps=150, seed=seed)
+        sim = pl.build_simulator(hkg, train, rec0.entity_embeddings_array(),
+                                 cfg)
         out = {}
-        arm = fresh()
-        cf.train_baseline(arm, train_samples, val_samples, tc)
-        out["baseline"] = rc.evaluate(arm, test_samples).recall[10]
-        if include_eda:
-            bank = rz.build_template_bank(train, kg)
-            pool = [ex for ex, _ in pl.corpus_flows(train, kg)]
-            arm = fresh()
-            cf.train_eda(arm, bank, hkg, pool, train_samples, val_samples,
-                         tc)
-            out["eda"] = rc.evaluate(arm, test_samples).recall[10]
-        sim = pl.build_simulator(
-            hkg, train, rec0.entity_embeddings_array(),
-            RunConfig(flm_d_model=32, flm_layers=1, flm_heads=2,
-                      flm_ff_mult=2, min_support=5, pseudo_ratio=4,
-                      flm_epochs=2, flm_batch=16, flm_lr=2e-3, clf_steps=150,
-                      seed=seed))
-        arm = fresh()
-        pairs = pl.build_user_pairs(train, hkg)
-        cf.train_augmented(arm, sim, pairs, train_samples, val_samples, tc)
-        out["augmented"] = rc.evaluate(arm, test_samples).recall[10]
+        for name in names:
+            arm = rec0.copy()
+            cf.train_arm(name, arm, train, val_samples, cfg, sim)
+            out[name] = rc.evaluate(arm, test_samples).recall[10]
         return out
 
-    full = [arms(seed, world.train, include_eda=True) for seed in range(5)]
+    full = [arms(seed, world.train, cf.ARMS) for seed in range(5)]
     subset = [d for i, d in enumerate(world.train) if i % 5 == 0]
-    low = [arms(seed, subset, include_eda=False) for seed in range(5)]
+    low = [arms(seed, subset, ("baseline", "augmented")) for seed in range(5)]
     return DirectionalResults(full=full, low_data=low,
                               elapsed=time.time() - t0)
 

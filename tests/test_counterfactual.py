@@ -453,7 +453,7 @@ def test_eda_rejects_empty_flow():
 # -- course loops --------------------------------------------------------------
 
 def test_zero_courses_returns_pretrained_model(mini):
-    rec = mini.fresh_rec()
+    rec = mini.rec.copy()
     before = rec.store.checksum()
     cfg = RunConfig(courses=0, seed=0)
     log, sims = cf.train_augmented(rec, mini.sim, mini.pairs,
@@ -463,7 +463,7 @@ def test_zero_courses_returns_pretrained_model(mini):
 
 
 def test_curriculum_early_stops_and_restores_best(mini, scripted_evaluate):
-    rec = mini.fresh_rec()
+    rec = mini.rec.copy()
     seen = scripted_evaluate([0.2, 0.5, 0.4, 0.3, 0.9])
     cfg = RunConfig(courses=10, patience=2, course_rec_steps=2, rec_batch=8,
                     seed=0)
@@ -475,7 +475,7 @@ def test_curriculum_early_stops_and_restores_best(mini, scripted_evaluate):
 
 
 def test_train_augmented_runs_and_logs(mini):
-    rec = mini.fresh_rec()
+    rec = mini.rec.copy()
     cfg = RunConfig(courses=2, rho=0.1, delta=0.9, alpha=1e-3,
                     rollouts=2, edit_steps=1, pairs_per_course=2,
                     sims_per_pair=1, course_rec_steps=5, rec_batch=16, seed=1)
@@ -497,7 +497,7 @@ def test_train_augmented_runs_and_logs(mini):
 
 
 def test_train_augmented_never_touches_simulator(mini):
-    rec = mini.fresh_rec()
+    rec = mini.rec.copy()
     flm_sum = mini.sim.flm.store.checksum()
     clf_sum = mini.sim.clf_store.checksum()
     cfg = RunConfig(courses=1, rollouts=2, edit_steps=1,
@@ -522,7 +522,7 @@ def test_train_augmented_simulates_from_untaped_prompts(mini, monkeypatch):
     cfg = RunConfig(courses=1, rollouts=2, edit_steps=1,
                     pairs_per_course=2, sims_per_pair=2, course_rec_steps=1,
                     seed=3)
-    cf.train_augmented(mini.fresh_rec(), mini.sim, mini.pairs,
+    cf.train_augmented(mini.rec.copy(), mini.sim, mini.pairs,
                        mini.train_samples, [], cfg)
     assert len(seen) == 2 * 2
     for prompt in (p for pair in seen for p in pair):
@@ -532,7 +532,7 @@ def test_train_augmented_simulates_from_untaped_prompts(mini, monkeypatch):
 def test_train_augmented_seed_reproducible(mini):
     sums = []
     for _ in range(2):
-        rec = mini.fresh_rec()
+        rec = mini.rec.copy()
         cfg = RunConfig(courses=2, rollouts=2, edit_steps=1,
                         pairs_per_course=2, sims_per_pair=1,
                         course_rec_steps=5, seed=7)
@@ -545,7 +545,7 @@ def test_train_augmented_seed_reproducible(mini):
 
 
 def test_train_augmented_one_rgcn_forward_per_edit_phase(mini, monkeypatch):
-    rec = mini.fresh_rec()
+    rec = mini.rec.copy()
     forwards, steps = [], []
     rgcn_forward, reinforce_step = emb.rgcn_forward, cf.reinforce_step
 
@@ -571,7 +571,7 @@ def test_train_augmented_one_rgcn_forward_per_edit_phase(mini, monkeypatch):
 
 
 def test_per_course_reward_matches_fresh_reward_fn(mini, monkeypatch):
-    rec = mini.fresh_rec()
+    rec = mini.rec.copy()
     default_reward_fn = cf.default_reward_fn
     pairs = []
 
@@ -598,21 +598,46 @@ def test_per_course_reward_matches_fresh_reward_fn(mini, monkeypatch):
     assert all(shared == fresh for shared, fresh in pairs)
 
 
-def test_train_eda_runs(mini):
-    rec = mini.fresh_rec()
-    flow_pool = [ex for ex, _ in pl.corpus_flows(mini.world.train,
-                                                 mini.world.kg)]
-    cfg = RunConfig(courses=2, pairs_per_course=2, sims_per_pair=1,
-                    course_rec_steps=5, seed=3)
-    log, sims = cf.train_eda(rec, mini.sim.bank, mini.hkg, flow_pool,
-                             mini.train_samples, mini.val_samples, cfg)
-    assert len(log) == 2
-    assert all(e["n_simulated"] >= 0 for e in log)
+# -- the arm runner --------------------------------------------------------------
+
+def train_arm_directly(name, rec, mini, cfg):
+    """The arm's trainer on the inputs that the CLI built for it."""
+    kg = mini.world.kg
+    if name == "baseline":
+        return cf.train_baseline(rec, mini.train_samples, mini.val_samples,
+                                 cfg)
+    if name == "eda":
+        pool = pl.corpus_flows(mini.world.train, kg, max_len=cfg.max_len)
+        return cf.train_eda(rec, rz.build_template_bank(mini.world.train, kg),
+                            mini.hkg, [ex for ex, _ in pool],
+                            mini.train_samples, mini.val_samples, cfg)
+    return cf.train_augmented(rec, mini.sim, mini.pairs, mini.train_samples,
+                              mini.val_samples, cfg)
 
 
-def test_train_baseline_runs(mini):
-    rec = mini.fresh_rec()
-    cfg = RunConfig(courses=2, course_rec_steps=5, seed=4)
-    log, sims = cf.train_baseline(rec, mini.train_samples, mini.val_samples,
-                                  cfg)
-    assert len(log) == 2 and sims == []
+@pytest.mark.parametrize("name", ["baseline", "eda", "augmented"])
+def test_train_arm_equals_its_trainer_on_the_cli_inputs(mini, name):
+    # max_len 3 truncates the EDA arm's flow pool
+    cfg = RunConfig(courses=2, course_rec_steps=3, rollouts=2, edit_steps=1,
+                    pairs_per_course=2, sims_per_pair=1, max_len=3, seed=8)
+    sim = mini.sim if name == "augmented" else None
+    runs = []
+    for train in (lambda rec: cf.train_arm(name, rec, mini.world.train,
+                                           mini.val_samples, cfg, sim),
+                  lambda rec: train_arm_directly(name, rec, mini, cfg)):
+        rec = mini.rec.copy()
+        log, simulated = train(rec)
+        runs.append((log, [r.dialogue.to_record() for r in simulated],
+                     rec.store.checksum()))
+    assert runs[0] == runs[1]
+    log, simulated, checksum = runs[0]
+    assert len(log) == 2 and checksum != mini.rec.store.checksum()
+    assert bool(simulated) == (name != "baseline")
+
+
+def test_train_arm_rejects_an_unknown_arm(mini):
+    rec = mini.rec.copy()
+    with pytest.raises(ValueError, match="unknown arm 'random-edit'"):
+        cf.train_arm("random-edit", rec, mini.world.train, None,
+                     RunConfig(courses=1, seed=0), mini.sim)
+    assert rec.store.checksum() == mini.rec.store.checksum()

@@ -102,7 +102,7 @@ def test_build_simulator_records_no_tape_for_classifier_prompts(mini,
     cfg = dataclasses.replace(mini.sim_cfg, pseudo_ratio=0, flm_epochs=1,
                               clf_steps=1)
     pl.build_simulator(mini.hkg, mini.world.train,
-                       mini.fresh_rec().entity_embeddings_array(), cfg)
+                       mini.rec.copy().entity_embeddings_array(), cfg)
     assert returned
     assert all(isinstance(t, ad.Tensor) for t in returned)
     assert not any(t.requires_grad for t in returned)

@@ -352,6 +352,23 @@ def test_distinct_n_empty_corpus():
     assert rc.distinct_n([], 3) == 0.0
 
 
+def test_copy_has_equal_values_and_a_fresh_adam_state(mini):
+    before = mini.rec.store.checksum()
+    assert mini.rec.store.step_count > 0
+    clone = mini.rec.copy()
+    assert clone.hkg is mini.rec.hkg and clone.store.step_count == 0
+    assert clone.store.checksum() == before
+    # zero moments: the copy's first step equals a new model's on its values
+    fresh = rc.RecModel(mini.hkg, d_e=16, seed=1)
+    fresh.store.load_values(mini.rec.store.values_dict())
+    for model in (clone, fresh):
+        rc.train_steps(model, mini.train_samples, 1, 8, 1e-2,
+                       np.random.default_rng(0))
+    assert clone.store.checksum() == fresh.store.checksum() != before
+    # training the copy leaves the original as it was
+    assert mini.rec.store.checksum() == before
+
+
 def test_pretrain_memorizes_five_samples(small_world):
     model = rc.RecModel(small_world, d_e=8, seed=2)
     g1, g2 = (small_world.base.entity_id(x) for x in ("g1", "g2"))

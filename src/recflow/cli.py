@@ -48,6 +48,7 @@ class OutputTracker:
         self.out_dir = out_dir
         self.command = command
         self.outputs = []
+        self.inputs = []
         os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name):
@@ -75,6 +76,8 @@ class OutputTracker:
         self.write_text("config_resolved.json", cfg.to_json() + "\n")
         manifest = {"command": self.command,
                     "outputs": sorted(self.outputs + ["manifest.json"])}
+        if self.inputs:
+            manifest["inputs"] = sorted(self.inputs)
         self.write_json("manifest.json", manifest)
 
 
@@ -293,20 +296,36 @@ def cmd_simulate(cfg):
     return 0
 
 
+def _default_checkpoint(out_dir):
+    """The checkpoint ``evaluate`` scores without ``--checkpoint``: the first
+    of ``rec_final.ckpt``, ``rec_eda.ckpt`` and ``rec.ckpt`` that the
+    directory's manifest names as an output (or, after an ``evaluate``, as
+    its input), else the first of them that exists."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json"),
+                  encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        named = set(manifest["outputs"]) | set(manifest.get("inputs", ()))
+    except (OSError, ValueError, KeyError, TypeError):
+        named = set()
+    order = ("rec_final.ckpt", "rec_eda.ckpt", "rec.ckpt")
+    for name in [n for n in order if n in named] + list(order):
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path):
+            return path
+    return None
+
+
 def cmd_evaluate(cfg, checkpoint=None, responses=None):
     tracker = OutputTracker(cfg.out_dir, "evaluate")
     ws = load_workspace(cfg, need_test=True)
     rec = build_rec(cfg, ws.hkg)
-    ckpt = checkpoint
-    if ckpt is None:
-        for name in ("rec_final.ckpt", "rec_eda.ckpt", "rec.ckpt"):
-            candidate = os.path.join(cfg.out_dir, name)
-            if os.path.exists(candidate):
-                ckpt = candidate
-                break
+    ckpt = (_default_checkpoint(cfg.out_dir) if checkpoint is None
+            else checkpoint)
     if ckpt is None:
         raise pl.DataError("no recommender checkpoint found to evaluate")
     pl.read_checkpoint(ckpt, rec.store)
+    tracker.inputs.append(os.path.relpath(ckpt, cfg.out_dir))
     test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
     report = rc.evaluate(rec, test_samples)
     if responses:

@@ -14,12 +14,13 @@ Public surface: ``FlowLM``; ``flow_log_probs_batch``, which validates flows
 and scores them under one prompt pair; ``generate_flows_batch``;
 ``user_prompt(s)``, which pool interaction lists into prompts;
 ``pretrain_flm``; and ``sample_pseudo_flow``. Scoring and pre-training share
-one masked scorer over arrays, ``_scored_steps``. Pre-training packs each
-length bucket once (``_FlowBucket``: flows, type ids, both sides' prompt id
-lists, and each step's index into the cached step masks it reads), so a
-batch is a few numpy gathers; it pools the batch's seeker prompts as one
-padded block, and its recommender prompts as another
-(``embeddings.pool_entities``).
+one masked scorer over arrays, ``_scored_steps``; the generator and it read
+step masks from one builder, ``_mask_block``, which expands the id arrays
+that ``FlowLM.step_mask`` caches into an additive (rows, steps, vocab) block.
+Pre-training packs each length bucket once (``_FlowBucket``: flows, type ids,
+both sides' prompt id lists, and each step's allowed ids), so a batch is a
+few numpy gathers; it pools the batch's seeker prompts as one padded block,
+and its recommender prompts as another (``embeddings.pool_entities``).
 """
 
 from __future__ import annotations
@@ -148,35 +149,35 @@ class FlowLM:
         return ids
 
     def step_mask(self, type_name, prev_entity=None, target=None):
-        """Additive logit mask for one decoding step: a read-only array,
-        built once and shared by every step of this type after this entity.
-        ``target`` (when given) is kept in support by widening to the type
-        class if necessary."""
-        mask = self._step(type_name, prev_entity)
-        if target is not None and mask[target] != 0.0:
-            mask = self._step(type_name, None)
-        return mask
+        """The ids one decoding step may emit: an increasing, read-only
+        ``np.intp`` array, built once and shared by every step of this type
+        after this entity, which ``_mask_block`` expands into a logit mask;
+        the cache holds no vocabulary-sized array. ``target`` (when given)
+        is kept in support by widening to the type class if necessary."""
+        ids = self._step(type_name, prev_entity)
+        if target is not None:  # ids is increasing, so search by bisection
+            if ids[ids.searchsorted(target) % len(ids)] != target:
+                ids = self._step(type_name, None)
+        return ids
 
     def _step(self, type_name, prev_entity):
-        """The additive mask of a step, built on first use: zero on the type
-        class, optionally intersected with the hop neighborhood of the
-        previous entity (falling back to the whole class when that
-        intersection is empty)."""
+        """The allowed ids of a step, built on first use: the type class,
+        optionally intersected with the hop neighborhood of the previous
+        entity (falling back to the whole class when that intersection is
+        empty)."""
         key = (type_name, prev_entity if self.cfg.connectivity_mask else None)
-        mask = self._steps.get(key)
-        if mask is not None:
-            return mask
+        ids = self._steps.get(key)
+        if ids is not None:
+            return ids
         ids = self._type_entities(type_name)
         if key[1] is not None:
             hood = self.hkg.neighborhood(prev_entity, self.cfg.hop_limit)
             near = [e for e in ids if e == prev_entity or e in hood]
             if near:
                 ids = near
-        mask = np.full(self.vocab_size, ad.MASK_NEG)
-        mask[list(ids)] = 0.0
-        mask.flags.writeable = False
-        self._steps[key] = mask
-        return mask
+        ids = self._steps[key] = np.array(ids, dtype=np.intp)
+        ids.flags.writeable = False
+        return ids
 
     # -- transformer pieces ---------------------------------------------------
     def _attention(self, x, kv, base, tag, mask=None):
@@ -258,17 +259,27 @@ def _flow_log_probs(flm, e_u, e_v, schema, flows):
     parameters and the prompt tensors, which is the gradient path
     preference edits rely on.
     """
-    masks = np.stack([_step_masks(flm, schema, f) for f in flows])
+    masks = _mask_block(flm, [_step_ids(flm, schema, f) for f in flows])
     return _scored_steps(flm, e_u, e_v, flm.type_ids(schema)[None],
                          np.asarray(flows, dtype=np.intp), masks)
 
 
-def _step_masks(flm, schema, flow):
-    """The cached step mask that each position of a teacher-forced flow
+def _step_ids(flm, schema, flow):
+    """The cached allowed ids that each position of a teacher-forced flow
     reads."""
     return [flm.step_mask(type_name, prev_entity=flow[j - 1] if j else None,
                           target=flow[j])
             for j, type_name in enumerate(schema)]
+
+
+def _mask_block(flm, rows):
+    """The additive (len(rows), steps, vocab) logit mask of ``rows``, lists
+    of one allowed-id array per step: 0 on the ids, MASK_NEG elsewhere."""
+    steps = [ids for row in rows for ids in row]
+    block = np.full((len(steps), flm.vocab_size), ad.MASK_NEG)
+    block[np.arange(len(steps)).repeat([len(ids) for ids in steps]),
+          np.concatenate(steps)] = 0.0
+    return block.reshape(len(rows), -1, flm.vocab_size)
 
 
 def _scored_steps(flm, prompts_u, prompts_v, type_ids, flows, masks):
@@ -318,13 +329,10 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
         enc = flm.encode(ad.Tensor(e_u[None, :]), ad.Tensor(e_v[None, :]),
                          flm.type_ids(schema)[None, :])
         for j, tname in enumerate(schema):
-            logits = flm.decode(tokens, enc).data[:, -1, :]
-            if j == 0:
-                masked = logits + flm.step_mask(tname)[None, :]
-            else:
-                masks = np.stack([flm.step_mask(tname, prev_entity=int(p))
-                                  for p in tokens[:, -1]])
-                masked = logits + masks
+            prevs = tokens[:, -1].tolist() if j else [None]
+            masked = flm.decode(tokens, enc).data[:, -1, :] + _mask_block(
+                flm, [[flm.step_mask(tname, prev_entity=p)] for p in prevs]
+            )[:, 0]
             gumbel = -np.log(-np.log(rng.uniform(size=masked.shape)))
             nxt = np.argmax(masked / temperature + gumbel, axis=-1)
             tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
@@ -414,8 +422,7 @@ def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
 class _FlowBucket:
     """Same-length examples that ``pretrain_flm`` has validated, packed as
     arrays once: flows, schema type ids, both sides' prompt id lists, and
-    each step's index into ``masks``, the step masks it reads, which are the
-    model's cached arrays themselves."""
+    each example's list of step ids, the model's cached arrays themselves."""
 
     def __init__(self, flm, examples):
         self.flm = flm
@@ -424,15 +431,8 @@ class _FlowBucket:
         self.seeker = emb.IdLists.pack([ex.seeker_entities for ex in examples])
         self.rec = emb.IdLists.pack([ex.recommender_entities
                                      for ex in examples])
-        index, self.masks = {}, []
-        self.mask_ids = np.empty(self.flows.shape, dtype=np.intp)
-        for i, ex in enumerate(examples):
-            for j, mask in enumerate(_step_masks(flm, ex.schema,
-                                                 ex.entities)):
-                if id(mask) not in index:
-                    index[id(mask)] = len(self.masks)
-                    self.masks.append(mask)
-                self.mask_ids[i, j] = index[id(mask)]
+        self.step_ids = [_step_ids(flm, ex.schema, ex.entities)
+                         for ex in examples]
 
     def __len__(self):
         return len(self.flows)
@@ -440,11 +440,9 @@ class _FlowBucket:
     def nll(self, idx, entity_emb):
         """Mean per-flow negative log-likelihood of the examples ``idx``."""
         flm = self.flm
-        masks = np.stack([self.masks[k]
-                          for k in self.mask_ids[idx].ravel().tolist()])
         steps = _scored_steps(
             flm, user_prompts(flm, self.seeker.take(idx), entity_emb),
             user_prompts(flm, self.rec.take(idx), entity_emb),
             self.type_ids[idx], self.flows[idx],
-            masks.reshape(len(idx), self.flows.shape[1], -1))
+            _mask_block(flm, [self.step_ids[i] for i in idx]))
         return -ad.mul(ad.tensor_sum(steps), 1.0 / len(idx))

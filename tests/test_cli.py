@@ -391,6 +391,33 @@ def test_eda_baseline_runs(tmp_path, world_files):
     assert {k: scored[k] for k in ranking} == {k: trained[k] for k in ranking}
 
 
+def test_evaluate_scores_the_checkpoint_the_manifest_names(tmp_path,
+                                                           world_files):
+    # train leaves rec_final.ckpt behind, but eda-baseline wrote the
+    # directory last, so evaluate scores its rec_eda.ckpt, and names it in
+    # its own manifest for the next evaluate
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    assert cli.main(["eda-baseline", "--config", cfg_path]) == 0
+    trained = json.loads((out / "metrics_test.json").read_text())
+    ranking = [k for k in trained if "@" in k]
+    for _ in range(2):
+        assert cli.main(["evaluate", "--config", cfg_path]) == 0
+        scored = json.loads((out / "metrics_test.json").read_text())
+        assert {k: scored[k] for k in ranking} == {k: trained[k]
+                                                   for k in ranking}
+        assert read_manifest(out)["inputs"] == ["rec_eda.ckpt"]
+    # with no manifest, or one that cannot be read, the fixed order holds
+    for text in (None, '{"outputs": 5}', "[1,"):
+        if text is None:
+            (out / "manifest.json").unlink()
+        else:
+            (out / "manifest.json").write_text(text)
+        assert cli.main(["evaluate", "--config", cfg_path]) == 0
+        assert read_manifest(out)["inputs"] == ["rec_final.ckpt"]
+
+
 def test_sweep_writes_grid_results(tmp_path, world_files):
     out = tmp_path / "out"
     cfg = fast_config(world_files, out, courses=1)

@@ -151,8 +151,7 @@ def enumerate_pair_gradient(state, sim, rec, reward_fn):
     flows = [[]]
     for j, tname in enumerate(schema):
         flows = [f + [e] for f in flows
-                 for e in np.flatnonzero(sim.flm.step_mask(
-                     tname, f[-1] if f else None) == 0)]
+                 for e in sim.flm.step_mask(tname, f[-1] if f else None)]
     probs, rewards, grads = {}, {}, {}
     exact = {n: np.zeros_like(state.store[n].data)
              for n in ("delta_u", "delta_v")}

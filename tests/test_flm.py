@@ -87,7 +87,7 @@ def enumerate_support(flm, schema):
         nxt = []
         for prefix in flows:
             prev = prefix[-1] if prefix else None
-            for eid in np.flatnonzero(flm.step_mask(tname, prev) == 0):
+            for eid in flm.step_mask(tname, prev):
                 nxt.append(prefix + [eid])
         flows = nxt
     return [tuple(f) for f in flows]
@@ -158,8 +158,8 @@ def test_generate_low_temperature_matches_greedy(full_hkg):
                          flm.type_ids(schema)[None, :])
         for j, tname in enumerate(schema):
             logits = flm.decode(np.array([tokens]), enc).data[0, -1]
-            mask = flm.step_mask(tname, prev_entity=tokens[-1] if j else None)
-            tokens.append(int(np.argmax(logits + mask)))
+            ids = flm.step_mask(tname, prev_entity=tokens[-1] if j else None)
+            tokens.append(int(ids[np.argmax(logits[ids])]))
     greedy = tokens[1:]
     for seed in range(5):
         cold = flmm.generate_flows_batch(flm, e_u, e_v, schema,
@@ -460,34 +460,106 @@ def _fresh_step_mask(flm, type_name, prev_entity=None, target=None):
     return mask
 
 
-@pytest.mark.parametrize("connectivity", [True, False])
-def test_cached_step_masks_equal_fresh_ones_and_are_read_only(connectivity):
-    # two clusters: g1-m1-a1 and g2-m2-a2, so some targets leave the hop
-    # neighbourhood of the previous entity and widen to their type class
+def two_clusters(connectivity):
+    """A model over two clusters, g1-m1-a1 and g2-m2-a2, and three flows of
+    one schema; in the second and third a target leaves the hop
+    neighbourhood of the previous entity and widens to its type class."""
     types = dict(TYPES, a2="actor")
     triples = [("m1", "has_genre", "g1"), ("m2", "has_genre", "g2"),
                ("a1", "acted_in", "m1"), ("a2", "acted_in", "m2")]
     hkg = build_hkg(triples, types)
     flm = make_flm(hkg, connectivity_mask=connectivity, hop_limit=1)
-    kg = hkg.base
-    ids = {name: kg.entity_id(name) for name in types}
-    schema = ("genre", "item", "actor")
+    ids = {name: hkg.base.entity_id(name) for name in types}
     flows = [[ids["g1"], ids["m1"], ids["a1"]],   # stays on the graph
              [ids["g1"], ids["m2"], ids["a2"]],   # m2 is off g1's hood
              [ids["g2"], ids["m2"], ids["a1"]]]   # a1 is off m2's hood
+    return flm, ids, ("genre", "item", "actor"), flows
+
+
+@pytest.mark.parametrize("connectivity", [True, False])
+def test_cached_step_masks_equal_fresh_ones_and_are_read_only(connectivity):
+    flm, ids, schema, flows = two_clusters(connectivity)
     for _ in range(2):  # the second pass reads only the cache
         for flow in flows:
             for j, target in enumerate(flow):
                 prev = flow[j - 1] if j else None
                 for tgt in (target, None):
-                    mask = flm.step_mask(schema[j], prev_entity=prev,
-                                         target=tgt)
+                    allowed = flm.step_mask(schema[j], prev_entity=prev,
+                                            target=tgt)
                     fresh = _fresh_step_mask(flm, schema[j], prev, tgt)
-                    assert mask.tobytes() == fresh.tobytes()
-                    assert not mask.flags.writeable
-                    assert mask is flm.step_mask(schema[j], prev, tgt)
+                    assert allowed.dtype == np.intp
+                    assert allowed.tolist() == np.flatnonzero(
+                        fresh == 0).tolist()
+                    assert not allowed.flags.writeable
+                    assert allowed is flm.step_mask(schema[j], prev, tgt)
     with pytest.raises(ValueError):
-        flm.step_mask("item", ids["g1"])[0] = 0.0
+        flm.step_mask("item", ids["g1"])[0] = 0
+
+
+def assert_rows_are_fresh(flm, masks, schemas, flows, forced=True):
+    # row r, step j of ``masks`` is the fresh mask of step j of flow r,
+    # teacher-forced to read its target when ``forced``
+    assert masks.shape == (len(flows), len(flows[0]), flm.vocab_size)
+    for r, (schema, flow) in enumerate(zip(schemas, flows)):
+        for j, target in enumerate(flow):
+            prev = flow[j - 1] if j else None
+            fresh = _fresh_step_mask(flm, schema[j], prev,
+                                     target if forced else None)
+            assert masks[r, j].tobytes() == fresh.tobytes(), (r, j)
+
+
+@pytest.mark.parametrize("connectivity", [True, False])
+def test_mask_blocks_reaching_the_logits_equal_fresh_masks(connectivity,
+                                                           monkeypatch):
+    flm, ids, schema, flows = two_clusters(connectivity)
+    randomize_head(flm, 31)
+    e_u, e_v = rand_prompts(flm, 14)
+    picked, built = [], []
+    pick, build = ad.log_softmax_pick, flmm._mask_block
+    monkeypatch.setattr(ad, "log_softmax_pick", lambda logits, targets, mask:
+                        picked.append(mask) or pick(logits, targets, mask))
+    monkeypatch.setattr(flmm, "_mask_block", lambda *a:
+                        built.append(build(*a)) or built[-1])
+
+    flmm.flow_log_probs_batch(flm, e_u, e_v, schema, flows)
+    assert_rows_are_fresh(flm, picked.pop(), [schema] * 3, flows)
+
+    # a pre-training batch of two schemas, read out of order
+    other = ("item", "genre", "item")
+    examples = [flmm.FlowExample(f, schema, f[:1], f[1:]) for f in flows]
+    examples.append(flmm.FlowExample([ids["m1"], ids["g2"], ids["m1"]],
+                                     other, [ids["m1"]], [ids["g2"]]))
+    emb_table = np.random.default_rng(8).normal(
+        size=(flm.hkg.num_nodes, flm.d_e))
+    idx = np.array([3, 1, 0])
+    flmm._FlowBucket(flm, examples).nll(idx, emb_table)
+    assert_rows_are_fresh(flm, picked.pop(),
+                          [examples[i].schema for i in idx],
+                          [examples[i].entities for i in idx])
+
+    built.clear()
+    generated = flmm.generate_flows_batch(flm, e_u, e_v, schema,
+                                          np.random.default_rng(5), 16)
+    assert len(built) == len(schema)
+    steps = np.stack([np.broadcast_to(block[:, 0], (16, flm.vocab_size))
+                      for block in built], axis=1)
+    assert_rows_are_fresh(flm, steps, [schema] * 16, generated, forced=False)
+
+
+def test_cached_step_ids_stay_within_their_type_class(mini):
+    # after pre-training (in the fixture) and generation, the cache holds
+    # each step's allowed ids, never a vocabulary-sized array
+    sim, kg = mini.sim, mini.hkg.base
+    rng = np.random.default_rng(2)
+    for pair in mini.pairs[:4]:
+        sim.simulate(sim.prompt(pair.u_entities), sim.prompt(pair.v_entities),
+                     rng)
+    assert sim.flm._steps
+    for (type_name, _), allowed in sim.flm._steps.items():
+        assert allowed.dtype == np.intp
+        assert not allowed.flags.writeable
+        assert len(allowed) <= len(kg.entities_of_type(type_name))
+        assert np.all(np.diff(allowed) > 0)
 
 
 def test_flows_are_checked_once_in_pretraining(full_hkg, monkeypatch):

@@ -57,24 +57,12 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
+from .errors import NumericError
+
 _F64_TAG = 0
 _F32_TAG = 1
 _DTYPES = {_F64_TAG: np.dtype("<f8"), _F32_TAG: np.dtype("<f4")}
 CHECKPOINT_VERSION = 1
-
-
-class NonScalarLoss(ValueError):
-    pass
-
-
-class NonFiniteGradient(FloatingPointError):
-    def __init__(self, name):
-        super().__init__(f"non-finite gradient for parameter {name!r}")
-        self.name = name
-
-
-class DuplicateParameter(ValueError):
-    pass
 
 
 _grad_enabled = True
@@ -832,9 +820,9 @@ def backward(loss, params):
     checks the ones it applies.
     """
     if not isinstance(loss, Tensor):
-        raise NonScalarLoss("loss must be a Tensor")
+        raise NumericError("loss must be a Tensor")
     if loss.data.size != 1:
-        raise NonScalarLoss(f"loss has shape {loss.data.shape}")
+        raise NumericError(f"loss has shape {loss.data.shape}")
     if not loss.requires_grad:
         return {}
 
@@ -880,7 +868,7 @@ class ParamStore:
 
     def add(self, name, value):
         if name in self._params:
-            raise DuplicateParameter(name)
+            raise ValueError(f"duplicate parameter {name!r}")
         if self.step_count:
             raise ValueError(f"cannot add {name!r}: the store has taken "
                              f"{self.step_count} optimizer steps")
@@ -948,8 +936,8 @@ def optimizer_step(store, grads, lr):
     ``grads`` names every parameter of the store and nothing else; a
     missing or extra name raises ``ValueError`` before anything is written.
     The gradients are copied into one flat array in store order and checked
-    for finiteness once: a non-finite gradient raises
-    ``NonFiniteGradient``, naming the first bad parameter, before anything
+    for finiteness once: a non-finite gradient raises a ``NumericError``
+    naming the first bad parameter, before anything
     is written. The update then runs once, in place over the store's flat
     buffers, at the store's step count.
     """
@@ -970,9 +958,9 @@ def optimizer_step(store, grads, lr):
     # each part is flattened; a size mismatch raises ValueError
     np.concatenate(parts, axis=None, out=g)
     if not np.isfinite(g).all():
-        raise NonFiniteGradient(next(
-            name for name, part in zip(store._params, parts)
-            if not np.isfinite(part).all()))
+        bad = next(name for name, part in zip(store._params, parts)
+                   if not np.isfinite(part).all())
+        raise NumericError(f"non-finite gradient for parameter {bad!r}")
     store.step_count += 1
     _adam(store._flat, store._m, store._v, g, tmp, store.step_count, lr)
     return store

@@ -4,8 +4,9 @@ Subcommands: ingest, mine-schemas, pretrain-rec, pretrain-flm, train,
 simulate, evaluate, eda-baseline, sweep. Every run writes a resolved-config
 snapshot and a manifest listing all produced files into the output
 directory. The library's trainers and simulator take the same ``RunConfig``
-that the command resolves, passed straight through. Exit codes: 0 success,
-2 config error, 3 data error, 4 numeric error.
+that the command resolves, passed straight through. The exit code follows
+the category of the error (``errors.py``): 0 success, 2 ``ConfigError``,
+3 ``DataError`` or ``OSError``, 4 ``NumericError``.
 """
 
 from __future__ import annotations
@@ -22,23 +23,12 @@ import numpy as np
 from . import autodiff as ad
 from . import corpus as cp
 from . import counterfactual as cf
-from . import flm as flmm
 from . import kg as kgm
 from . import pipeline as pl
-from . import realization as rz
 from . import recommender as rc
 from . import schema as sc
-from .config import ConfigError, RunConfig
-
-DATA_ERRORS = (pl.DataError, kgm.MissingType, kgm.MalformedRecord,
-               kgm.UnknownEntity, kgm.EmptyInteractionList, kgm.UnknownType,
-               cp.ParseError, cp.SpanOutOfBounds, flmm.VocabMiss,
-               flmm.TypeMismatch, flmm.EmptyTypeClass,
-               flmm.AllSchemasUnreachable, rz.NoCoveringSegmentation,
-               rc.LabelNotItem, rc.EmptyTestSet, rc.EmptyTrainingSet,
-               sc.EmptyCatalog, sc.IndexOutOfCatalog, OSError)
-NUMERIC_ERRORS = (ad.NonFiniteGradient, ad.NonScalarLoss,
-                  cf.NonFiniteUpdate, cf.PositionOutOfRange)
+from .config import RunConfig
+from .errors import ConfigError, DataError, NumericError
 
 
 class OutputTracker:
@@ -270,7 +260,7 @@ def cmd_simulate(cfg):
     sim = _load_or_build_simulator(cfg, ws, rec, tracker)
     pairs = pl.build_user_pairs(ws.train, ws.hkg)
     if not pairs:
-        raise pl.DataError("no user pairs with interactions to simulate")
+        raise DataError("no user pairs with interactions to simulate")
     rng = np.random.default_rng(cfg.seed)
     realized, requests = [], []
     for i in range(cfg.n_simulate):
@@ -323,7 +313,7 @@ def cmd_evaluate(cfg, checkpoint=None, responses=None):
     ckpt = (_default_checkpoint(cfg.out_dir) if checkpoint is None
             else checkpoint)
     if ckpt is None:
-        raise pl.DataError("no recommender checkpoint found to evaluate")
+        raise DataError("no recommender checkpoint found to evaluate")
     pl.read_checkpoint(ckpt, rec.store)
     tracker.inputs.append(os.path.relpath(ckpt, cfg.out_dir))
     test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
@@ -435,10 +425,10 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DATA_ERRORS as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except NUMERIC_ERRORS as e:
+    except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 4
 

@@ -11,12 +11,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-
-class ConfigError(ValueError):
-    def __init__(self, field_name, reason):
-        super().__init__(f"config field {field_name!r}: {reason}")
-        self.field = field_name
-        self.reason = reason
+from .errors import ConfigError
 
 
 def _is_number(v):
@@ -88,6 +83,8 @@ class RunConfig:
             v = getattr(self, name)
             if type(v) is not str:
                 raise ConfigError(name, f"must be a string path, got {v!r}")
+        if not self.out_dir:
+            raise ConfigError("out_dir", "must name a directory, got ''")
         positive_ints = ("d_e", "rgcn_layers", "rgcn_bases", "flm_d_model",
                          "flm_layers", "flm_heads", "flm_ff_mult",
                          "min_support", "max_len", "hop_limit", "rec_batch",

@@ -16,29 +16,11 @@ import json
 from dataclasses import dataclass, field
 
 from . import kg as kgm
+from .errors import DataError
 
 SEEKER = "seeker"
 RECOMMENDER = "recommender"
 ROLES = (SEEKER, RECOMMENDER)
-
-
-class ParseError(ValueError):
-    def __init__(self, record_index, detail=""):
-        msg = f"unparseable dialogue record {record_index}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.record_index = record_index
-
-
-class SpanOutOfBounds(ValueError):
-    def __init__(self, dialogue_id, turn_index, detail=""):
-        msg = f"bad mention span in dialogue {dialogue_id!r} turn {turn_index}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.dialogue_id = dialogue_id
-        self.turn_index = turn_index
 
 
 @dataclass
@@ -132,7 +114,8 @@ class Template:
 
 def _parse_turn(obj, record_index, dialogue_id, turn_index):
     def fail(detail):
-        return ParseError(record_index, f"turn {turn_index}: {detail}")
+        return DataError(f"unparseable dialogue record {record_index}: "
+                         f"turn {turn_index}: {detail}")
 
     if not isinstance(obj, dict):
         raise fail("turn must be an object")
@@ -155,10 +138,12 @@ def _parse_turn(obj, record_index, dialogue_id, turn_index):
     for m in sorted(raw, key=lambda m: (m["start"], m["end"])):
         start, end = m["start"], m["end"]
         if start < 0 or end > len(text) or start >= end:
-            raise SpanOutOfBounds(dialogue_id, turn_index,
-                                  f"span ({start}, {end}) vs len {len(text)}")
+            raise DataError(f"bad mention span in dialogue {dialogue_id!r} "
+                            f"turn {turn_index}: span ({start}, {end}) vs len "
+                            f"{len(text)}")
         if start < prev_end:
-            raise SpanOutOfBounds(dialogue_id, turn_index, "overlapping spans")
+            raise DataError(f"bad mention span in dialogue {dialogue_id!r} "
+                            f"turn {turn_index}: overlapping spans")
         prev_end = end
         mentions.append(Mention(entity=m["entity"], start=start, end=end))
     return Turn(speaker=speaker, text=text, mentions=mentions)
@@ -176,17 +161,20 @@ def load_dialogues(lines):
         try:
             obj = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as e:  # or too deep
-            raise ParseError(i, str(e)) from None
+            raise DataError(f"unparseable dialogue record {i}: {e}") from None
         if not isinstance(obj, dict) or "dialogue_id" not in obj \
                 or not isinstance(obj.get("turns"), list):
-            raise ParseError(i, "missing dialogue_id or a list of turns")
+            raise DataError(f"unparseable dialogue record {i}: missing "
+                            "dialogue_id or a list of turns")
         users = [obj.get(key) for key in ("seeker_id", "recommender_id")]
         if not all(u is None or isinstance(u, str) for u in users):
-            raise ParseError(i, "seeker_id and recommender_id must be strings")
+            raise DataError(f"unparseable dialogue record {i}: seeker_id and "
+                            "recommender_id must be strings")
         did = obj["dialogue_id"]
         if not isinstance(did, str) or did in seen:
-            raise ParseError(i, f"dialogue_id {json.dumps(did)} is not a "
-                                "string that no earlier record uses")
+            raise DataError(f"unparseable dialogue record {i}: dialogue_id "
+                            f"{json.dumps(did)} is not a string that no "
+                            "earlier record uses")
         seen.add(did)
         turns = [_parse_turn(t, i, did, j) for j, t in enumerate(obj["turns"])]
         dialogues.append(Dialogue(dialogue_id=did, turns=turns,

@@ -32,18 +32,9 @@ from . import pipeline as pl
 from . import realization as rz
 from . import recommender as rc
 from .config import RunConfig
+from .errors import DataError, NumericError
 
 logger = logging.getLogger(__name__)
-
-
-class PositionOutOfRange(IndexError):
-    def __init__(self, position, size):
-        super().__init__(f"edit position {position} outside 0..{size - 1}")
-        self.position = position
-
-
-class NonFiniteUpdate(FloatingPointError):
-    pass
 
 
 @dataclass
@@ -76,7 +67,7 @@ def apply_edit(entity_matrix, positions, delta):
     scatter = np.zeros((n, delta.shape[0]))
     for i, pos in enumerate(positions):
         if not (0 <= pos < n):
-            raise PositionOutOfRange(pos, n)
+            raise NumericError(f"edit position {pos} outside 0..{n - 1}")
         scatter[pos, i] = 1.0
     return entity_matrix + ad.Tensor(scatter) @ delta
 
@@ -192,7 +183,7 @@ def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
             g = np.zeros_like(p.data)
         updated = p.data + alpha * (g - 2.0 * lam * p.data)
         if not np.all(np.isfinite(updated)):
-            raise NonFiniteUpdate(name)
+            raise NumericError(name)
         p.data = updated
     return {"mean_reward": float(np.mean(all_rewards)),
             "edit_norm": state.edit_norm(),
@@ -314,7 +305,7 @@ def train_augmented(rec_model, sim, pairs, real_train, val_samples, cfg):
     the simulated + real mix.
     """
     if not pairs:
-        raise pl.DataError("need at least one user pair")
+        raise DataError("need at least one user pair")
     d_e = sim.entity_emb.shape[1]
 
     def course_fn(course, lam, rng):
@@ -358,7 +349,7 @@ def train_eda(rec_model, bank, hkg, flow_pool, real_train, val_samples, cfg):
     """Random-edit augmentation arm: same course loop and mixing, but
     augmented dialogues come from single random edits of real flows."""
     if not flow_pool:
-        raise pl.DataError("need at least one real flow to augment")
+        raise DataError("need at least one real flow to augment")
     kg = hkg.base
 
     def course_fn(course, lam, rng):

@@ -31,34 +31,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import embeddings as emb
+from .errors import DataError
 from .kg import sample_path
 
 # consecutive schemas that may fail to yield a path before
 # ``sample_pseudo_flow`` gives the catalog up as unreachable
 MAX_SCHEMA_TRIES = 200
-
-
-class AllSchemasUnreachable(RuntimeError):
-    pass
-
-
-class TypeMismatch(ValueError):
-    def __init__(self, position, expected, got):
-        super().__init__(f"flow position {position}: expected type "
-                         f"{expected!r}, got {got!r}")
-        self.position = position
-
-
-class VocabMiss(KeyError):
-    def __init__(self, entity):
-        super().__init__(f"entity {entity!r} outside the token table")
-        self.entity = entity
-
-
-class EmptyTypeClass(ValueError):
-    def __init__(self, type_name):
-        super().__init__(f"no entities of type {type_name!r}")
-        self.type_name = type_name
 
 
 @dataclass
@@ -145,7 +123,7 @@ class FlowLM:
     def _type_entities(self, type_name):
         ids = self.hkg.base.entities_of_type(type_name)
         if not ids:
-            raise EmptyTypeClass(type_name)
+            raise DataError(f"no entities of type {type_name!r}")
         return ids
 
     def step_mask(self, type_name, prev_entity=None, target=None):
@@ -239,9 +217,10 @@ class FlowLM:
         kg = self.hkg.base
         for j, (eid, tname) in enumerate(zip(flow, schema)):
             if not (0 <= eid < self.num_entities):
-                raise VocabMiss(eid)
+                raise DataError(f"entity {eid!r} outside the token table")
             if kg.type_name_of(eid) != tname:
-                raise TypeMismatch(j, tname, kg.type_name_of(eid))
+                raise DataError(f"flow position {j}: expected type {tname!r}, "
+                                f"got {kg.type_name_of(eid)!r}")
 
     def type_ids(self, schema):
         kg = self.hkg.base
@@ -322,7 +301,7 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
     if temperature <= 0:
         raise ValueError("temperature must be positive when sampling")
     for t in schema:
-        flm._type_entities(t)  # EmptyTypeClass early
+        flm._type_entities(t)  # an empty type class fails early
     e_u, e_v = np.asarray(e_u), np.asarray(e_v)
     tokens = np.full((count, 1), flm.bos, dtype=np.intp)
     with ad.no_grad():
@@ -348,7 +327,7 @@ def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2):
     unreachable as a whole.
     """
     if len(catalog) == 0:
-        raise AllSchemasUnreachable("empty schema catalog")
+        raise DataError("empty schema catalog")
     for _ in range(MAX_SCHEMA_TRIES):
         schema = catalog.schemas[int(rng.integers(len(catalog)))]
         flow = sample_path(hkg, schema, rng, hop_limit=hop_limit)
@@ -364,8 +343,7 @@ def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2):
                 if groups.any() and not groups.all():
                     break
         return FlowExample.from_roles(flow, schema, groups)
-    raise AllSchemasUnreachable(
-        f"no schema produced a path in {MAX_SCHEMA_TRIES} tries")
+    raise DataError(f"no schema produced a path in {MAX_SCHEMA_TRIES} tries")
 
 
 def user_prompts(flm, id_lists, entity_emb):

@@ -16,42 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import SegmentPlan
+from .errors import DataError
 
 INTERACTED = "interacted"
-
-
-class MissingType(KeyError):
-    def __init__(self, entity):
-        super().__init__(f"no type for entity {entity!r}")
-        self.entity = entity
-
-
-class MalformedRecord(ValueError):
-    def __init__(self, line_number, detail=""):
-        msg = f"malformed record at line {line_number}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.line_number = line_number
-
-
-class UnknownEntity(KeyError):
-    def __init__(self, user, entity):
-        super().__init__(f"user {user!r} interacts with unknown entity {entity!r}")
-        self.user = user
-        self.entity = entity
-
-
-class EmptyInteractionList(ValueError):
-    def __init__(self, user):
-        super().__init__(f"user {user!r} has an empty interaction list")
-        self.user = user
-
-
-class UnknownType(KeyError):
-    def __init__(self, type_name):
-        super().__init__(f"unknown entity type {type_name!r}")
-        self.type_name = type_name
 
 
 @dataclass
@@ -90,7 +57,8 @@ class KnowledgeGraph:
         try:
             return self._name_to_id[name]
         except KeyError:
-            raise MissingType(name) from None
+            raise DataError(f"entity {name!r} is not in the knowledge "
+                            "graph") from None
 
     def has_entity(self, name):
         return name in self._name_to_id
@@ -99,7 +67,7 @@ class KnowledgeGraph:
         try:
             return self._type_to_id[type_name]
         except KeyError:
-            raise UnknownType(type_name) from None
+            raise DataError(f"unknown entity type {type_name!r}") from None
 
     def type_of(self, entity_id):
         return self.entity_types[entity_id]
@@ -117,9 +85,10 @@ class KnowledgeGraph:
 def _split_line(line, n_fields, line_number):
     parts = line.rstrip("\n").split("\t")
     if len(parts) != n_fields:
-        raise MalformedRecord(line_number, f"expected {n_fields} fields, got {len(parts)}")
+        raise DataError(f"malformed record at line {line_number}: expected "
+                        f"{n_fields} fields, got {len(parts)}")
     if any(not p for p in parts):
-        raise MalformedRecord(line_number, "empty field")
+        raise DataError(f"malformed record at line {line_number}: empty field")
     return parts
 
 
@@ -148,7 +117,7 @@ def load_kg(triple_lines, type_lines):
         if eid is not None:
             return eid
         if name not in type_map:
-            raise MissingType(name)
+            raise DataError(f"no type for entity {name!r}")
         tname = type_map[name]
         tid = type_to_id.get(tname)
         if tid is None:
@@ -183,14 +152,15 @@ def load_kg(triple_lines, type_lines):
 
 def read_lines(path):
     """The lines of UTF-8 text file ``path``, split as text-mode reading
-    splits them; a byte that is not UTF-8 is a MalformedRecord."""
+    splits them; a byte that is not UTF-8 is a DataError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return list(io.StringIO(raw.decode("utf-8"), newline=None))
     except UnicodeDecodeError as err:
-        raise MalformedRecord(raw.count(b"\n", 0, err.start) + 1,
-                              f"{path} is not valid UTF-8") from None
+        line_number = raw.count(b"\n", 0, err.start) + 1
+        raise DataError(f"malformed record at line {line_number}: {path} is "
+                        "not valid UTF-8") from None
 
 
 def load_kg_files(triples_path, types_path):
@@ -319,11 +289,12 @@ def attach_users(kg, interactions):
     resolved = {}
     for user, entities in interactions.items():
         if not entities:
-            raise EmptyInteractionList(user)
+            raise DataError(f"user {user!r} has an empty interaction list")
         ids = []
         for name in entities:
             if not kg.has_entity(name):
-                raise UnknownEntity(user, name)
+                raise DataError(f"user {user!r} interacts with unknown "
+                                f"entity {name!r}")
             ids.append(kg.entity_id(name))
         users.append(user)
         resolved[user] = ids
@@ -348,7 +319,7 @@ def sample_path(hkg, schema, rng, hop_limit=2):
     if hop_limit < 1:
         raise ValueError("hop_limit must be >= 1")
     kg = hkg.base
-    candidates0 = kg.entities_of_type(schema[0])  # raises UnknownType
+    candidates0 = kg.entities_of_type(schema[0])  # DataError if unknown
     type_ids = [kg.type_id(t) for t in schema]
 
     for _ in range(PATH_RETRIES):

@@ -6,6 +6,7 @@ simulator reads its sizes and pre-training settings from the run's
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +17,7 @@ from . import flm as flmm
 from . import realization as rz
 from . import schema as sc
 from .config import RunConfig
-
-
-class DataError(ValueError):
-    pass
+from .errors import DataError
 
 
 def SimulatorConfig(**fields):
@@ -218,7 +216,7 @@ def load_simulator(hkg, train_dialogues, path, cfg):
         with open(path("catalog.json"), encoding="utf-8") as fh:
             catalog = sc.SchemaCatalog.from_json(
                 fh.read(), min_support=cfg.min_support, max_len=cfg.max_len)
-    except (ValueError, KeyError, TypeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path('catalog.json')}: {err!r}") from err
     entity_emb = read_checkpoint(path("sim_emb.ckpt")).get("entity_emb")
     if entity_emb is None or entity_emb.ndim != 2:

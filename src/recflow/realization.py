@@ -14,18 +14,11 @@ import logging
 from dataclasses import dataclass
 
 from . import corpus as cp
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
 ITEM_TYPE = "item"
-
-
-class NoCoveringSegmentation(ValueError):
-    def __init__(self, schema, position):
-        super().__init__(f"no template tiles schema {schema} at position "
-                         f"{position}")
-        self.schema = schema
-        self.position = position
 
 
 @dataclass
@@ -105,7 +98,8 @@ def realize(flow_entities, schema, bank, kg, rng, dialogue_id="sim",
             if pool:
                 break
         else:
-            raise NoCoveringSegmentation(tuple(schema), pos)
+            raise DataError(f"no template tiles schema {tuple(schema)} at "
+                            f"position {pos}")
         tpl_id = pool[int(rng.integers(len(pool)))]
         if tpl_id in bank.fallback_ids:
             logger.info("fallback template used for signature %s", sig)

@@ -28,21 +28,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import embeddings as emb
+from .errors import DataError
 from .realization import ITEM_TYPE
-
-
-class LabelNotItem(ValueError):
-    def __init__(self, label):
-        super().__init__(f"label entity {label} is not item-typed")
-        self.label = label
-
-
-class EmptyTestSet(ValueError):
-    pass
-
-
-class EmptyTrainingSet(ValueError):
-    pass
 
 
 @dataclass
@@ -167,7 +154,7 @@ class RecModel:
     def label_index(self, entity_id):
         idx = self.item_index.get(int(entity_id))
         if idx is None:
-            raise LabelNotItem(entity_id)
+            raise DataError(f"label entity {entity_id} is not item-typed")
         return idx
 
 
@@ -190,7 +177,7 @@ class SampleBatch:
 
 def pack_samples(model, samples):
     """A sample list as a ``SampleBatch``; a label that is not an item
-    raises ``LabelNotItem``."""
+    is a DataError."""
     return SampleBatch(
         np.array([model.label_index(s.label) for s in samples],
                  dtype=np.intp),
@@ -256,7 +243,7 @@ def evaluate(model, samples, ks=KS):
     a ``SampleBatch``), ranked in chunks of ``RANK_CHUNK`` samples against
     the frozen model."""
     if not samples:
-        raise EmptyTestSet("no test samples")
+        raise DataError("no test samples")
     batch = _packed(model, samples)
     n = len(batch)
     with ad.no_grad():
@@ -323,7 +310,7 @@ def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
     training history.
     """
     if not train_samples:
-        raise EmptyTrainingSet("need training samples")
+        raise DataError("need training samples")
     train_samples = _packed(model, train_samples)
     if val_samples:
         val_samples = _packed(model, val_samples)

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import recommender as rc
-
-
-class EmptyCatalog(ValueError):
-    pass
-
-
-class IndexOutOfCatalog(IndexError):
-    pass
+from .errors import DataError
 
 
 @dataclass
@@ -50,9 +43,22 @@ class SchemaCatalog:
 
     @classmethod
     def from_json(cls, text, min_support=1, max_len=None):
+        """The catalog ``to_json`` wrote: a list of entries, each an object
+        with a list of strings as "types" and a JSON integer (not a bool) as
+        "support". Any other entry is a DataError."""
         entries = json.loads(text)
+        if not isinstance(entries, list):
+            raise DataError("catalog.json is not a list of schema entries")
+        for i, e in enumerate(entries):
+            types = e.get("types") if isinstance(e, dict) else None
+            if (not isinstance(types, list)
+                    or not all(isinstance(t, str) for t in types)
+                    or type(e.get("support")) is not int):
+                raise DataError(f"catalog.json entry {i} is not an object "
+                                'with a list of strings as "types" and an '
+                                'integer "support"')
         schemas = [tuple(e["types"]) for e in entries]
-        supports = [int(e["support"]) for e in entries]
+        supports = [e["support"] for e in entries]
         longest = max((len(s) for s in schemas), default=0)
         return cls(schemas, supports, min_support, max_len or longest)
 
@@ -117,7 +123,7 @@ def predict_schema(e_u, e_v, store, catalog):
     support, so ties prefer the more frequent schema).
     """
     if len(catalog) == 0:
-        raise EmptyCatalog("cannot predict over an empty schema catalog")
+        raise DataError("cannot predict over an empty schema catalog")
     pair = np.concatenate([e_u, e_v]).reshape(1, -1)
     with ad.no_grad():
         logits = _classifier_logits(pair, store).data[0]
@@ -141,11 +147,11 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
     and returns the training loss history.
     """
     if len(catalog) == 0:
-        raise EmptyCatalog("cannot train against an empty catalog")
+        raise DataError("cannot train against an empty catalog")
     for _, _, gold in pairs:
         if not (0 <= gold < len(catalog)):
-            raise IndexOutOfCatalog(f"gold index {gold} outside catalog "
-                                    f"of size {len(catalog)}")
+            raise DataError(f"gold index {gold} outside catalog of size "
+                            f"{len(catalog)}")
     rng = np.random.default_rng(seed)
     x = np.stack([np.concatenate([np.asarray(u), np.asarray(v)])
                   for u, v, _ in pairs])

@@ -7,6 +7,7 @@ import pytest
 from recflow import autodiff as ad
 from recflow import embeddings as emb
 from recflow import synthetic as syn
+from recflow.errors import NumericError
 from recflow.recommender import EarlyStopping
 
 
@@ -30,7 +31,7 @@ def test_backward_linear_case():
 def test_backward_rejects_non_scalar_loss():
     store = ad.ParamStore()
     p = store.add("p", np.ones(3))
-    with pytest.raises(ad.NonScalarLoss):
+    with pytest.raises(NumericError, match=r"^loss has shape \(3,\)$"):
         ad.backward(p * p, store)
 
 
@@ -131,7 +132,8 @@ def test_optimizer_converges_on_convex_quadratic():
 def test_optimizer_rejects_non_finite_gradient():
     store = ad.ParamStore()
     store.add("p", np.ones(2))
-    with pytest.raises(ad.NonFiniteGradient):
+    with pytest.raises(NumericError,
+                       match="^non-finite gradient for parameter 'p'$"):
         ad.optimizer_step(store, {"p": np.array([np.nan, 0.0])}, lr=0.1)
 
 
@@ -225,10 +227,10 @@ def test_non_finite_gradient_leaves_the_store_unchanged():
         ad.optimizer_step(stores[-1], good, lr=0.1)
     store, twin = stores
     before = store.values_dict()
-    with pytest.raises(ad.NonFiniteGradient) as err:
+    with pytest.raises(NumericError,
+                       match="^non-finite gradient for parameter 'b'$"):
         ad.optimizer_step(store, {**good, "b": np.array([0.0, np.nan])},
                           lr=0.1)
-    assert err.value.name == "b"
     assert store.step_count == 1
     _assert_same_bytes(store, before)
     # moments and step counts are unchanged too: the next step matches a
@@ -270,7 +272,7 @@ def test_snapshots_are_not_aliased_to_the_flat_buffer():
 def test_param_store_rejects_duplicate_names():
     store = ad.ParamStore()
     store.add("p", np.ones(2))
-    with pytest.raises(ad.DuplicateParameter):
+    with pytest.raises(ValueError, match="^duplicate parameter 'p'$"):
         store.add("p", np.ones(2))
 
 
@@ -1077,6 +1079,6 @@ def test_backward_leaves_the_finite_check_to_the_optimizer():
     grads = ad.backward(ad.tensor_sum(store["p"] * np.array([np.inf, 1.0])),
                         store)
     assert not np.isfinite(grads["p"]).all()
-    with pytest.raises(ad.NonFiniteGradient) as err:
+    with pytest.raises(NumericError,
+                       match="^non-finite gradient for parameter 'p'$"):
         ad.optimizer_step(store, grads, lr=0.1)
-    assert err.value.name == "p"

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from recflow import corpus as cp
 from recflow import pipeline as pl
 from recflow import synthetic as syn
 from recflow.config import ConfigError, RunConfig
+from recflow.errors import DataError, NumericError
 
 
 @pytest.fixture(scope="session")
@@ -71,7 +73,7 @@ def test_config_validates_ranges():
     for bad in ({"d_e": True}, {"rollouts": True}, {"temperature": True},
                 {"mix_ratio": False}, {"delta": "x"},
                 {"mix_ratio": float("nan")}, {"rho": float("nan")},
-                {"out_dir": 5}, {"connectivity_mask": 5},
+                {"out_dir": 5}, {"out_dir": ""}, {"connectivity_mask": 5},
                 {"connectivity_mask": "false"}, {"sweep_rho": 5},
                 {"sweep_rho": []}, {"sweep_rho": [0.1, -1.0]},
                 {"sweep_rho": [True]}, {"sweep_delta": [0.9, 1.5]},
@@ -124,6 +126,34 @@ def test_cli_unopenable_config_file_exits_2(tmp_path, capsys, name):
     code = cli.main(["train", "--config", str(tmp_path / name)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_empty_out_dir_exits_2(tmp_path, world_files, capsys):
+    cfg_path = write_config(tmp_path,
+                            fast_config(world_files, tmp_path / "out"))
+    assert cli.main(["ingest", "--config", cfg_path, "--out-dir", ""]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config field 'out_dir': must name a directory, "
+        "got ''\n")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError("seed", "planted"), 2, "config error: "),
+    (DataError("planted"), 3, "data error: "),
+    (OSError("planted"), 3, "data error: "),
+    (NumericError("planted"), 4, "numeric error: "),
+], ids=["config", "data", "os", "numeric"])
+def test_each_error_category_exits_with_its_code(tmp_path, world_files,
+                                                 monkeypatch, capsys, error,
+                                                 code, prefix):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "load_workspace", fail)
+    cfg_path = write_config(tmp_path,
+                            fast_config(world_files, tmp_path / "out"))
+    assert cli.main(["ingest", "--config", cfg_path]) == code
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
 def test_cli_directory_as_dialogues_exits_3(tmp_path, world_files):
@@ -286,6 +316,23 @@ def test_ingest_non_utf8_input_exits_3(tmp_path, world_files, capsys, key,
     err = capsys.readouterr().err
     assert err == (f"data error: malformed record at line 2: {path} is not "
                    "valid UTF-8\n")
+
+
+def test_test_split_entity_outside_the_graph_exits_3(tmp_path, world_files,
+                                                    capsys):
+    # a test-split dialogue mentions a name that kg.tsv lacks
+    zorro = {"dialogue_id": "zorro", "turns": [
+        {"speaker": "seeker", "text": "I loved Zorro.",
+         "mentions": [{"entity": "Zorro", "start": 8, "end": 13}]}]}
+    path = tmp_path / "test.jsonl"
+    with open(world_files["test"], encoding="utf-8") as fh:
+        path.write_text(fh.read() + json.dumps(zorro) + "\n")
+    cfg = fast_config(world_files, tmp_path / "out", test_path=str(path),
+                      rec_steps=1)
+    assert cli.main(["pretrain-rec", "--config",
+                     write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "data error: entity 'Zorro' is not in the knowledge graph\n")
 
 
 def test_manifest_lists_every_output_no_orphans(tmp_path, world_files):
@@ -579,3 +626,38 @@ def test_simulate_with_corrupt_simulator_file_exits_3(tmp_path, world_files,
     assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
     damage(out / name)
     assert cli.main(["simulate", "--config", cfg_path]) == 3
+
+
+@pytest.fixture(scope="module")
+def flm_out(tmp_path_factory, world_files):
+    """An output directory after ``pretrain-flm``: a saved simulator."""
+    out = tmp_path_factory.mktemp("flm") / "out"
+    cfg_path = write_config(out.parent, fast_config(world_files, out))
+    assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
+    return out
+
+
+@pytest.mark.parametrize("damage", [
+    lambda e: e.update(types="item"),
+    lambda e: e.update(types=["item", 5]),
+    lambda e: e.update(support=True),
+    lambda e: e.update(support=1.7),
+    lambda e: e.update(support="3"),
+    lambda e: e.clear(),
+], ids=["types-str", "types-int", "support-bool", "support-float",
+        "support-str", "empty-object"])
+def test_simulate_with_a_malformed_catalog_entry_exits_3(tmp_path,
+                                                         world_files,
+                                                         flm_out, capsys,
+                                                         damage):
+    out = tmp_path / "out"
+    shutil.copytree(flm_out, out)
+    entries = json.loads((out / "catalog.json").read_text())
+    assert len(entries) > 1
+    damage(entries[1])
+    (out / "catalog.json").write_text(json.dumps(entries))
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["simulate", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        'data error: catalog.json entry 1 is not an object with a list of '
+        'strings as "types" and an integer "support"\n')

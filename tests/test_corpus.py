@@ -4,6 +4,7 @@ import pytest
 
 from recflow import corpus as cp
 from recflow import kg as kgm
+from recflow.errors import DataError
 
 
 MOVIE_TYPES = {
@@ -71,7 +72,8 @@ def test_load_span_out_of_bounds():
     rec = {"dialogue_id": "d", "turns": [
         {"speaker": "seeker", "text": "Hi",
          "mentions": [{"entity": "x", "start": 0, "end": 10}]}]}
-    with pytest.raises(cp.SpanOutOfBounds):
+    with pytest.raises(DataError, match=r"^bad mention span in dialogue 'd' "
+                       r"turn 0: span \(0, 10\) vs len 2$"):
         cp.load_dialogues([json.dumps(rec)])
 
 
@@ -80,26 +82,31 @@ def test_load_overlapping_spans_rejected():
         {"speaker": "seeker", "text": "abcdef",
          "mentions": [{"entity": "x", "start": 0, "end": 4},
                       {"entity": "y", "start": 2, "end": 6}]}]}
-    with pytest.raises(cp.SpanOutOfBounds):
+    with pytest.raises(DataError, match="^bad mention span in dialogue 'd' "
+                       "turn 0: overlapping spans$"):
         cp.load_dialogues([json.dumps(rec)])
 
 
 def test_load_parse_error_carries_record_index():
-    with pytest.raises(cp.ParseError) as exc:
+    with pytest.raises(DataError) as exc:
         cp.load_dialogues(['{"dialogue_id": "a", "turns": []}', "not json"])
-    assert exc.value.record_index == 1
+    assert str(exc.value) == ("unparseable dialogue record 1: Expecting "
+                              "value: line 1 column 1 (char 0)")
 
 
 def test_load_nesting_too_deep_for_the_json_parser_is_a_parse_error():
-    with pytest.raises(cp.ParseError) as exc:
+    with pytest.raises(RecursionError) as deep:
+        json.loads("[" * 100000)
+    with pytest.raises(DataError) as exc:
         cp.load_dialogues(["[" * 100000])
-    assert exc.value.record_index == 0
+    assert str(exc.value) == f"unparseable dialogue record 0: {deep.value}"
 
 
 def test_load_bad_speaker():
     rec = {"dialogue_id": "d",
            "turns": [{"speaker": "robot", "text": "hi", "mentions": []}]}
-    with pytest.raises(cp.ParseError):
+    with pytest.raises(DataError, match="^unparseable dialogue record 0: "
+                       "turn 0: bad speaker 'robot'$"):
         cp.load_dialogues([json.dumps(rec)])
 
 

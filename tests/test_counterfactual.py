@@ -13,6 +13,7 @@ from recflow import realization as rz
 from recflow import recommender as rc
 from recflow import schema as sc
 from recflow.config import RunConfig
+from recflow.errors import NumericError
 from test_autodiff import _chain_attention_pool
 
 
@@ -105,7 +106,8 @@ def test_apply_edit_only_changes_edited_rows():
 
 
 def test_apply_edit_position_out_of_range():
-    with pytest.raises(cf.PositionOutOfRange):
+    with pytest.raises(NumericError,
+                       match=r"^edit position 5 outside 0\.\.1$"):
         cf.apply_edit(np.zeros((2, 3)), [5], ad.Tensor(np.zeros((1, 3))))
 
 
@@ -386,7 +388,7 @@ def test_large_lambda_shrinks_edit_norm_monotonically():
 def test_non_finite_update_raises():
     sim, rec, pair = tiny_sim()
     state = cf.make_edit_state(pair, 1, 5, np.random.default_rng(0))
-    with pytest.raises(cf.NonFiniteUpdate):
+    with pytest.raises(NumericError, match="^delta_u$"):
         cf.reinforce_step(state, sim, rec, 0.0, np.inf, rollouts=2,
                           rng=np.random.default_rng(0),
                           reward_fn=lambda realized: 1.0)

@@ -8,6 +8,7 @@ from recflow import flm as flmm
 from recflow import kg as kgm
 from recflow import schema as sc
 from recflow.config import RunConfig
+from recflow.errors import DataError
 
 
 def build_hkg(triples, types, interactions=None):
@@ -121,17 +122,19 @@ def test_type_mismatch_and_length_errors(full_hkg):
     e_u, e_v = rand_prompts(flm)
     kg = full_hkg.base
     schema = ("genre", "item")
-    with pytest.raises(flmm.TypeMismatch):
+    with pytest.raises(DataError, match="^flow position 0: expected type "
+                       "'genre', got 'item'$"):
         log_prob(flm, e_u, e_v, schema,
                  [kg.entity_id("m1"), kg.entity_id("m2")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^flow length 1 != schema length 2$"):
         log_prob(flm, e_u, e_v, schema, [kg.entity_id("g1")])
 
 
 def test_vocab_miss(full_hkg):
     flm = make_flm(full_hkg)
     e_u, e_v = rand_prompts(flm)
-    with pytest.raises(flmm.VocabMiss):
+    with pytest.raises(DataError,
+                       match="^entity 999 outside the token table$"):
         log_prob(flm, e_u, e_v, ("genre",), [999])
 
 
@@ -374,7 +377,8 @@ def test_sample_pseudo_flow_all_unreachable():
     triples = [("m1", "has_genre", "g1"), ("x1", "rel", "x1")]
     hkg = build_hkg(triples, types)
     catalog = sc.mine_schemas([("lone", "item")], min_support=1)
-    with pytest.raises(flmm.AllSchemasUnreachable):
+    with pytest.raises(DataError, match="^no schema produced a path in "
+                       f"{flmm.MAX_SCHEMA_TRIES} tries$"):
         flmm.sample_pseudo_flow(hkg, catalog, np.random.default_rng(0))
 
 
@@ -575,7 +579,8 @@ def test_flows_are_checked_once_in_pretraining(full_hkg, monkeypatch):
     flmm.pretrain_flm(flm, examples, emb_table, epochs=3, batch_size=2)
     assert len(checked) == len(examples)
     # a scorer whose flows nobody has validated still checks them
-    with pytest.raises(flmm.TypeMismatch):
+    with pytest.raises(DataError, match="^flow position 0: expected type "
+                       "'genre', got 'item'$"):
         log_prob(flm, np.zeros(flm.d_e), np.zeros(flm.d_e), ("genre", "item"),
                  [m1, g1])
 

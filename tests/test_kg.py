@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from recflow import kg as kgm
+from recflow.errors import DataError
 
 
 def make_kg(triples, types):
@@ -46,14 +47,22 @@ def test_load_dedups_repeated_triples():
 
 
 def test_load_missing_type():
-    with pytest.raises(kgm.MissingType):
+    with pytest.raises(DataError, match="^no type for entity 'b'$"):
         kgm.load_kg(["a\tr\tb"], ["a\titem"])
 
 
+def test_entity_id_of_a_name_outside_the_graph():
+    g = kgm.load_kg(["a\tr\tb"], ["a\titem", "b\titem", "c\titem"])
+    with pytest.raises(DataError,
+                       match="^entity 'c' is not in the knowledge graph$"):
+        g.entity_id("c")
+
+
 def test_load_malformed_record_carries_line_number():
-    with pytest.raises(kgm.MalformedRecord) as exc:
+    with pytest.raises(DataError) as exc:
         kgm.load_kg(["a\tr\tb", "bad line"], ["a\titem", "b\titem"])
-    assert exc.value.line_number == 2
+    assert str(exc.value) == ("malformed record at line 2: expected 3 fields, "
+                              "got 1")
 
 
 def test_attach_users_edge_count():
@@ -65,13 +74,15 @@ def test_attach_users_edge_count():
 
 def test_attach_users_unknown_entity():
     g = make_kg(TOY_TRIPLES, TOY_TYPES)
-    with pytest.raises(kgm.UnknownEntity):
+    with pytest.raises(DataError, match="^user 'u1' interacts with unknown "
+                       "entity 'nope'$"):
         kgm.attach_users(g, {"u1": ["nope"]})
 
 
 def test_attach_users_empty_list():
     g = make_kg(TOY_TRIPLES, TOY_TYPES)
-    with pytest.raises(kgm.EmptyInteractionList):
+    with pytest.raises(DataError,
+                       match="^user 'u1' has an empty interaction list$"):
         kgm.attach_users(g, {"u1": []})
 
 
@@ -115,7 +126,7 @@ def test_sample_path_unreachable():
 def test_sample_path_unknown_type():
     g = make_kg(TOY_TRIPLES, TOY_TYPES)
     hkg = kgm.attach_users(g, {})
-    with pytest.raises(kgm.UnknownType):
+    with pytest.raises(DataError, match="^unknown entity type 'nope'$"):
         kgm.sample_path(hkg, ["nope"], np.random.default_rng(0))
 
 

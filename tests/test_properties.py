@@ -11,6 +11,7 @@ import pytest
 
 from recflow import autodiff as ad
 from recflow import corpus as cp
+from recflow.errors import DataError
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -111,8 +112,10 @@ def test_dialogue_records_load_clean_or_raise_a_parse_error(data):
             parent[path[-1]] = value
     try:
         dialogues = cp.load_dialogues([json.dumps(record)])
-    except (cp.ParseError, cp.SpanOutOfBounds):
+    except DataError as err:
         assert damaged
+        assert str(err).startswith(("unparseable dialogue record 0: ",
+                                    "bad mention span in dialogue "))
         return
     for turn in (t for d in dialogues for t in d.turns):
         end = 0

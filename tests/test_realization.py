@@ -6,6 +6,7 @@ import pytest
 from recflow import corpus as cp
 from recflow import kg as kgm
 from recflow import realization as rz
+from recflow.errors import DataError
 
 from test_corpus import MOVIE_TRIPLES, MOVIE_TYPES, mk_dialogue, two_turn_example
 
@@ -87,7 +88,8 @@ def test_realize_prefers_longest_signature(movie_kg):
 def test_realize_no_covering_segmentation_without_fallbacks(movie_kg):
     records = [mk_dialogue("src", [("seeker", "I love comedy.", ["comedy"])])]
     bank = bank_without_fallbacks(records, movie_kg)
-    with pytest.raises(rz.NoCoveringSegmentation):
+    with pytest.raises(DataError, match=r"^no template tiles schema "
+                       r"\('item',\) at position 0$"):
         rz.realize([movie_kg.entity_id("Superbad")], ("item",), bank,
                    movie_kg, np.random.default_rng(0))
 

@@ -10,6 +10,7 @@ from recflow import kg as kgm
 from recflow import pipeline as pl
 from recflow import recommender as rc
 from recflow import synthetic as syn
+from recflow.errors import DataError
 from recflow.realization import RecSample
 
 
@@ -108,7 +109,8 @@ def test_rec_loss_matches_hand_computation(small_world):
 def test_rec_loss_rejects_non_item_label(small_world):
     model = rc.RecModel(small_world, d_e=8, seed=0)
     g1 = small_world.base.entity_id("g1")
-    with pytest.raises(rc.LabelNotItem):
+    with pytest.raises(DataError,
+                       match=f"^label entity {g1} is not item-typed$"):
         rc.rec_loss(model, [RecSample(context=(), label=g1)])
 
 
@@ -204,10 +206,11 @@ def test_packing_a_pool_with_a_non_item_label_raises(small_world):
     g1 = small_world.base.entity_id("g1")
     pool = [RecSample(context=(g1,), label=int(model.item_ids[0])),
             RecSample(context=(), label=g1)]
-    with pytest.raises(rc.LabelNotItem):
+    not_item = f"^label entity {g1} is not item-typed$"
+    with pytest.raises(DataError, match=not_item):
         rc.pack_samples(model, pool)
     before = model.store.checksum()
-    with pytest.raises(rc.LabelNotItem):  # before the first step
+    with pytest.raises(DataError, match=not_item):  # before the first step
         rc.train_steps(model, pool, 3, 2, 1e-2, np.random.default_rng(0))
     assert model.store.checksum() == before
 
@@ -315,7 +318,7 @@ def test_evaluate_threshold_behavior():
 
 def test_evaluate_empty_test_set(small_world):
     model = rc.RecModel(small_world, d_e=4, seed=0)
-    with pytest.raises(rc.EmptyTestSet):
+    with pytest.raises(DataError, match="^no test samples$"):
         rc.evaluate(model, [])
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from recflow import autodiff as ad
 from recflow import schema as sc
+from recflow.errors import DataError
 
 
 def brute_force_catalog(seqs, min_support, max_len):
@@ -91,7 +92,8 @@ def test_predict_singleton_catalog():
 def test_predict_empty_catalog_raises():
     cat = sc.mine_schemas([], min_support=1)
     store = make_classifier(1)
-    with pytest.raises(sc.EmptyCatalog):
+    with pytest.raises(DataError, match="^cannot predict over an empty schema "
+                       "catalog$"):
         sc.predict_schema(np.ones(4), np.ones(4), store, cat)
 
 
@@ -214,7 +216,8 @@ def test_train_separable_two_class(monkeypatch):
 def test_train_rejects_bad_gold_index():
     cat = sc.mine_schemas([("a",)], min_support=1)
     store = make_classifier(1)
-    with pytest.raises(sc.IndexOutOfCatalog):
+    with pytest.raises(DataError,
+                       match="^gold index 3 outside catalog of size 1$"):
         sc.train_schema_classifier([(np.ones(4), np.ones(4), 3)], store, cat)
 
 

@@ -76,8 +76,8 @@ class Workspace:
     kg: object
     hkg: object
     train: list
-    val: list
-    test: list
+    val_samples: list
+    test_samples: list
 
 
 def _require(cfg, *names):
@@ -87,6 +87,9 @@ def _require(cfg, *names):
 
 
 def load_workspace(cfg, need_test=False):
+    """Read every data file ``cfg`` names and resolve the validation and
+    test splits to recommender samples (an empty list when a split is not
+    configured), so a bad record in any split fails before any output."""
     _require(cfg, "kg_path", "types_path", "dialogues_path")
     if need_test:
         _require(cfg, "test_path")
@@ -94,8 +97,11 @@ def load_workspace(cfg, need_test=False):
     train = cp.load_dialogues_file(cfg.dialogues_path)
     val = cp.load_dialogues_file(cfg.val_path) if cfg.val_path else []
     test = cp.load_dialogues_file(cfg.test_path) if cfg.test_path else []
+    val_samples = pl.samples_from_dialogues(val, kg)
+    test_samples = pl.samples_from_dialogues(test, kg)
     hkg = kgm.attach_users(kg, cp.derive_interactions(train))
-    return Workspace(kg=kg, hkg=hkg, train=train, val=val, test=test)
+    return Workspace(kg=kg, hkg=hkg, train=train, val_samples=val_samples,
+                     test_samples=test_samples)
 
 
 def build_rec(cfg, hkg):
@@ -106,9 +112,8 @@ def build_rec(cfg, hkg):
 def _pretrain_rec(cfg, ws, tracker):
     rec = build_rec(cfg, ws.hkg)
     train_samples = pl.samples_from_dialogues(ws.train, ws.kg)
-    val_samples = pl.samples_from_dialogues(ws.val, ws.kg) if ws.val else None
     history = rc.pretrain_recommender(
-        rec, train_samples, val_samples, steps=cfg.rec_steps,
+        rec, train_samples, ws.val_samples, steps=cfg.rec_steps,
         batch_size=cfg.rec_batch, lr=cfg.rec_lr, patience=cfg.patience,
         seed=cfg.seed)
     ad.save_checkpoint(tracker.path("rec.ckpt"), rec.store)
@@ -148,12 +153,10 @@ def _response_distinct(dialogues):
 
 
 def _test_report(ws, rec, simulated):
-    report = None
-    if ws.test:
-        test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
-        if test_samples:
-            report = rc.evaluate(rec, test_samples)
-    if report is not None and simulated:
+    if not ws.test_samples:
+        return None
+    report = rc.evaluate(rec, ws.test_samples)
+    if simulated:
         report.distinct = _response_distinct(r.dialogue for r in simulated)
     return report
 
@@ -229,10 +232,10 @@ def _run_training(cfg, command, arm, final_name):
     tracker = OutputTracker(cfg.out_dir, command)
     ws = load_workspace(cfg)
     rec = _load_or_pretrain_rec(cfg, ws, tracker)
-    val_samples = pl.samples_from_dialogues(ws.val, ws.kg) if ws.val else None
     sim = (_load_or_build_simulator(cfg, ws, rec, tracker)
            if arm == "augmented" else None)
-    log, simulated = cf.train_arm(arm, rec, ws.train, val_samples, cfg, sim)
+    log, simulated = cf.train_arm(arm, rec, ws.train, ws.val_samples, cfg,
+                                  sim)
     ad.save_checkpoint(tracker.path(final_name), rec.store)
     tracker.write_jsonl("train_log.jsonl", log)
     tracker.write_jsonl("simulated.jsonl",
@@ -316,8 +319,7 @@ def cmd_evaluate(cfg, checkpoint=None, responses=None):
         raise DataError("no recommender checkpoint found to evaluate")
     pl.read_checkpoint(ckpt, rec.store)
     tracker.inputs.append(os.path.relpath(ckpt, cfg.out_dir))
-    test_samples = pl.samples_from_dialogues(ws.test, ws.kg)
-    report = rc.evaluate(rec, test_samples)
+    report = rc.evaluate(rec, ws.test_samples)
     if responses:
         report.distinct = _response_distinct(cp.load_dialogues_file(responses))
     tracker.write_text("metrics_test.json", report.to_json() + "\n")
@@ -331,9 +333,7 @@ def cmd_sweep(cfg):
     ws = load_workspace(cfg)
     rec0 = _load_or_pretrain_rec(cfg, ws, tracker)
     sim = _load_or_build_simulator(cfg, ws, rec0, tracker)
-    val_samples = pl.samples_from_dialogues(ws.val, ws.kg) if ws.val else None
-    test_samples = (pl.samples_from_dialogues(ws.test, ws.kg)
-                    if ws.test else None)
+    eval_samples = ws.test_samples or ws.val_samples
     rows = []
     for rho in cfg.sweep_rho:
         for delta in cfg.sweep_delta:
@@ -342,10 +342,9 @@ def cmd_sweep(cfg):
                 point = dataclasses.replace(cfg, rho=rho, delta=delta,
                                             mix_ratio=mix)
                 log, _ = cf.train_arm("augmented", rec, ws.train,
-                                      val_samples, point, sim)
+                                      ws.val_samples, point, sim)
                 row = {"rho": rho, "delta": delta, "mix_ratio": mix,
                        "courses_run": len(log)}
-                eval_samples = test_samples or val_samples
                 if eval_samples:
                     report = rc.evaluate(rec, eval_samples)
                     row["recall@10"] = report.recall[10]

@@ -183,7 +183,7 @@ def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
             g = np.zeros_like(p.data)
         updated = p.data + alpha * (g - 2.0 * lam * p.data)
         if not np.all(np.isfinite(updated)):
-            raise NumericError(name)
+            raise NumericError(f"non-finite edit update for {name!r}")
         p.data = updated
     return {"mean_reward": float(np.mean(all_rewards)),
             "edit_norm": state.edit_norm(),

@@ -217,7 +217,7 @@ def load_simulator(hkg, train_dialogues, path, cfg):
             catalog = sc.SchemaCatalog.from_json(
                 fh.read(), min_support=cfg.min_support, max_len=cfg.max_len)
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read {path('catalog.json')}: {err!r}") from err
+        raise DataError(f"cannot read {path('catalog.json')}: {err}") from err
     entity_emb = read_checkpoint(path("sim_emb.ckpt")).get("entity_emb")
     if entity_emb is None or entity_emb.ndim != 2:
         raise DataError(f"{path('sim_emb.ckpt')} holds no entity_emb table")

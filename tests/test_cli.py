@@ -172,17 +172,17 @@ def test_cli_file_as_out_dir_exits_3(tmp_path, world_files):
     assert taken.read_text() == "not a directory\n"
 
 
-def write_dialogues_keeping(tmp_path, world_files, speaker):
-    """The training dialogues with only ``speaker``'s turns kept (none when
+def write_dialogues_keeping(tmp_path, world_files, speaker, split="train"):
+    """The ``split`` dialogues with only ``speaker``'s turns kept (none when
     ``speaker`` is None)."""
     lines = []
     if speaker is not None:
-        for d in cp.load_dialogues_file(world_files["train"]):
+        for d in cp.load_dialogues_file(world_files[split]):
             record = d.to_record()
             record["turns"] = [t for t in record["turns"]
                                if t["speaker"] == speaker]
             lines.append(json.dumps(record))
-    path = tmp_path / "train_filtered.jsonl"
+    path = tmp_path / f"{split}_filtered.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     return str(path)
 
@@ -318,21 +318,45 @@ def test_ingest_non_utf8_input_exits_3(tmp_path, world_files, capsys, key,
                    "valid UTF-8\n")
 
 
-def test_test_split_entity_outside_the_graph_exits_3(tmp_path, world_files,
-                                                    capsys):
-    # a test-split dialogue mentions a name that kg.tsv lacks
+@pytest.mark.parametrize("command, split", [
+    ("train", "test"), ("train", "val"), ("pretrain-rec", "test"),
+    ("ingest", "test")])
+def test_bad_entity_in_a_split_exits_3_before_training(tmp_path, world_files,
+                                                      capsys, command,
+                                                      split):
+    # a held-out dialogue mentions a name that kg.tsv lacks; every split is
+    # resolved when the workspace loads, so nothing is trained or written
     zorro = {"dialogue_id": "zorro", "turns": [
         {"speaker": "seeker", "text": "I loved Zorro.",
          "mentions": [{"entity": "Zorro", "start": 8, "end": 13}]}]}
-    path = tmp_path / "test.jsonl"
-    with open(world_files["test"], encoding="utf-8") as fh:
+    path = tmp_path / f"{split}.jsonl"
+    with open(world_files[split], encoding="utf-8") as fh:
         path.write_text(fh.read() + json.dumps(zorro) + "\n")
-    cfg = fast_config(world_files, tmp_path / "out", test_path=str(path),
-                      rec_steps=1)
-    assert cli.main(["pretrain-rec", "--config",
-                     write_config(tmp_path, cfg)]) == 3
+    out = tmp_path / "out"
+    cfg = fast_config(world_files, out, rec_steps=1,
+                      **{f"{split}_path": str(path)})
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 3
     assert capsys.readouterr().err == (
         "data error: entity 'Zorro' is not in the knowledge graph\n")
+    for name in ("rec.ckpt", "flm.ckpt", "manifest.json"):
+        assert not (out / name).exists(), name
+
+
+def test_test_split_without_samples_skips_report_and_fails_evaluate(
+        tmp_path, world_files, capsys):
+    # test dialogues with no recommender turns yield no samples: train
+    # skips the test report, and evaluate has nothing to score
+    out = tmp_path / "out"
+    cfg = fast_config(world_files, out, courses=0,
+                      test_path=write_dialogues_keeping(
+                          tmp_path, world_files, cp.SEEKER, split="test"))
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    assert (out / "rec_final.ckpt").exists()
+    assert not (out / "metrics_test.json").exists()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == "data error: no test samples\n"
 
 
 def test_manifest_lists_every_output_no_orphans(tmp_path, world_files):
@@ -607,25 +631,36 @@ def _old_clf_of_half_the_width(path):
                               "schema_clf.b2": np.zeros((1, num_schemas))})
 
 
-@pytest.mark.parametrize("name, damage", [
-    ("catalog.json", _cut_in_half),
-    ("catalog.json", lambda p: p.write_text('[{"support": 3}]')),
-    ("catalog.json", lambda p: p.write_text('{"x": 1}')),
+@pytest.mark.parametrize("name, damage, says", [
+    ("catalog.json", _cut_in_half, "Unterminated string"),
+    ("catalog.json", lambda p: p.write_text('[{"support": 3}]'),
+     "catalog.json entry 0 is not an object"),
+    ("catalog.json", lambda p: p.write_text('{"x": 1}'),
+     "catalog.json is not a list"),
     # the recommender's checkpoint holds no entity_emb table
     ("sim_emb.ckpt",
-     lambda p: p.write_bytes((p.parent / "rec.ckpt").read_bytes())),
+     lambda p: p.write_bytes((p.parent / "rec.ckpt").read_bytes()),
+     "holds no entity_emb table"),
     ("sim_emb.ckpt",
-     lambda p: ad.save_checkpoint(p, {"entity_emb": np.zeros(16)})),
-    ("clf.ckpt", _old_clf_of_half_the_width),
+     lambda p: ad.save_checkpoint(p, {"entity_emb": np.zeros(16)}),
+     "holds no entity_emb table"),
+    ("clf.ckpt", _old_clf_of_half_the_width,
+     "clf.ckpt: shape mismatch for 'schema_clf.ff1'"),
 ], ids=["truncated", "no-types", "not-a-list", "no-entity-emb",
         "1d-entity-emb", "old-clf-misshaped"])
 def test_simulate_with_corrupt_simulator_file_exits_3(tmp_path, world_files,
-                                                      name, damage):
+                                                      capsys, name, damage,
+                                                      says):
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, fast_config(world_files, out))
     assert cli.main(["pretrain-flm", "--config", cfg_path]) == 0
     damage(out / name)
+    capsys.readouterr()
     assert cli.main(["simulate", "--config", cfg_path]) == 3
+    # the message carries the error's text, never an exception's repr
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and says in err, err
+    assert "Error(" not in err, err
 
 
 @pytest.fixture(scope="module")

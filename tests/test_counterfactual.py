@@ -388,7 +388,8 @@ def test_large_lambda_shrinks_edit_norm_monotonically():
 def test_non_finite_update_raises():
     sim, rec, pair = tiny_sim()
     state = cf.make_edit_state(pair, 1, 5, np.random.default_rng(0))
-    with pytest.raises(NumericError, match="^delta_u$"):
+    with pytest.raises(NumericError,
+                       match="^non-finite edit update for 'delta_u'$"):
         cf.reinforce_step(state, sim, rec, 0.0, np.inf, rollouts=2,
                           rng=np.random.default_rng(0),
                           reward_fn=lambda realized: 1.0)

@@ -293,19 +293,26 @@ def _default_checkpoint(out_dir):
     """The checkpoint ``evaluate`` scores without ``--checkpoint``: the first
     of ``rec_final.ckpt``, ``rec_eda.ckpt`` and ``rec.ckpt`` that the
     directory's manifest names as an output (or, after an ``evaluate``, as
-    its input), else the first of them that exists."""
+    its input), else the first that exists; a bad manifest is a DataError."""
+    path = os.path.join(out_dir, "manifest.json")
     try:
-        with open(os.path.join(out_dir, "manifest.json"),
-                  encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        named = set(manifest["outputs"]) | set(manifest.get("inputs", ()))
-    except (OSError, ValueError, KeyError, TypeError):
-        named = set()
+    except FileNotFoundError:
+        manifest = {"outputs": []}
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise DataError(f"cannot read {path}: {err}") from None
+    lists = ([manifest.get("outputs"), manifest.get("inputs", [])]
+             if isinstance(manifest, dict) else [None])
+    if not all(isinstance(v, list) and all(isinstance(n, str) for n in v)
+               for v in lists):
+        raise DataError(f"{path} is not a manifest of file-name lists")
+    named = set().union(*lists)
     order = ("rec_final.ckpt", "rec_eda.ckpt", "rec.ckpt")
     for name in [n for n in order if n in named] + list(order):
-        path = os.path.join(out_dir, name)
-        if os.path.exists(path):
-            return path
+        ckpt = os.path.join(out_dir, name)
+        if os.path.exists(ckpt):
+            return ckpt
     return None
 
 

@@ -4,11 +4,11 @@ Encoder-decoder transformer over entity tokens. The encoder consumes the
 user prompt (two projected preference vectors) followed by the schema prompt
 (type-token embeddings); the decoder emits the entity sequence
 autoregressively. Decoding is hard-masked: position j may only produce
-entities of type t_j, and by default only entities within hop_limit of the
-previously emitted entity, so generated flows stay on the graph. When a
-teacher-forced target falls outside the connectivity set (real corpora are
-not always graph-consistent), scoring widens that step to the full type
-class; generated tokens never need the widening.
+entities of type t_j, and by default only the previous entity itself or an
+entity of its ``HeterogeneousKG.reach`` set (the one source of reach sets;
+pseudo flows are drawn from it without that repeat). An empty set widens to
+the type class, as does a teacher-forced target outside the set when
+scoring (real corpora are not always graph-consistent).
 
 Public surface: ``FlowLM``; ``flow_log_probs_batch``, which validates flows
 and scores them under one prompt pair; ``generate_flows_batch``;
@@ -120,12 +120,6 @@ class FlowLM:
         s.add("flm.head_b", np.zeros(self.vocab_size))
 
     # -- masking ------------------------------------------------------------
-    def _type_entities(self, type_name):
-        ids = self.hkg.base.entities_of_type(type_name)
-        if not ids:
-            raise DataError(f"no entities of type {type_name!r}")
-        return ids
-
     def step_mask(self, type_name, prev_entity=None, target=None):
         """The ids one decoding step may emit: an increasing, read-only
         ``np.intp`` array, built once and shared by every step of this type
@@ -140,21 +134,23 @@ class FlowLM:
 
     def _step(self, type_name, prev_entity):
         """The allowed ids of a step, built on first use: the type class,
-        optionally intersected with the hop neighborhood of the previous
-        entity (falling back to the whole class when that intersection is
-        empty)."""
+        or, with connectivity masking, the ``HeterogeneousKG.reach`` set of
+        the previous entity plus that entity itself when it has the type
+        (the whole class when that set is empty)."""
         key = (type_name, prev_entity if self.cfg.connectivity_mask else None)
         ids = self._steps.get(key)
         if ids is not None:
             return ids
-        ids = self._type_entities(type_name)
         if key[1] is not None:
-            hood = self.hkg.neighborhood(prev_entity, self.cfg.hop_limit)
-            near = [e for e in ids if e == prev_entity or e in hood]
-            if near:
-                ids = near
-        ids = self._steps[key] = np.array(ids, dtype=np.intp)
+            ids = self.hkg.reach(prev_entity, type_name, self.cfg.hop_limit)
+            if self.hkg.base.type_name_of(prev_entity) == type_name:
+                ids = np.sort(np.append(ids, prev_entity))
+        if ids is None or not len(ids):
+            ids = np.array(self.hkg.base.entities_of_type(type_name), np.intp)
+            if not len(ids):
+                raise DataError(f"no entities of type {type_name!r}")
         ids.flags.writeable = False
+        self._steps[key] = ids
         return ids
 
     # -- transformer pieces ---------------------------------------------------
@@ -301,7 +297,7 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
     if temperature <= 0:
         raise ValueError("temperature must be positive when sampling")
     for t in schema:
-        flm._type_entities(t)  # an empty type class fails early
+        flm._step(t, None)  # an empty type class fails early
     e_u, e_v = np.asarray(e_u), np.asarray(e_v)
     tokens = np.full((count, 1), flm.bos, dtype=np.intp)
     with ad.no_grad():

@@ -10,7 +10,6 @@ concurrent read-only use.
 from __future__ import annotations
 
 import io
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,8 @@ from .autodiff import SegmentPlan
 from .errors import DataError
 
 INTERACTED = "interacted"
+_NO_IDS = np.empty(0, dtype=np.intp)
+_NO_IDS.flags.writeable = False
 
 
 @dataclass
@@ -68,9 +69,6 @@ class KnowledgeGraph:
             return self._type_to_id[type_name]
         except KeyError:
             raise DataError(f"unknown entity type {type_name!r}") from None
-
-    def type_of(self, entity_id):
-        return self.entity_types[entity_id]
 
     def type_name_of(self, entity_id):
         return self.type_names[self.entity_types[entity_id]]
@@ -179,7 +177,7 @@ class HeterogeneousKG:
     users: list[str]
     interactions: dict[str, list[int]]   # user -> ordered entity ids
 
-    _hood_cache: dict = field(default_factory=dict, repr=False)
+    _reach: dict = field(default_factory=dict, repr=False, compare=False)
     _plan: SegmentPlan = field(default=None, repr=False, compare=False)
 
     @property
@@ -251,32 +249,34 @@ class HeterogeneousKG:
                 rows = sub.sources
         return layers[::-1]
 
-    def neighborhood(self, entity_id, hop_limit):
-        """Entities reachable from ``entity_id`` within hop_limit undirected
-        base-graph edges (excluding the start node). Memoized."""
-        key = (entity_id, hop_limit)
-        cached = self._hood_cache.get(key)
-        if cached is not None:
-            return cached
-        reach = _bfs_within(self.base, entity_id, hop_limit)
-        reach.discard(entity_id)
-        result = frozenset(reach)
-        self._hood_cache[key] = result
-        return result
+    def reach(self, entity_id, type_name, hop_limit):
+        """The entities of type ``type_name`` within ``hop_limit`` undirected
+        base-graph edges of ``entity_id``, leaving out ``entity_id``: an
+        increasing, read-only ``np.intp`` array, kept here. One search per
+        (entity, hop limit) fills the arrays of the types it meets; every
+        other type shares one empty array.
 
-
-def _bfs_within(kg, start, hop_limit):
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == hop_limit:
-            continue
-        for nb in kg.neighbors(node):
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append((nb, depth + 1))
-    return seen
+        The one source of reach sets. ``sample_path`` draws from it, so no
+        entity of a pseudo flow follows itself, and an empty set is a dead
+        end. ``FlowLM.step_mask`` adds ``entity_id`` back when it has the
+        step's type, so a generated flow may name it twice in a row (as real
+        flows do), and widens an empty set to the type class."""
+        kg = self.base
+        by_type = self._reach.get((entity_id, hop_limit))
+        if by_type is None:
+            seen = frontier = {entity_id}
+            for _ in range(hop_limit):
+                frontier = {nb for node in frontier
+                            for nb in kg.neighbors(node)} - seen
+                seen = seen | frontier
+            by_type = {}
+            for eid in sorted(seen - {entity_id}):
+                by_type.setdefault(kg.entity_types[eid], []).append(eid)
+            for tid, ids in by_type.items():
+                by_type[tid] = np.array(ids, dtype=np.intp)
+                by_type[tid].flags.writeable = False
+            self._reach[entity_id, hop_limit] = by_type
+        return by_type.get(kg.type_id(type_name), _NO_IDS)
 
 
 def attach_users(kg, interactions):
@@ -309,10 +309,10 @@ def sample_path(hkg, schema, rng, hop_limit=2):
     """Sample an entity sequence matching ``schema`` (type names) such that
     consecutive entities are within ``hop_limit`` undirected base-graph edges.
 
-    Rejection sampling: uniform candidate choice per position, restart on a
-    dead end. Returns the entity-id list, or None after ``PATH_RETRIES``
-    dead ends (the schema is treated as unreachable and the caller picks
-    another one).
+    Rejection sampling: a uniform draw per position from the previous
+    entity's ``HeterogeneousKG.reach`` set, restart on a dead end. Returns
+    the entity-id list, or None after ``PATH_RETRIES`` dead ends (the schema
+    is treated as unreachable and the caller picks another one).
     """
     if not schema:
         raise ValueError("schema must be non-empty")
@@ -320,22 +320,19 @@ def sample_path(hkg, schema, rng, hop_limit=2):
         raise ValueError("hop_limit must be >= 1")
     kg = hkg.base
     candidates0 = kg.entities_of_type(schema[0])  # DataError if unknown
-    type_ids = [kg.type_id(t) for t in schema]
+    for type_name in schema[1:]:
+        kg.type_id(type_name)  # DataError before any draw
 
     for _ in range(PATH_RETRIES):
         if not candidates0:
             return None
         flow = [candidates0[rng.integers(len(candidates0))]]
-        ok = True
-        for tid in type_ids[1:]:
-            reach = hkg.neighborhood(flow[-1], hop_limit)
-            options = [e for e in reach if kg.type_of(e) == tid]
-            if not options:
-                ok = False
+        for type_name in schema[1:]:
+            options = hkg.reach(flow[-1], type_name, hop_limit)
+            if not len(options):
                 break
-            options.sort()
-            flow.append(options[rng.integers(len(options))])
-        if ok:
+            flow.append(int(options[rng.integers(len(options))]))
+        else:
             return flow
     return None
 

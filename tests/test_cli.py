@@ -479,14 +479,39 @@ def test_evaluate_scores_the_checkpoint_the_manifest_names(tmp_path,
         assert {k: scored[k] for k in ranking} == {k: trained[k]
                                                    for k in ranking}
         assert read_manifest(out)["inputs"] == ["rec_eda.ckpt"]
-    # with no manifest, or one that cannot be read, the fixed order holds
-    for text in (None, '{"outputs": 5}', "[1,"):
-        if text is None:
-            (out / "manifest.json").unlink()
-        else:
-            (out / "manifest.json").write_text(text)
-        assert cli.main(["evaluate", "--config", cfg_path]) == 0
-        assert read_manifest(out)["inputs"] == ["rec_final.ckpt"]
+    # with no manifest, the fixed order holds
+    (out / "manifest.json").unlink()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 0
+    assert read_manifest(out)["inputs"] == ["rec_final.ckpt"]
+
+
+@pytest.mark.parametrize("raw,says", [
+    (b"{not json", "cannot read"),
+    (b"[1,", "cannot read"),
+    (b'{"outputs": ["rec\xff.ckpt"]}', "cannot read"),
+    (b'["rec.ckpt"]', "is not a manifest"),
+    (b"null", "is not a manifest"),
+    (b'{"outputs": 5}', "is not a manifest"),
+    (b'{"outputs": "rec.ckpt"}', "is not a manifest"),
+    (b'{"outputs": [["rec.ckpt"]]}', "is not a manifest"),
+    (b'{"outputs": [], "inputs": {}}', "is not a manifest"),
+    (b'{"command": "train"}', "is not a manifest"),
+], ids=["bad-json", "truncated", "not-utf8", "list", "null", "number",
+        "string", "nested", "inputs-object", "no-outputs"])
+def test_evaluate_with_a_corrupt_manifest_exits_3(tmp_path, world_files,
+                                                  capsys, raw, says):
+    # the manifest decides which checkpoint is scored, so one that cannot
+    # be read stops evaluate before it scores or writes anything
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_bytes(raw)
+    cfg_path = write_config(tmp_path, fast_config(world_files, out))
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert f"{out / 'manifest.json'}" in err and says in err
+    assert (out / "manifest.json").read_bytes() == raw
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_sweep_writes_grid_results(tmp_path, world_files):

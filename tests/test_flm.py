@@ -450,11 +450,15 @@ def test_grad_check_through_blocks_and_prompts(full_hkg):
 
 
 def _fresh_step_mask(flm, type_name, prev_entity=None, target=None):
-    # the per-token mask the scorer allocated before masks were cached
-    ids = flm.hkg.base.entities_of_type(type_name)
+    # the per-token mask the scorer allocated before masks were cached, with
+    # the hop test of kg.validate_flow's own BFS, which accepts a repeat of
+    # the previous entity
+    kg = flm.hkg.base
+    ids = kg.entities_of_type(type_name)
     if flm.cfg.connectivity_mask and prev_entity is not None:
-        hood = flm.hkg.neighborhood(prev_entity, flm.cfg.hop_limit)
-        near = [e for e in ids if e == prev_entity or e in hood]
+        near = [e for e in ids if kgm.validate_flow(
+            flm.hkg, [prev_entity, e], [kg.type_name_of(prev_entity),
+                                        type_name], flm.cfg.hop_limit)]
         if near:
             ids = near
     if target is not None and target not in ids:
@@ -498,6 +502,24 @@ def test_cached_step_masks_equal_fresh_ones_and_are_read_only(connectivity):
                     assert allowed is flm.step_mask(schema[j], prev, tgt)
     with pytest.raises(ValueError):
         flm.step_mask("item", ids["g1"])[0] = 0
+
+
+def test_step_mask_keeps_a_repeat_and_widens_an_empty_reach():
+    flm, ids, _, _ = two_clusters(connectivity=True)
+    # the previous entity has the step's type: it stays in the mask beside
+    # the entities it reaches, so a generated flow may repeat it
+    assert flm.hkg.reach(ids["m1"], "item", 1).tolist() == []
+    assert flm.step_mask("item", ids["m1"]).tolist() == [ids["m1"]]
+    assert flm.step_mask("genre", ids["g1"]).tolist() == [ids["g1"]]
+    full = make_flm(build_hkg(FULL_TRIPLES, TYPES))
+    m1, m2 = (full.hkg.base.entity_id(m) for m in ("m1", "m2"))
+    assert full.hkg.reach(m1, "item", 2).tolist() == [m2]
+    assert full.step_mask("item", m1).tolist() == sorted([m1, m2])
+    # g1 reaches no actor within one hop: the step widens to the class
+    assert flm.hkg.reach(ids["g1"], "actor", 1).tolist() == []
+    assert flm.step_mask("actor", ids["g1"]).tolist() == sorted(
+        [ids["a1"], ids["a2"]])
+    assert flm.step_mask("actor", ids["m1"]).tolist() == [ids["a1"]]
 
 
 def assert_rows_are_fresh(flm, masks, schemas, flows, forced=True):

@@ -126,8 +126,35 @@ def test_sample_path_unreachable():
 def test_sample_path_unknown_type():
     g = make_kg(TOY_TRIPLES, TOY_TYPES)
     hkg = kgm.attach_users(g, {})
-    with pytest.raises(DataError, match="^unknown entity type 'nope'$"):
-        kgm.sample_path(hkg, ["nope"], np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    # an unknown type at any position fails before any draw
+    for schema in (["nope"], ["genre", "item", "nope"]):
+        with pytest.raises(DataError, match="^unknown entity type 'nope'$"):
+            kgm.sample_path(hkg, schema, rng)
+        assert rng.bit_generator.state == state
+
+
+def test_sample_path_never_steps_from_an_entity_to_itself():
+    # a1 and a2 share m1; a3 reaches no other actor, a dead end
+    types = {"a1": "actor", "a2": "actor", "a3": "actor", "m1": "item",
+             "m2": "item"}
+    triples = [("a1", "acted_in", "m1"), ("a2", "acted_in", "m1"),
+               ("a3", "acted_in", "m2")]
+    g = make_kg(triples, types)
+    hkg = kgm.attach_users(g, {})
+    a1, a2 = g.entity_id("a1"), g.entity_id("a2")
+    assert hkg.reach(g.entity_id("a3"), "actor", 2).tolist() == []
+    rng = np.random.default_rng(5)
+    flows = {tuple(kgm.sample_path(hkg, ("actor", "actor"), rng))
+             for _ in range(200)}
+    assert flows == {(a1, a2), (a2, a1)}
+    # the rule is about the previous entity only: a walk may come back
+    m1 = g.entity_id("m1")
+    flows = {tuple(kgm.sample_path(hkg, ("actor", "item", "actor"), rng))
+             for _ in range(200)}
+    assert (a1, m1, a1) in flows
+    assert all(a != b for f in flows for a, b in zip(f, f[1:]))
 
 
 def enumerate_valid_paths(hkg, schema, hop_limit=2):

@@ -1,6 +1,6 @@
-"""Property tests of the checkpoint format, template filling and dialogue
-record parsing. They need the optional ``hypothesis`` package (the ``test``
-extra) and are skipped without it."""
+"""Property tests of the checkpoint format, template filling, dialogue
+record parsing and the graph's reach sets. They need the optional
+``hypothesis`` package (the ``test`` extra) and are skipped without it."""
 
 import json
 import tempfile
@@ -11,6 +11,7 @@ import pytest
 
 from recflow import autodiff as ad
 from recflow import corpus as cp
+from recflow import kg as kgm
 from recflow.errors import DataError
 
 pytest.importorskip("hypothesis")
@@ -123,3 +124,30 @@ def test_dialogue_records_load_clean_or_raise_a_parse_error(data):
             assert type(m.start) is int and type(m.end) is int
             assert end <= m.start < m.end <= len(turn.text)
             end = m.end
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_reach_is_the_validate_flow_oracle_as_a_shared_array(data):
+    # entity i is e{i}: its self-triple interns it first and adds no edge
+    n = data.draw(st.integers(1, 8))
+    types = data.draw(st.lists(st.sampled_from(["genre", "item", "actor"]),
+                               min_size=n, max_size=n))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=12))
+    hop_limit = data.draw(st.integers(1, 3))
+    kg = kgm.load_kg([f"e{i}\tself\te{i}" for i in range(n)]
+                     + [f"e{a}\tr\te{b}" for a, b in edges],
+                     [f"e{i}\t{t}" for i, t in enumerate(types)])
+    hkg = kgm.attach_users(kg, {})
+    for e in range(n):
+        for t in kg.type_names:
+            got = hkg.reach(e, t, hop_limit)
+            assert got.dtype == np.intp and not got.flags.writeable
+            assert (np.diff(got) > 0).all()
+            assert set(got.tolist()) == {
+                x for x in kg.entities_of_type(t) if x != e
+                and kgm.validate_flow(hkg, [e, x], [kg.type_name_of(e), t],
+                                      hop_limit)}
+            assert hkg.reach(e, t, hop_limit) is got

@@ -152,13 +152,14 @@ def _response_distinct(dialogues):
     return {n: rc.distinct_n(texts, n) for n in (2, 3, 4)}
 
 
-def _test_report(ws, rec, simulated):
+def _write_test_report(ws, rec, simulated, tracker, name):
     if not ws.test_samples:
-        return None
+        return
     report = rc.evaluate(rec, ws.test_samples)
     if simulated:
         report.distinct = _response_distinct(r.dialogue for r in simulated)
-    return report
+    tracker.write_text("metrics_test.json", report.to_json() + "\n")
+    print(report.format_table(name))
 
 
 # -- commands -----------------------------------------------------------------
@@ -207,10 +208,7 @@ def cmd_pretrain_rec(cfg):
     tracker = OutputTracker(cfg.out_dir, "pretrain-rec")
     ws = load_workspace(cfg)
     rec = _pretrain_rec(cfg, ws, tracker)
-    report = _test_report(ws, rec, [])
-    if report is not None:
-        tracker.write_text("metrics_test.json", report.to_json() + "\n")
-        print(report.format_table("pretrained"))
+    _write_test_report(ws, rec, [], tracker, "pretrained")
     tracker.finalize(cfg)
     return 0
 
@@ -240,10 +238,7 @@ def _run_training(cfg, command, arm, final_name):
     tracker.write_jsonl("train_log.jsonl", log)
     tracker.write_jsonl("simulated.jsonl",
                         (r.dialogue.to_record() for r in simulated))
-    report = _test_report(ws, rec, simulated)
-    if report is not None:
-        tracker.write_text("metrics_test.json", report.to_json() + "\n")
-        print(report.format_table(command))
+    _write_test_report(ws, rec, simulated, tracker, command)
     tracker.finalize(cfg)
     return 0
 

@@ -71,7 +71,6 @@ class ConversationFlow:
     """Entities mentioned across a dialogue, in occurrence order."""
 
     entities: list[int]
-    turn_index: list[int]
     speaker: list[str]
 
     def __len__(self):
@@ -195,17 +194,14 @@ def save_dialogues(path, dialogues):
 
 def extract_flow(dialogue, kg):
     """Derive the (flow, schema) pair from a dialogue's mentions in order."""
-    entities, turn_idx, speakers, types = [], [], [], []
-    for j, turn in enumerate(dialogue.turns):
+    entities, speakers, types = [], [], []
+    for turn in dialogue.turns:
         for m in turn.mentions:
             eid = kg.entity_id(m.entity)
             entities.append(eid)
-            turn_idx.append(j)
             speakers.append(turn.speaker)
             types.append(kg.type_name_of(eid))
-    flow = ConversationFlow(entities=entities, turn_index=turn_idx,
-                            speaker=speakers)
-    return flow, tuple(types)
+    return ConversationFlow(entities=entities, speaker=speakers), tuple(types)
 
 
 def extract_templates(dialogue, kg):

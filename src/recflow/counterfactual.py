@@ -258,41 +258,40 @@ def TrainConfig(**fields):
 def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
     """Shared course loop: ``course_fn(course, lam, rng)`` supplies that
     course's augmented dialogues/samples, then the recommender fine-tunes
-    (``recommender.train_steps``) on the simulated + real mix. Early-stops
-    on validation Recall at the largest cutoff and restores the best
-    checkpoint (``recommender.EarlyStopping``).
-
-    Returns (log entries, all simulated dialogues).
+    on the simulated + real mix and logs its validation Recall at every
+    cutoff. Returns (log entries, all simulated dialogues); the model keeps
+    the course the recommender's snapshot schedule selects.
     """
     rng = np.random.default_rng(cfg.seed)
     sched = CurriculumSchedule(cfg.rho, cfg.delta)
     log, simulated = [], []
-    stopper = rc.EarlyStopping(rec_model.store, cfg.patience)
-    for course in range(cfg.courses):
-        lam = curriculum_lambda(sched, course)
-        dialogues, sim_samples, stats = course_fn(course, lam, rng)
-        simulated.extend(dialogues)
-        if sim_samples and cfg.mix_ratio > 0:
-            n_real = min(int(round(len(sim_samples) / cfg.mix_ratio)),
-                         len(real_train))
-            ridx = rng.choice(len(real_train), size=n_real, replace=False)
-            pool = list(sim_samples) + [real_train[i] for i in ridx]
-        elif sim_samples:
-            pool = list(sim_samples)
-        else:
-            pool = list(real_train)
-        rc.train_steps(rec_model, pool, cfg.course_rec_steps, cfg.rec_batch,
-                       cfg.rec_lr, rng)
-        entry = {"course": course, "lambda": lam,
-                 "n_simulated": len(dialogues), **stats}
-        if val_samples:
-            report = rc.evaluate(rec_model, val_samples)
-            for k in rc.KS:
-                entry[f"val_recall@{k}"] = report.recall[k]
-        log.append(entry)
-        if val_samples and stopper.update(report.recall[max(rc.KS)]):
-            break
-    stopper.restore()
+
+    def courses():
+        for course in range(cfg.courses):
+            lam = curriculum_lambda(sched, course)
+            dialogues, sim_samples, stats = course_fn(course, lam, rng)
+            simulated.extend(dialogues)
+            pool = sim_samples or real_train
+            if sim_samples and cfg.mix_ratio > 0:
+                n_real = min(int(round(len(sim_samples) / cfg.mix_ratio)),
+                             len(real_train))
+                ridx = rng.choice(len(real_train), size=n_real,
+                                  replace=False)
+                pool = list(sim_samples) + [real_train[i] for i in ridx]
+            rc.train_steps(
+                rec_model.store, lambda batch: rc.rec_loss(rec_model, batch),
+                rc.draw_batches(rc.pack_samples(rec_model, pool),
+                                cfg.course_rec_steps, cfg.rec_batch, rng),
+                cfg.rec_lr)
+            log.append({"course": course, "lambda": lam,
+                        "n_simulated": len(dialogues), **stats})
+            if val_samples:
+                report = rc.evaluate(rec_model, val_samples)
+                for k in rc.KS:
+                    log[-1][f"val_recall@{k}"] = report.recall[k]
+                yield rc.selection_metric(report)
+
+    rc._select_snapshot(rec_model.store, cfg.patience, courses())
     return log, simulated
 
 

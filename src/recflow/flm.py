@@ -20,7 +20,8 @@ that ``FlowLM.step_mask`` caches into an additive (rows, steps, vocab) block.
 Pre-training packs each length bucket once (``_FlowBucket``: flows, type ids,
 both sides' prompt id lists, and each step's allowed ids), so a batch is a
 few numpy gathers; it pools the batch's seeker prompts as one padded block,
-and its recommender prompts as another (``embeddings.pool_entities``).
+and its recommender prompts as another (``embeddings.pool_entities``), and
+takes its steps in ``recommender.train_steps``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import embeddings as emb
+from . import recommender as rc
 from .errors import DataError
 from .kg import sample_path
 
@@ -363,33 +365,24 @@ def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
     model afterwards.
     """
     rng = np.random.default_rng(seed)
-    for ex in examples:
-        flm.check_flow(ex.entities, ex.schema)
     by_length = {}
     for ex in examples:
+        flm.check_flow(ex.entities, ex.schema)
         by_length.setdefault(len(ex.entities), []).append(ex)
     buckets = [_FlowBucket(flm, by_length[n]) for n in sorted(by_length)]
     history = []
     for _ in range(epochs):
-        batches = []
-        for bucket in buckets:
-            # a list of indices shuffles with the same draws as a list of
-            # the examples
-            pool = list(range(len(bucket)))
-            rng.shuffle(pool)
-            pool = np.array(pool, dtype=np.intp)
-            batches += [(bucket, pool[i:i + batch_size])
-                        for i in range(0, len(pool), batch_size)]
-        order = rng.permutation(len(batches))
-        total_nll, total_flows = 0.0, 0
-        for bi in order:
-            bucket, idx = batches[bi]
-            loss = bucket.nll(idx, entity_emb)
-            grads = ad.backward(loss, flm.store)
-            ad.optimizer_step(flm.store, grads, lr=lr)
-            total_nll += loss.item() * len(idx)
-            total_flows += len(idx)
-        history.append(total_nll / max(total_flows, 1))
+        pools = [(bucket, rng.permutation(len(bucket))) for bucket in buckets]
+        batches = [(bucket, pool[i:i + batch_size]) for bucket, pool in pools
+                   for i in range(0, len(pool), batch_size)]
+        batches = [batches[bi] for bi in rng.permutation(len(batches))]
+        losses = rc.train_steps(
+            flm.store, lambda batch: batch[0].nll(batch[1], entity_emb),
+            batches, lr)
+        total_nll = 0.0  # added in step order, as the steps ran
+        for (_, idx), loss in zip(batches, losses):
+            total_nll += loss * len(idx)
+        history.append(total_nll / max(len(examples), 1))
     return history
 
 

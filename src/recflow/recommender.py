@@ -1,8 +1,6 @@
 """Entity-based recommender: graph-encoded entities, attentive context
 pooling, inner-product scoring over the item set, plus the ranking and
-diversity metric suite, plus the one training loop (``train_steps``) and
-early-stopping rule (``EarlyStopping``) that pre-training and every
-curriculum course use.
+diversity metric suite.
 
 The context encoder pools the mentioned entities with the user-preference
 attention pool (``autodiff.attention_pool``), under its own parameters.
@@ -11,10 +9,13 @@ context falls back to the learned item prior (the bias), which starts
 uniform.
 
 Samples are packed into arrays once (``pack_samples``: label item indices
-and the contexts as ``embeddings.IdLists``): ``train_steps`` packs its pool
-once per call, and each step gathers its batch, its R-GCN row set and its
-padded context matrix with a few numpy operations. ``rec_loss``,
-``evaluate`` and ``score_items`` take the same path.
+and the contexts as ``embeddings.IdLists``), so a training step, ``rec_loss``,
+``evaluate`` and ``score_items`` gather their batch, R-GCN row set and
+padded context matrix with a few numpy operations.
+
+Every model the package trains takes its steps in ``train_steps``, and the
+recommender and the schema classifier keep the snapshot that one schedule,
+``_select_snapshot``, picks (the recommender's by ``selection_metric``).
 """
 
 from __future__ import annotations
@@ -103,9 +104,8 @@ def distinct_n(responses, n):
 class RecModel:
     """Graph entity encoder + attention context pooling + item scorer."""
 
-    def __init__(self, hkg, d_e=64, num_layers=1, num_bases=8, seed=0):
+    def __init__(self, hkg, d_e, num_layers=1, num_bases=8, seed=0):
         self.hkg = hkg
-        self.d_e = d_e
         self.num_layers = num_layers
         self.item_ids = np.array(hkg.base.entities_of_type(ITEM_TYPE),
                                  dtype=np.intp)
@@ -170,7 +170,7 @@ class SampleBatch:
     def __len__(self):
         return len(self.labels)
 
-    def take(self, idx):
+    def __getitem__(self, idx):
         """The samples at positions ``idx`` (repeats allowed), in order."""
         return SampleBatch(self.labels[idx], self.contexts.take(idx))
 
@@ -250,7 +250,7 @@ def evaluate(model, samples, ks=KS):
         table = model.entity_embeddings()
         ranks = np.concatenate([
             _rank_chunk(model, table,
-                        batch.take(np.arange(lo, min(lo + RANK_CHUNK, n))))
+                        batch[np.arange(lo, min(lo + RANK_CHUNK, n))])
             for lo in range(0, n, RANK_CHUNK)])
     per = ranking_metrics(ranks, ks)
     # a running total in sample order; np.sum adds pairwise
@@ -260,19 +260,22 @@ def evaluate(model, samples, ks=KS):
                         n_samples=n)
 
 
-def train_steps(model, pool, steps, batch_size, lr, rng):
-    """``steps`` optimizer steps, each on a batch drawn with replacement
-    from ``pool`` (a sample list, packed once here, or a ``SampleBatch``);
-    returns the per-step losses."""
-    pool = _packed(model, pool)
+def train_steps(store, batch_loss, batches, lr):
+    """One Adam step on ``store`` per batch: ``batch_loss(batch)``, its
+    gradients, the update. Returns the per-step losses."""
     losses = []
-    for _ in range(steps):
-        idx = rng.integers(0, len(pool), size=min(batch_size, len(pool)))
-        loss = rec_loss(model, pool.take(idx))
-        grads = ad.backward(loss, model.store)
-        ad.optimizer_step(model.store, grads, lr=lr)
+    for batch in batches:
+        loss = batch_loss(batch)
+        ad.optimizer_step(store, ad.backward(loss, store), lr=lr)
         losses.append(loss.item())
     return losses
+
+
+def draw_batches(pool, steps, batch_size, rng):
+    """``steps`` batches drawn from ``pool`` with replacement, lazily."""
+    size = min(batch_size, len(pool))
+    for _ in range(steps):
+        yield pool[rng.integers(0, len(pool), size=size)]
 
 
 class EarlyStopping:
@@ -299,16 +302,28 @@ class EarlyStopping:
             self.store.load_values(self.best)
 
 
+def _select_snapshot(store, patience, metrics):
+    """Trains by iterating ``metrics``, which yields a validation metric
+    (higher is better) after each scored round, until ``EarlyStopping``
+    calls for a stop; then loads the best round's values into ``store``."""
+    stopper = EarlyStopping(store, patience)
+    for metric in metrics:
+        if stopper.update(metric):
+            break
+    stopper.restore()
+
+
+def selection_metric(report):
+    """Recall at the largest cutoff; recommender snapshots are kept by it."""
+    return report.recall[max(KS)]
+
+
 def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
                          batch_size=64, lr=1e-3, eval_every=50, patience=3,
                          seed=0):
-    """Cross-entropy training of the scorer jointly with the graph encoder.
-
-    Evaluates on validation Recall at the largest cutoff after every full
-    ``eval_every`` steps, early-stops with the given patience (measured in
-    evaluations) and restores the best checkpoint before returning the
-    training history.
-    """
+    """Cross-entropy training of the scorer jointly with the graph encoder,
+    scored on the validation samples after each full ``eval_every`` steps
+    (patience counts evaluations). Returns the training history."""
     if not train_samples:
         raise DataError("need training samples")
     train_samples = _packed(model, train_samples)
@@ -316,15 +331,17 @@ def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
         val_samples = _packed(model, val_samples)
     rng = np.random.default_rng(seed)
     history = {"loss": [], "val_recall": []}
-    stopper = EarlyStopping(model.store, patience)
-    for done in range(0, steps, eval_every):
-        chunk = min(eval_every, steps - done)
-        history["loss"] += train_steps(model, train_samples, chunk,
-                                       batch_size, lr, rng)
-        if val_samples and chunk == eval_every:
-            metric = evaluate(model, val_samples).recall[max(KS)]
-            history["val_recall"].append(metric)
-            if stopper.update(metric):
-                break
-    stopper.restore()
+
+    def rounds():
+        for done in range(0, steps, eval_every):
+            chunk = min(eval_every, steps - done)
+            history["loss"] += train_steps(
+                model.store, lambda batch: rec_loss(model, batch),
+                draw_batches(train_samples, chunk, batch_size, rng), lr)
+            if val_samples and chunk == eval_every:
+                metric = selection_metric(evaluate(model, val_samples))
+                history["val_recall"].append(metric)
+                yield metric
+
+    _select_snapshot(model.store, patience, rounds())
     return history

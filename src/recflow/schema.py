@@ -3,7 +3,8 @@
 A schema here is a whole per-dialogue type sequence (truncated to max_len);
 mining counts exact sequences and keeps the ones at or above min_support.
 Gap-tolerant subsequence mining would yield schemas that cannot align
-position-wise with a flow, so it is deliberately not used.
+position-wise with a flow, so it is deliberately not used. The classifier
+trains through the recommender module's step loop and snapshot schedule.
 """
 
 from __future__ import annotations
@@ -141,10 +142,10 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
     """Cross-entropy training of the schema classifier.
 
     ``pairs`` is a list of (e_u, e_v, gold_index); ``store`` holds the
-    classifier's parameters alone (``init_classifier_params``). Every 20
-    steps it measures the loss on the held-out ``VAL_FRACTION`` of the
-    pairs; it loads the snapshot with the lowest one back into ``store``
-    and returns the training loss history.
+    classifier's parameters alone (``init_classifier_params``). After each
+    full 20 steps it measures the loss on the held-out ``VAL_FRACTION`` of
+    the pairs; it loads the snapshot with the lowest one back into
+    ``store`` and returns the training loss history.
     """
     if len(catalog) == 0:
         raise DataError("cannot train against an empty catalog")
@@ -156,28 +157,26 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
     x = np.stack([np.concatenate([np.asarray(u), np.asarray(v)])
                   for u, v, _ in pairs])
     y = np.array([g for _, _, g in pairs], dtype=np.intp)
-    n = len(pairs)
-    n_val = int(n * VAL_FRACTION)
-    order = rng.permutation(n)
+    n_val = int(len(pairs) * VAL_FRACTION)
+    order = rng.permutation(len(pairs))
     val_idx, train_idx = order[:n_val], order[n_val:]
-    if len(train_idx) == 0:
-        train_idx = order
 
     def batch_loss(idx):
         logits = _classifier_logits(x[idx], store)
         return -ad.mean(ad.log_softmax_pick(logits, y[idx]))
 
-    # patience never runs out: the rule only keeps the best snapshot
-    best = rc.EarlyStopping(store, patience=np.inf)
     history = []
-    for step in range(steps):
-        idx = train_idx[rng.integers(0, len(train_idx),
-                                     size=min(32, len(train_idx)))]
-        loss = batch_loss(idx)
-        ad.optimizer_step(store, ad.backward(loss, store), lr=lr)
-        history.append(loss.item())
-        if len(val_idx) and (step + 1) % 20 == 0:
-            with ad.no_grad():
-                best.update(-batch_loss(val_idx).item())
-    best.restore()
+
+    def rounds():
+        for done in range(0, steps, 20):
+            chunk = min(20, steps - done)
+            batches = rc.draw_batches(train_idx, chunk, 32, rng)
+            history.extend(rc.train_steps(store, batch_loss, batches, lr))
+            if len(val_idx) and chunk == 20:
+                with ad.no_grad():
+                    metric = -batch_loss(val_idx).item()
+                yield metric
+
+    # patience never runs out: the schedule only keeps the best snapshot
+    rc._select_snapshot(store, np.inf, rounds())
     return history

@@ -117,7 +117,6 @@ def test_extract_flow_movie_example(movie_kg):
     assert names == ["comedy", "21 Jump Street", "Jonah Hill", "comedy",
                      "Superbad"]
     assert schema == ("genre", "item", "actor", "genre", "item")
-    assert flow.turn_index == [0, 1, 2, 3, 3]
     assert flow.speaker == ["seeker", "recommender", "seeker", "recommender",
                             "recommender"]
 
@@ -137,7 +136,7 @@ def test_extract_flow_one_mention_per_turn(movie_kg):
     ]))
     flow, schema = cp.extract_flow(d, movie_kg)
     assert len(flow) == 4
-    assert flow.turn_index == [0, 1, 2, 3]
+    assert flow.speaker == ["seeker", "recommender", "seeker", "recommender"]
 
 
 def test_extract_templates_mood_example(movie_kg):

@@ -183,7 +183,7 @@ def test_packed_and_list_rec_loss_agree_bit_for_bit(world_samples, picks,
            "repeated": [full[3], full[3], empty[0], full[3], full[0]]}[picks]
     model = rc.RecModel(hkg, d_e=8, num_layers=num_layers, seed=2)
     value, grads = _loss_and_grads(model, [samples[i] for i in idx])
-    batch = rc.pack_samples(model, samples).take(np.array(idx))
+    batch = rc.pack_samples(model, samples)[np.array(idx)]
     packed_value, packed_grads = _loss_and_grads(model, batch)
     assert packed_value == value
     assert packed_grads.keys() == grads.keys()
@@ -196,8 +196,7 @@ def test_rec_loss_records_seven_tape_nodes(world_samples):
     # the negated mean
     hkg, samples = world_samples
     model = rc.RecModel(hkg, d_e=8, seed=2)
-    loss = rc.rec_loss(model, rc.pack_samples(model, samples).take(
-        np.arange(16)))
+    loss = rc.rec_loss(model, rc.pack_samples(model, samples)[np.arange(16)])
     assert sum(node._vjp is not None for node in ad._topo_order(loss)) == 7
 
 
@@ -211,14 +210,14 @@ def test_packing_a_pool_with_a_non_item_label_raises(small_world):
         rc.pack_samples(model, pool)
     before = model.store.checksum()
     with pytest.raises(DataError, match=not_item):  # before the first step
-        rc.train_steps(model, pool, 3, 2, 1e-2, np.random.default_rng(0))
+        rc.pretrain_recommender(model, pool, steps=3, batch_size=2, lr=1e-2)
     assert model.store.checksum() == before
 
 
 def test_train_steps_runs_loss_backward_and_update_once_per_step(
         world_samples, monkeypatch):
     # looked up as module attributes, in this order: a trace of the step
-    # finds it by these three calls in a row
+    # finds it by these three calls in a row under one train_steps call
     hkg, samples = world_samples
     model = rc.RecModel(hkg, d_e=8, seed=2)
     calls = []
@@ -234,14 +233,16 @@ def test_train_steps_runs_loss_backward_and_update_once_per_step(
 
         monkeypatch.setattr(module, name, wrapped)
 
-    for module, name in ((rc, "pack_samples"), (rc, "rec_loss"),
+    for module, name in ((rc, "pack_samples"), (rc, "train_steps"),
+                         (rc, "rec_loss"),
                          (emb, "rgcn_forward"), (ad, "backward"),
                          (ad, "optimizer_step")):
         spy(module, name)
-    rc.train_steps(model, samples, 3, 16, 1e-3, np.random.default_rng(0))
+    rc.pretrain_recommender(model, samples, steps=3, batch_size=16, lr=1e-3)
     step = [">rec_loss", ">rgcn_forward", "<rgcn_forward", "<rec_loss",
             ">backward", "<backward", ">optimizer_step", "<optimizer_step"]
-    assert calls == [">pack_samples", "<pack_samples"] + step * 3
+    assert calls == ([">pack_samples", "<pack_samples", ">train_steps"]
+                     + step * 3 + ["<train_steps"])
 
 
 def test_evaluate_over_many_chunks_equals_a_per_sample_reference(
@@ -365,8 +366,8 @@ def test_copy_has_equal_values_and_a_fresh_adam_state(mini):
     fresh = rc.RecModel(mini.hkg, d_e=16, seed=1)
     fresh.store.load_values(mini.rec.store.values_dict())
     for model in (clone, fresh):
-        rc.train_steps(model, mini.train_samples, 1, 8, 1e-2,
-                       np.random.default_rng(0))
+        rc.pretrain_recommender(model, mini.train_samples, steps=1,
+                                batch_size=8, lr=1e-2)
     assert clone.store.checksum() == fresh.store.checksum() != before
     # training the copy leaves the original as it was
     assert mini.rec.store.checksum() == before

@@ -1,7 +1,8 @@
 """Static rules on the source tree: the package imports only numpy and the
 standard library, every top-level function and class is referenced, every
 public autodiff function has a caller in the package, the only exception
-classes are the three categories of errors.py, and the counts of settable
+classes are the three categories of errors.py, one step loop and one
+snapshot schedule serve every trained model, and the counts of settable
 values stay within their bounds."""
 
 import ast
@@ -15,8 +16,8 @@ PACKAGE = ROOT / "src" / "recflow"
 
 # parameter defaults and dataclass fields (see test_settable_values_...);
 # a new knob has to replace an old one, so lower these, never raise them
-MAX_PARAM_DEFAULTS = 73
-MAX_DATACLASS_FIELDS = 123
+MAX_PARAM_DEFAULTS = 72
+MAX_DATACLASS_FIELDS = 122
 
 
 def package_modules():
@@ -108,6 +109,25 @@ def test_the_only_exception_classes_are_the_three_categories():
     assert not extra, ("exception classes outside the three categories of "
                        "errors.py:\n" + "\n".join(extra))
     assert sorted(node.name for _, node in found) == sorted(categories)
+
+
+def test_one_function_steps_the_optimizer_and_one_builds_early_stopping():
+    # every model trains through recommender.train_steps and selects its
+    # snapshot through one schedule, so a change of optimizer or of
+    # selection rule has one place to go
+    def call_sites(callee):
+        return [f"{path}:{node.lineno}" for path in package_modules()
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Call)
+                and callee in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None))]
+
+    steps = call_sites("optimizer_step")
+    assert len(steps) == 1, (f"optimizer_step called at {len(steps)} "
+                             "sites, not one:\n" + "\n".join(steps))
+    stoppers = call_sites("EarlyStopping")
+    assert len(stoppers) == 1, (f"EarlyStopping built at {len(stoppers)} "
+                                "sites, not one:\n" + "\n".join(stoppers))
 
 
 def test_settable_values_stay_within_their_counts():

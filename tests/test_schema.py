@@ -213,6 +213,44 @@ def test_train_separable_two_class(monkeypatch):
     assert correct == len(pairs)
 
 
+def test_classifier_keeps_the_better_of_the_full_chunk_checks(monkeypatch):
+    # 50 steps score the held-out loss after steps 20 and 40 only, never
+    # after the partial last chunk; on random labels the loss rises, so the
+    # classifier ends holding step 20's values
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    store = make_classifier(len(cat))
+    rng = np.random.default_rng(0)
+    pairs = [(rng.normal(size=4), rng.normal(size=4), int(rng.integers(3)))
+             for _ in range(100)]
+    n_val = int(len(pairs) * sc.VAL_FRACTION)
+    steps, checks = [], []
+    real_step, real_pick = ad.optimizer_step, ad.log_softmax_pick
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    def recording_pick(logits, labels):
+        if len(labels) == n_val:  # training batches hold 32 pairs
+            z = logits.data - logits.data.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            loss = -logp[np.arange(n_val), labels].mean()
+            checks.append((len(steps), loss, store.values_dict()))
+        return real_pick(logits, labels)
+
+    monkeypatch.setattr(ad, "optimizer_step", counting_step)
+    monkeypatch.setattr(ad, "log_softmax_pick", recording_pick)
+    sc.train_schema_classifier(pairs, store, cat, lr=0.05, steps=50)
+    assert len(steps) == 50
+    assert [step for step, _, _ in checks] == [20, 40]
+    (_, loss20, values20), (_, loss40, values40) = checks
+    assert loss20 < loss40
+    final = store.values_dict()
+    assert final.keys() == values20.keys()
+    assert all(np.array_equal(final[k], values20[k]) for k in final)
+    assert not all(np.array_equal(final[k], values40[k]) for k in final)
+
+
 def test_train_rejects_bad_gold_index():
     cat = sc.mine_schemas([("a",)], min_support=1)
     store = make_classifier(1)

@@ -1,12 +1,17 @@
 """Command-line entry point and pipeline orchestration.
 
 Subcommands: ingest, mine-schemas, pretrain-rec, pretrain-flm, train,
-simulate, evaluate, eda-baseline, sweep. Every run writes a resolved-config
-snapshot and a manifest listing all produced files into the output
-directory. The library's trainers and simulator take the same ``RunConfig``
-that the command resolves, passed straight through. The exit code follows
-the category of the error (``errors.py``): 0 success, 2 ``ConfigError``,
-3 ``DataError`` or ``OSError``, 4 ``NumericError``.
+simulate, evaluate, eda-baseline, sweep. ``main`` frames every run: it
+resolves the config, creates the output directory, loads the workspace,
+calls the command's handler from ``HANDLERS`` and then writes
+``config_resolved.json`` and a ``manifest.json`` listing every file the
+command wrote. A command that needs the pre-trained recommender or the
+simulator reuses the output directory's saved files when all of them exist
+and builds them otherwise; ``pretrain-rec`` and ``pretrain-flm`` always
+rebuild theirs. The library's trainers and simulator take the same
+``RunConfig`` that the command resolves, passed straight through. The exit
+code follows the category of the error (``errors.py``): 0 success,
+2 ``ConfigError``, 3 ``DataError`` or ``OSError``, 4 ``NumericError``.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ def _require(cfg, *names):
             raise ConfigError(name, "path is required for this command")
 
 
-def load_workspace(cfg, need_test=False):
+def load_workspace(cfg, need_test):
     """Read every data file ``cfg`` names and resolve the validation and
     test splits to recommender samples (an empty list when a split is not
     configured), so a bad record in any split fails before any output."""
@@ -109,40 +114,38 @@ def build_rec(cfg, hkg):
                        num_bases=cfg.rgcn_bases, seed=cfg.seed)
 
 
-def _pretrain_rec(cfg, ws, tracker):
+def _pretrained_rec(cfg, ws, out, rebuild):
+    """The pre-trained recommender: read from the output directory's
+    ``rec.ckpt`` when it exists and ``rebuild`` is false, else pre-trained
+    and saved there with its history."""
     rec = build_rec(cfg, ws.hkg)
+    path = os.path.join(cfg.out_dir, "rec.ckpt")
+    if not rebuild and os.path.exists(path):
+        pl.read_checkpoint(path, rec.store)
+        return rec
     train_samples = pl.samples_from_dialogues(ws.train, ws.kg)
     history = rc.pretrain_recommender(
         rec, train_samples, ws.val_samples, steps=cfg.rec_steps,
         batch_size=cfg.rec_batch, lr=cfg.rec_lr, patience=cfg.patience,
         seed=cfg.seed)
-    ad.save_checkpoint(tracker.path("rec.ckpt"), rec.store)
-    tracker.write_json("rec_history.json", history)
+    ad.save_checkpoint(out.path("rec.ckpt"), rec.store)
+    out.write_json("rec_history.json", history)
     return rec
 
 
-def _load_or_pretrain_rec(cfg, ws, tracker):
-    path = os.path.join(cfg.out_dir, "rec.ckpt")
-    if os.path.exists(path):
-        rec = build_rec(cfg, ws.hkg)
-        pl.read_checkpoint(path, rec.store)
-        return rec
-    return _pretrain_rec(cfg, ws, tracker)
-
-
-def _build_simulator(cfg, ws, rec, tracker):
-    sim = pl.build_simulator(ws.hkg, ws.train, rec.entity_embeddings_array(),
-                             cfg)
-    pl.save_simulator(sim, tracker.path)
-    return sim
-
-
-def _load_or_build_simulator(cfg, ws, rec, tracker):
+def _simulator(cfg, ws, rec, out, rebuild):
+    """The simulator: loaded from the output directory when all of
+    ``pl.SIMULATOR_FILES`` exist and ``rebuild`` is false, else built on
+    ``rec``'s entity embeddings and saved there."""
     def saved(name):
         return os.path.join(cfg.out_dir, name)
-    if all(os.path.exists(saved(n)) for n in pl.SIMULATOR_FILES):
+    if not rebuild and all(os.path.exists(saved(n))
+                           for n in pl.SIMULATOR_FILES):
         return pl.load_simulator(ws.hkg, ws.train, saved, cfg)
-    return _build_simulator(cfg, ws, rec, tracker)
+    sim = pl.build_simulator(ws.hkg, ws.train, rec.entity_embeddings_array(),
+                             cfg)
+    pl.save_simulator(sim, out.path)
+    return sim
 
 
 def _response_distinct(dialogues):
@@ -152,32 +155,29 @@ def _response_distinct(dialogues):
     return {n: rc.distinct_n(texts, n) for n in (2, 3, 4)}
 
 
-def _write_test_report(ws, rec, simulated, tracker, name):
+def _write_test_report(ws, rec, simulated, out, name):
     if not ws.test_samples:
         return
     report = rc.evaluate(rec, ws.test_samples)
     if simulated:
         report.distinct = _response_distinct(r.dialogue for r in simulated)
-    tracker.write_text("metrics_test.json", report.to_json() + "\n")
+    out.write_text("metrics_test.json", report.to_json() + "\n")
     print(report.format_table(name))
 
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_ingest(cfg):
-    tracker = OutputTracker(cfg.out_dir, "ingest")
-    ws = load_workspace(cfg)
-    tracker.write_jsonl("flows.jsonl", (
+def cmd_ingest(cfg, ws, out, args):
+    out.write_jsonl("flows.jsonl", (
         {"dialogue_id": d.dialogue_id,
          "entities": [ws.kg.entity_names[e] for e in ex.entities],
          "schema": list(ex.schema)}
         for ex, d in pl.corpus_flows(ws.train, ws.kg)))
-    tracker.write_jsonl("templates.jsonl", (
+    out.write_jsonl("templates.jsonl", (
         {"speaker": tpl.speaker, "text": tpl.text,
          "signature": list(tpl.signature), "dialogue_id": tpl.dialogue_id}
         for d in ws.train for tpl in cp.extract_templates(d, ws.kg)))
-    tracker.write_json("interactions.json",
-                       cp.derive_interactions(ws.train))
+    out.write_json("interactions.json", cp.derive_interactions(ws.train))
     stats = {"dialogues": len(ws.train),
              "utterances": sum(len(d.turns) for d in ws.train),
              "mentions": sum(len(t.mentions) for d in ws.train
@@ -185,77 +185,57 @@ def cmd_ingest(cfg):
              "users": len(ws.hkg.users),
              "entities": ws.kg.num_entities,
              "triples": len(ws.kg.triples)}
-    tracker.write_json("corpus_stats.json", stats)
-    tracker.finalize(cfg)
+    out.write_json("corpus_stats.json", stats)
     print(json.dumps(stats, sort_keys=True))
-    return 0
 
 
-def cmd_mine_schemas(cfg):
-    tracker = OutputTracker(cfg.out_dir, "mine-schemas")
-    ws = load_workspace(cfg)
+def cmd_mine_schemas(cfg, ws, out, args):
     flows = pl.corpus_flows(ws.train, ws.kg, max_len=cfg.max_len)
     catalog = sc.mine_schemas([ex.schema for ex, _ in flows],
                               min_support=cfg.min_support,
                               max_len=cfg.max_len)
-    tracker.write_text("catalog.json", catalog.to_json() + "\n")
-    tracker.finalize(cfg)
+    out.write_text("catalog.json", catalog.to_json() + "\n")
     print(f"mined {len(catalog)} schemas from {len(flows)} flows")
-    return 0
 
 
-def cmd_pretrain_rec(cfg):
-    tracker = OutputTracker(cfg.out_dir, "pretrain-rec")
-    ws = load_workspace(cfg)
-    rec = _pretrain_rec(cfg, ws, tracker)
-    _write_test_report(ws, rec, [], tracker, "pretrained")
-    tracker.finalize(cfg)
-    return 0
+def cmd_pretrain_rec(cfg, ws, out, args):
+    rec = _pretrained_rec(cfg, ws, out, rebuild=True)
+    _write_test_report(ws, rec, [], out, "pretrained")
 
 
-def cmd_pretrain_flm(cfg):
-    tracker = OutputTracker(cfg.out_dir, "pretrain-flm")
-    ws = load_workspace(cfg)
-    rec = _load_or_pretrain_rec(cfg, ws, tracker)
-    sim = _build_simulator(cfg, ws, rec, tracker)
-    tracker.write_json("flm_history.json", sim.pretrain_history)
-    tracker.finalize(cfg)
+def cmd_pretrain_flm(cfg, ws, out, args):
+    rec = _pretrained_rec(cfg, ws, out, rebuild=False)
+    sim = _simulator(cfg, ws, rec, out, rebuild=True)
+    out.write_json("flm_history.json", sim.pretrain_history)
     print(f"pre-trained flow model on {len(ws.train)} dialogues; "
           f"catalog size {len(sim.catalog)}")
-    return 0
 
 
-def _run_training(cfg, command, arm, final_name):
+def _run_training(cfg, ws, out, arm, final_name):
     """Train the pre-trained recommender in place as ``arm``."""
-    tracker = OutputTracker(cfg.out_dir, command)
-    ws = load_workspace(cfg)
-    rec = _load_or_pretrain_rec(cfg, ws, tracker)
-    sim = (_load_or_build_simulator(cfg, ws, rec, tracker)
+    rec = _pretrained_rec(cfg, ws, out, rebuild=False)
+    sim = (_simulator(cfg, ws, rec, out, rebuild=False)
            if arm == "augmented" else None)
     log, simulated = cf.train_arm(arm, rec, ws.train, ws.val_samples, cfg,
                                   sim)
-    ad.save_checkpoint(tracker.path(final_name), rec.store)
-    tracker.write_jsonl("train_log.jsonl", log)
-    tracker.write_jsonl("simulated.jsonl",
-                        (r.dialogue.to_record() for r in simulated))
-    _write_test_report(ws, rec, simulated, tracker, command)
-    tracker.finalize(cfg)
-    return 0
+    ad.save_checkpoint(out.path(final_name), rec.store)
+    out.write_jsonl("train_log.jsonl", log)
+    out.write_jsonl("simulated.jsonl",
+                    (r.dialogue.to_record() for r in simulated))
+    _write_test_report(ws, rec, simulated, out, out.command)
 
 
-def cmd_train(cfg):
-    return _run_training(cfg, "train", "augmented", "rec_final.ckpt")
+def cmd_train(cfg, ws, out, args):
+    _run_training(cfg, ws, out, "augmented", "rec_final.ckpt")
 
 
-def cmd_eda_baseline(cfg):
-    return _run_training(cfg, "eda-baseline", "eda", "rec_eda.ckpt")
+def cmd_eda_baseline(cfg, ws, out, args):
+    _run_training(cfg, ws, out, "eda", "rec_eda.ckpt")
 
 
-def cmd_simulate(cfg):
-    tracker = OutputTracker(cfg.out_dir, "simulate")
-    ws = load_workspace(cfg)
-    rec = _load_or_pretrain_rec(cfg, ws, tracker)
-    sim = _load_or_build_simulator(cfg, ws, rec, tracker)
+def cmd_simulate(cfg, ws, out, args):
+    rec = _pretrained_rec(cfg, ws, out, rebuild=False)
+    sim = _simulator(cfg, ws, rec, out, rebuild=False)
     pairs = pl.build_user_pairs(ws.train, ws.hkg)
     if not pairs:
         raise DataError("no user pairs with interactions to simulate")
@@ -265,23 +245,21 @@ def cmd_simulate(cfg):
         pair = pairs[int(rng.integers(len(pairs)))]
         e_u = sim.prompt(pair.u_entities)
         e_v = sim.prompt(pair.v_entities)
-        out = sim.simulate(e_u, e_v, rng, dialogue_id=f"sim-{i:05d}",
-                           temperature=cfg.temperature,
-                           user_pair=(pair.user_u, pair.user_v))
-        realized.append(out)
+        r = sim.simulate(e_u, e_v, rng, dialogue_id=f"sim-{i:05d}",
+                         temperature=cfg.temperature,
+                         user_pair=(pair.user_u, pair.user_v))
+        realized.append(r)
         requests.append({
             "request": {"user_u": pair.user_u, "user_v": pair.user_v,
-                        "schema": list(out.schema),
+                        "schema": list(r.schema),
                         "temperature": cfg.temperature},
             "response": {"flow": [ws.kg.entity_names[e]
-                                  for e in out.flow_entities],
-                         "dialogue": out.dialogue.to_record()}})
-    tracker.write_jsonl("simulated.jsonl",
-                        (r.dialogue.to_record() for r in realized))
-    tracker.write_jsonl("simulate_log.jsonl", requests)
-    tracker.finalize(cfg)
+                                  for e in r.flow_entities],
+                         "dialogue": r.dialogue.to_record()}})
+    out.write_jsonl("simulated.jsonl",
+                    (r.dialogue.to_record() for r in realized))
+    out.write_jsonl("simulate_log.jsonl", requests)
     print(f"simulated {len(realized)} dialogues")
-    return 0
 
 
 def _default_checkpoint(out_dir):
@@ -311,30 +289,25 @@ def _default_checkpoint(out_dir):
     return None
 
 
-def cmd_evaluate(cfg, checkpoint=None, responses=None):
-    tracker = OutputTracker(cfg.out_dir, "evaluate")
-    ws = load_workspace(cfg, need_test=True)
+def cmd_evaluate(cfg, ws, out, args):
     rec = build_rec(cfg, ws.hkg)
-    ckpt = (_default_checkpoint(cfg.out_dir) if checkpoint is None
-            else checkpoint)
+    ckpt = (_default_checkpoint(cfg.out_dir) if args.checkpoint is None
+            else args.checkpoint)
     if ckpt is None:
         raise DataError("no recommender checkpoint found to evaluate")
     pl.read_checkpoint(ckpt, rec.store)
-    tracker.inputs.append(os.path.relpath(ckpt, cfg.out_dir))
+    out.inputs.append(os.path.relpath(ckpt, cfg.out_dir))
     report = rc.evaluate(rec, ws.test_samples)
-    if responses:
-        report.distinct = _response_distinct(cp.load_dialogues_file(responses))
-    tracker.write_text("metrics_test.json", report.to_json() + "\n")
-    tracker.finalize(cfg)
+    if args.responses:
+        report.distinct = _response_distinct(
+            cp.load_dialogues_file(args.responses))
+    out.write_text("metrics_test.json", report.to_json() + "\n")
     print(report.format_table(os.path.basename(ckpt)))
-    return 0
 
 
-def cmd_sweep(cfg):
-    tracker = OutputTracker(cfg.out_dir, "sweep")
-    ws = load_workspace(cfg)
-    rec0 = _load_or_pretrain_rec(cfg, ws, tracker)
-    sim = _load_or_build_simulator(cfg, ws, rec0, tracker)
+def cmd_sweep(cfg, ws, out, args):
+    rec0 = _pretrained_rec(cfg, ws, out, rebuild=False)
+    sim = _simulator(cfg, ws, rec0, out, rebuild=False)
     eval_samples = ws.test_samples or ws.val_samples
     rows = []
     for rho in cfg.sweep_rho:
@@ -352,10 +325,8 @@ def cmd_sweep(cfg):
                     row["recall@10"] = report.recall[10]
                     row["recall@50"] = report.recall[50]
                 rows.append(row)
-    tracker.write_json("sweep.json", rows)
-    tracker.finalize(cfg)
+    out.write_json("sweep.json", rows)
     print(f"swept {len(rows)} configurations")
-    return 0
 
 
 HANDLERS = {
@@ -419,10 +390,11 @@ def main(argv=None):
         if args.seed is not None:
             overrides["seed"] = args.seed
         cfg = RunConfig.load(args.config, overrides)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, checkpoint=args.checkpoint,
-                                responses=args.responses)
-        return HANDLERS[args.command](cfg)
+        out = OutputTracker(cfg.out_dir, args.command)
+        ws = load_workspace(cfg, need_test=args.command == "evaluate")
+        HANDLERS[args.command](cfg, ws, out, args)
+        out.finalize(cfg)
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

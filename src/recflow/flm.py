@@ -79,8 +79,7 @@ class FlowLM:
         kg = hkg.base
         self.num_entities = kg.num_entities
         self.bos = self.num_entities
-        self.eos = self.num_entities + 1
-        self.pad = self.num_entities + 2
+        # two ids past bos stay unused; checkpoints are shaped for them
         self.vocab_size = self.num_entities + 3
         self.store = ad.ParamStore()
         self._steps = {}

@@ -214,8 +214,7 @@ def load_simulator(hkg, train_dialogues, path, cfg):
     does not parse or lacks what the simulator needs is a DataError."""
     try:
         with open(path("catalog.json"), encoding="utf-8") as fh:
-            catalog = sc.SchemaCatalog.from_json(
-                fh.read(), min_support=cfg.min_support, max_len=cfg.max_len)
+            catalog = sc.SchemaCatalog.from_json(fh.read())
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path('catalog.json')}: {err}") from err
     entity_emb = read_checkpoint(path("sim_emb.ckpt")).get("entity_emb")

@@ -24,8 +24,6 @@ from .errors import DataError
 class SchemaCatalog:
     schemas: list[tuple]
     supports: list[int]
-    min_support: int
-    max_len: int
     _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -43,7 +41,7 @@ class SchemaCatalog:
                           indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text, min_support=1, max_len=None):
+    def from_json(cls, text):
         """The catalog ``to_json`` wrote: a list of entries, each an object
         with a list of strings as "types" and a JSON integer (not a bool) as
         "support". Any other entry is a DataError."""
@@ -58,10 +56,8 @@ class SchemaCatalog:
                 raise DataError(f"catalog.json entry {i} is not an object "
                                 'with a list of strings as "types" and an '
                                 'integer "support"')
-        schemas = [tuple(e["types"]) for e in entries]
-        supports = [e["support"] for e in entries]
-        longest = max((len(s) for s in schemas), default=0)
-        return cls(schemas, supports, min_support, max_len or longest)
+        return cls([tuple(e["types"]) for e in entries],
+                   [e["support"] for e in entries])
 
 
 def mine_schemas(type_sequences, min_support=5, max_len=16):
@@ -77,8 +73,7 @@ def mine_schemas(type_sequences, min_support=5, max_len=16):
     kept = [(s, c) for s, c in counts.items() if c >= min_support]
     kept.sort(key=lambda sc: (-sc[1], len(sc[0]), sc[0]))
     return SchemaCatalog(schemas=[s for s, _ in kept],
-                         supports=[c for _, c in kept],
-                         min_support=min_support, max_len=max_len)
+                         supports=[c for _, c in kept])
 
 
 CLF_PREFIX = "schema_clf"
@@ -149,6 +144,8 @@ def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
     """
     if len(catalog) == 0:
         raise DataError("cannot train against an empty catalog")
+    if not pairs:
+        raise DataError("no schema-classifier training pairs")
     for _, _, gold in pairs:
         if not (0 <= gold < len(catalog)):
             raise DataError(f"gold index {gold} outside catalog of size "

@@ -360,14 +360,24 @@ def test_test_split_without_samples_skips_report_and_fails_evaluate(
 
 
 def test_manifest_lists_every_output_no_orphans(tmp_path, world_files):
-    cfg = fast_config(world_files, tmp_path / "out")
-    assert cli.main(["ingest", "--config", write_config(tmp_path, cfg)]) == 0
-    out = str(tmp_path / "out")
-    manifest = read_manifest(out)
-    listed = set(manifest["outputs"]) | {"config_resolved.json"}
-    on_disk = set(os.listdir(out))
-    assert on_disk == listed | {"manifest.json"} | (listed & on_disk)
-    assert on_disk <= listed | {"manifest.json"}
+    # every command, each in a fresh directory, lists exactly the files it
+    # leaves there; evaluate scores a checkpoint from another directory
+    cfg_path = write_config(tmp_path, fast_config(
+        world_files, tmp_path / "unused", rec_steps=20, courses=1))
+    ckpt = tmp_path / "pretrained" / "rec.ckpt"
+    assert cli.main(["pretrain-rec", "--config", cfg_path,
+                     "--out-dir", str(ckpt.parent)]) == 0
+    for command in cli.HANDLERS:
+        out = tmp_path / command
+        argv = [command, "--config", cfg_path, "--out-dir", str(out)]
+        if command == "evaluate":
+            argv += ["--checkpoint", str(ckpt)]
+        assert cli.main(argv) == 0, command
+        manifest = read_manifest(out)
+        assert manifest["command"] == command
+        on_disk = set(os.listdir(out))
+        assert set(manifest["outputs"]) == on_disk, command
+        assert not [n for n in on_disk if n.endswith(".tmp")], command
 
 
 @pytest.fixture(scope="module")

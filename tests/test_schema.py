@@ -259,6 +259,17 @@ def test_train_rejects_bad_gold_index():
         sc.train_schema_classifier([(np.ones(4), np.ones(4), 3)], store, cat)
 
 
+def test_train_without_pairs_is_a_data_error():
+    cat = sc.mine_schemas([("a",)], min_support=1)
+    store = make_classifier(1)
+    before = store.values_dict()
+    with pytest.raises(DataError,
+                       match="^no schema-classifier training pairs$"):
+        sc.train_schema_classifier([], store, cat)
+    after = store.values_dict()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
 def test_classifier_grad_check():
     store = ad.ParamStore()
     sc.init_classifier_params(store, d_e=2, num_schemas=3,

@@ -45,7 +45,6 @@ class RunConfig:
     min_support: int = 5
     max_len: int = 16
     hop_limit: int = 2
-    connectivity_mask: bool = True
     # pre-training
     rec_steps: int = 500
     rec_lr: float = 1e-3
@@ -105,9 +104,6 @@ class RunConfig:
             v = getattr(self, name)
             if not _is_number(v) or not v > 0:
                 raise ConfigError(name, f"must be positive, got {v!r}")
-        if type(self.connectivity_mask) is not bool:
-            raise ConfigError("connectivity_mask", "must be true or false, "
-                              f"got {self.connectivity_mask!r}")
         for name, sweep, in_range, bound in _SWEPT:
             v = getattr(self, name)
             if not _is_number(v) or not in_range(v):

@@ -37,17 +37,11 @@ from .errors import DataError, NumericError
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class CurriculumSchedule:
-    rho: float
-    delta: float
-
-
-def curriculum_lambda(schedule, k):
+def curriculum_lambda(rho, delta, k):
     """Regularization weight for course k: exactly rho * delta**k."""
     if k < 0:
         raise ValueError("course index must be >= 0")
-    return schedule.rho * schedule.delta ** k
+    return rho * delta ** k
 
 
 def select_edit_targets(n_entities, k, rng):
@@ -145,7 +139,7 @@ def default_reward_fn(rec_model, kg):
 
 
 def reinforce_step(state, sim, rec_model, lam, alpha, rollouts, rng,
-                   temperature=1.0, reward_fn=None):
+                   temperature, reward_fn=None):
     """One score-function ascent step on the pair's disturbance vectors.
 
     The simulator and recommender are read, never written. Returns the
@@ -263,12 +257,11 @@ def curriculum_train(rec_model, real_train, val_samples, cfg, course_fn):
     the course the recommender's snapshot schedule selects.
     """
     rng = np.random.default_rng(cfg.seed)
-    sched = CurriculumSchedule(cfg.rho, cfg.delta)
     log, simulated = [], []
 
     def courses():
         for course in range(cfg.courses):
-            lam = curriculum_lambda(sched, course)
+            lam = curriculum_lambda(cfg.rho, cfg.delta, course)
             dialogues, sim_samples, stats = course_fn(course, lam, rng)
             simulated.extend(dialogues)
             pool = sim_samples or real_train

@@ -49,7 +49,7 @@ import numpy as np
 from . import autodiff as ad
 
 
-def init_rgcn_params(store, hkg, d_e, rng, num_layers=1, num_bases=8,
+def init_rgcn_params(store, hkg, d_e, rng, num_layers, num_bases,
                      prefix="rgcn"):
     """Register the node table and per-layer relational weights."""
     num_rel = len(hkg.rgcn_relations())
@@ -67,7 +67,7 @@ def init_rgcn_params(store, hkg, d_e, rng, num_layers=1, num_bases=8,
     return store
 
 
-def rgcn_forward(hkg, store, num_layers=1, prefix="rgcn", rows=None):
+def rgcn_forward(hkg, store, num_layers, prefix="rgcn", rows=None):
     """Return the R-GCN embeddings of the node ids ``rows``, which must be
     strictly increasing, or the (num_nodes, d_e) table when ``rows`` is
     None.

@@ -4,11 +4,11 @@ Encoder-decoder transformer over entity tokens. The encoder consumes the
 user prompt (two projected preference vectors) followed by the schema prompt
 (type-token embeddings); the decoder emits the entity sequence
 autoregressively. Decoding is hard-masked: position j may only produce
-entities of type t_j, and by default only the previous entity itself or an
-entity of its ``HeterogeneousKG.reach`` set (the one source of reach sets;
-pseudo flows are drawn from it without that repeat). An empty set widens to
-the type class, as does a teacher-forced target outside the set when
-scoring (real corpora are not always graph-consistent).
+entities of type t_j, and only the previous entity itself or an entity of
+its ``HeterogeneousKG.reach`` set (the one source of reach sets; pseudo
+flows are drawn from it without that repeat). An empty set widens to the
+type class, as does a teacher-forced target outside the set when scoring
+(real corpora are not always graph-consistent).
 
 Public surface: ``FlowLM``; ``flow_log_probs_batch``, which validates flows
 and scores them under one prompt pair; ``generate_flows_batch``;
@@ -66,8 +66,8 @@ class FlowLM:
     """Holds the parameter store and the masking tables for one HKG.
 
     ``cfg`` is a ``config.RunConfig``, of which the model reads flm_d_model,
-    flm_layers, flm_heads, flm_ff_mult, max_len, connectivity_mask,
-    hop_limit and seed; ``d_e`` is the width of the entity embeddings.
+    flm_layers, flm_heads, flm_ff_mult, max_len, hop_limit and seed;
+    ``d_e`` is the width of the entity embeddings.
     """
 
     def __init__(self, hkg, cfg, d_e):
@@ -134,15 +134,15 @@ class FlowLM:
         return ids
 
     def _step(self, type_name, prev_entity):
-        """The allowed ids of a step, built on first use: the type class,
-        or, with connectivity masking, the ``HeterogeneousKG.reach`` set of
-        the previous entity plus that entity itself when it has the type
-        (the whole class when that set is empty)."""
-        key = (type_name, prev_entity if self.cfg.connectivity_mask else None)
+        """The allowed ids of a step, built on first use: the type class
+        without a previous entity, else the ``HeterogeneousKG.reach`` set of
+        that entity plus the entity itself when it has the type (the whole
+        class when that set is empty)."""
+        key = (type_name, prev_entity)
         ids = self._steps.get(key)
         if ids is not None:
             return ids
-        if key[1] is not None:
+        if prev_entity is not None:
             ids = self.hkg.reach(prev_entity, type_name, self.cfg.hop_limit)
             if self.hkg.base.type_name_of(prev_entity) == type_name:
                 ids = np.sort(np.append(ids, prev_entity))
@@ -284,16 +284,15 @@ def flow_log_probs_batch(flm, e_u, e_v, schema, flows):
     return ad.tensor_sum(steps, axis=1)
 
 
-def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
-                         temperature=1.0):
+def generate_flows_batch(flm, e_u, e_v, schema, rng, count, temperature):
     """Decode ``count`` flows in parallel for one pair of prompt arrays
     ``e_u``, ``e_v`` and a schema.
 
     Sampling uses the Gumbel-max trick on the masked logits, so each row is
     an exact draw from the masked softmax at the given temperature. Every
-    emitted token satisfies the schema type constraint; with connectivity
-    masking on, consecutive entities stay within hop_limit of each other
-    whenever the graph allows it.
+    emitted token satisfies the schema type constraint, and consecutive
+    entities stay within hop_limit of each other whenever the graph allows
+    it.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive when sampling")
@@ -315,7 +314,7 @@ def generate_flows_batch(flm, e_u, e_v, schema, rng, count,
     return [list(map(int, row)) for row in tokens[:, 1:]]
 
 
-def sample_pseudo_flow(hkg, catalog, rng, hop_limit=2):
+def sample_pseudo_flow(hkg, catalog, rng, hop_limit):
     """Draw a schema uniformly, sample a graph path for it, and split the
     entities into two preference groups.
 
@@ -355,8 +354,7 @@ def user_prompt(flm, entity_ids, entity_emb):
     return ad.reshape(user_prompts(flm, [entity_ids], entity_emb), (-1,))
 
 
-def pretrain_flm(flm, examples, entity_emb, epochs=3, batch_size=16,
-                 lr=1e-3, seed=0):
+def pretrain_flm(flm, examples, entity_emb, epochs, batch_size, lr, seed):
     """Teacher-forced cross-entropy pre-training on a flow collection.
 
     ``entity_emb`` is the frozen (num_nodes, d_e) table prompts are built

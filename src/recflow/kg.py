@@ -305,7 +305,7 @@ def attach_users(kg, interactions):
 PATH_RETRIES = 50
 
 
-def sample_path(hkg, schema, rng, hop_limit=2):
+def sample_path(hkg, schema, rng, hop_limit):
     """Sample an entity sequence matching ``schema`` (type names) such that
     consecutive entities are within ``hop_limit`` undirected base-graph edges.
 
@@ -337,7 +337,7 @@ def sample_path(hkg, schema, rng, hop_limit=2):
     return None
 
 
-def validate_flow(hkg, flow, schema, hop_limit=2):
+def validate_flow(hkg, flow, schema, hop_limit):
     """Independent check: position-wise type match plus hop-limited
     connectivity of consecutive entities (own BFS, not the sampler's)."""
     if len(flow) != len(schema):

@@ -104,7 +104,7 @@ def distinct_n(responses, n):
 class RecModel:
     """Graph entity encoder + attention context pooling + item scorer."""
 
-    def __init__(self, hkg, d_e, num_layers=1, num_bases=8, seed=0):
+    def __init__(self, hkg, d_e, *, num_layers=1, num_bases, seed):
         self.hkg = hkg
         self.num_layers = num_layers
         self.item_ids = np.array(hkg.base.entities_of_type(ITEM_TYPE),
@@ -318,9 +318,8 @@ def selection_metric(report):
     return report.recall[max(KS)]
 
 
-def pretrain_recommender(model, train_samples, val_samples=None, steps=500,
-                         batch_size=64, lr=1e-3, eval_every=50, patience=3,
-                         seed=0):
+def pretrain_recommender(model, train_samples, val_samples=None, *, steps,
+                         batch_size, lr, eval_every=50, patience=3, seed):
     """Cross-entropy training of the scorer jointly with the graph encoder,
     scored on the validation samples after each full ``eval_every`` steps
     (patience counts evaluations). Returns the training history."""

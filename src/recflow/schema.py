@@ -60,7 +60,7 @@ class SchemaCatalog:
                    [e["support"] for e in entries])
 
 
-def mine_schemas(type_sequences, min_support=5, max_len=16):
+def mine_schemas(type_sequences, min_support, max_len):
     """Count whole type sequences (truncated to max_len) and keep the
     frequent ones, sorted by (support desc, length asc, lexicographic)."""
     if min_support < 1:
@@ -132,8 +132,7 @@ def predict_schema(e_u, e_v, store, catalog):
 VAL_FRACTION = 0.1
 
 
-def train_schema_classifier(pairs, store, catalog, lr=1e-3, steps=200,
-                            seed=0):
+def train_schema_classifier(pairs, store, catalog, lr, steps, seed):
     """Cross-entropy training of the schema classifier.
 
     ``pairs`` is a list of (e_u, e_v, gold_index); ``store`` holds the

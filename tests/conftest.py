@@ -35,12 +35,14 @@ def mini():
     train_samples = pl.samples_from_dialogues(world.train, kg)
     val_samples = pl.samples_from_dialogues(world.val, kg)
     test_samples = pl.samples_from_dialogues(world.test, kg)
-    rec = rc.RecModel(hkg, d_e=16, seed=0)
-    rc.pretrain_recommender(rec, train_samples, val_samples, steps=200,
-                            batch_size=32, lr=3e-3, eval_every=50, seed=0)
     sim_cfg = RunConfig(flm_d_model=16, flm_layers=1, flm_heads=2,
                         flm_ff_mult=2, min_support=2, pseudo_ratio=2,
                         flm_epochs=2, flm_batch=8, clf_steps=100, seed=0)
+    rec = rc.RecModel(hkg, d_e=16, num_bases=sim_cfg.rgcn_bases,
+                      seed=sim_cfg.seed)
+    rc.pretrain_recommender(rec, train_samples, val_samples, steps=200,
+                            batch_size=32, lr=3e-3, eval_every=50,
+                            seed=sim_cfg.seed)
     sim = pl.build_simulator(hkg, world.train, rec.entity_embeddings_array(),
                              sim_cfg)
     pairs = pl.build_user_pairs(world.train, hkg)

@@ -116,7 +116,7 @@ def test_criterion_01_gradient_suite():
         g = kgm.load_kg([f"{h}\t{r}\t{t}" for h, r, t in triples],
                         [f"{e}\t{t}" for e, t in types.items()])
         small = kgm.attach_users(g, {})
-        model = rc.RecModel(small, d_e=3, seed=3)
+        model = rc.RecModel(small, d_e=3, num_bases=8, seed=3)
         samples = [rz.RecSample(context=(g.entity_id("g"),),
                                 label=int(model.item_ids[1]))]
 
@@ -161,7 +161,7 @@ def test_criterion_03_metrics_match_hand_oracle():
         g = kgm.load_kg([f"{h}\t{r}\t{t}" for h, r, t in triples],
                         [f"{e}\t{t}" for e, t in types.items()])
         hkg = kgm.attach_users(g, {})
-        model = rc.RecModel(hkg, d_e=4, seed=0)
+        model = rc.RecModel(hkg, d_e=4, num_bases=8, seed=0)
         model.store["rec.item_bias"].data = -np.arange(60, dtype=float)
         cases = 0
         for rank in (1, 2, 3, 5, 10, 11, 20, 50):
@@ -210,7 +210,8 @@ def test_criterion_04_simulator_validity(mini):
             e_v = sim.prompt(pair.v_entities)
             schema = sim.predict_schema(e_u.data, e_v.data)
             for flow in flmm.generate_flows_batch(sim.flm, e_u.data, e_v.data,
-                                                  schema, rng, per_pair):
+                                                  schema, rng, per_pair,
+                                                  temperature=1.0):
                 flows.append((flow, schema))
         flows = flows[:1000]
         for flow, schema in flows:
@@ -255,7 +256,7 @@ def test_criterion_06_reinforce_correctness():
         state.store["delta_u"].data = init.copy()
         alpha, lam = 0.05, 0.7
         cf.reinforce_step(state, sim, rec, lam, alpha, rollouts=4,
-                          rng=np.random.default_rng(1),
+                          rng=np.random.default_rng(1), temperature=1.0,
                           reward_fn=lambda realized: 0.0)
         assert np.allclose(state.store["delta_u"].data,
                            init * (1.0 - 2.0 * alpha * lam),
@@ -276,7 +277,8 @@ def test_criterion_06_reinforce_correctness():
         for _ in range(10):
             for flow in flmm.generate_flows_batch(sim.flm, e_u.data,
                                                   e_v.data, schema, rng,
-                                                  count=n // 10):
+                                                  count=n // 10,
+                                                  temperature=1.0):
                 counts[tuple(flow)] += 1
         for name in ("delta_u", "delta_v"):
             sampled = sum((c / n) * rewards[f] * grads[f][name]
@@ -296,8 +298,7 @@ def test_criterion_07_curriculum_exactness():
         for _ in range(20):
             rho = rhos[rng.integers(3)]
             delta = deltas[rng.integers(3)]
-            sched = cf.CurriculumSchedule(rho=rho, delta=delta)
-            values = [cf.curriculum_lambda(sched, k) for k in range(20)]
+            values = [cf.curriculum_lambda(rho, delta, k) for k in range(20)]
             assert values == [rho * delta ** k for k in range(20)]
             assert all(a > b for a, b in zip(values, values[1:]))
 

@@ -73,16 +73,14 @@ def test_config_validates_ranges():
     for bad in ({"d_e": True}, {"rollouts": True}, {"temperature": True},
                 {"mix_ratio": False}, {"delta": "x"},
                 {"mix_ratio": float("nan")}, {"rho": float("nan")},
-                {"out_dir": 5}, {"out_dir": ""}, {"connectivity_mask": 5},
-                {"connectivity_mask": "false"}, {"sweep_rho": 5},
+                {"out_dir": 5}, {"out_dir": ""}, {"sweep_rho": 5},
                 {"sweep_rho": []}, {"sweep_rho": [0.1, -1.0]},
                 {"sweep_rho": [True]}, {"sweep_delta": [0.9, 1.5]},
                 {"sweep_delta": [0.0]}, {"sweep_mix": [float("nan")]},
                 {"sweep_mix": "1.0"}, {"sweep_mix": [[1.0]]}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
-    assert RunConfig.from_dict({"sweep_rho": [0, 1e-3], "sweep_delta": [1],
-                                "connectivity_mask": False})
+    assert RunConfig.from_dict({"sweep_rho": [0, 1e-3], "sweep_delta": [1]})
 
 
 def test_cli_bad_sweep_list_exits_2_before_training(tmp_path, world_files):
@@ -96,10 +94,10 @@ def test_cli_bad_sweep_list_exits_2_before_training(tmp_path, world_files):
 def test_cli_unknown_key_exits_2(tmp_path, world_files):
     cfg_path = write_config(tmp_path,
                             fast_config(world_files, tmp_path / "out"))
-    # precision, use_baseline and workers are removed fields: a stale config
-    # fails like a typo
+    # precision, use_baseline, workers and connectivity_mask are removed
+    # fields: a stale config fails like a typo
     for override in ("bogus_key=1", "precision=f32", "use_baseline=true",
-                     "workers=2"):
+                     "workers=2", "connectivity_mask=false"):
         code = cli.main(["mine-schemas", "--config", cfg_path,
                          "--set", override])
         assert code == 2, override

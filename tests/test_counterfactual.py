@@ -18,24 +18,20 @@ from test_autodiff import _chain_attention_pool
 
 
 def test_curriculum_initial_weight():
-    sched = cf.CurriculumSchedule(rho=0.25, delta=0.8)
-    assert cf.curriculum_lambda(sched, 0) == 0.25
+    assert cf.curriculum_lambda(0.25, 0.8, 0) == 0.25
 
 
 def test_curriculum_closed_form_value():
-    sched = cf.CurriculumSchedule(rho=0.1, delta=0.9)
-    assert abs(cf.curriculum_lambda(sched, 2) - 0.081) < 1e-15
+    assert abs(cf.curriculum_lambda(0.1, 0.9, 2) - 0.081) < 1e-15
 
 
 def test_curriculum_no_anneal_limit():
-    sched = cf.CurriculumSchedule(rho=0.05, delta=1.0)
     for k in range(10):
-        assert cf.curriculum_lambda(sched, k) == 0.05
+        assert cf.curriculum_lambda(0.05, 1.0, k) == 0.05
 
 
 def test_curriculum_strictly_decreasing():
-    sched = cf.CurriculumSchedule(rho=0.1, delta=0.7)
-    values = [cf.curriculum_lambda(sched, k) for k in range(10)]
+    values = [cf.curriculum_lambda(0.1, 0.7, k) for k in range(10)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -128,7 +124,7 @@ def tiny_sim(seed=0, head_scale=0.6, catalog_schema=("genre", "item")):
     rng = np.random.default_rng(seed + 10)
     model.store["flm.head_w"].data = rng.normal(
         size=model.store["flm.head_w"].shape) * head_scale
-    catalog = sc.mine_schemas([catalog_schema], min_support=1)
+    catalog = sc.mine_schemas([catalog_schema], min_support=1, max_len=16)
     clf_store = ad.ParamStore()
     sc.init_classifier_params(clf_store, d_e=5, num_schemas=1,
                               rng=np.random.default_rng(seed))
@@ -137,7 +133,7 @@ def tiny_sim(seed=0, head_scale=0.6, catalog_schema=("genre", "item")):
         size=(hkg.num_nodes, 5)) * 0.5
     sim = pl.SimulatorBundle(flm=model, catalog=catalog, clf_store=clf_store,
                              bank=bank, entity_emb=entity_emb, hkg=hkg)
-    rec = rc.RecModel(hkg, d_e=6, seed=seed)
+    rec = rc.RecModel(hkg, d_e=6, num_bases=8, seed=seed)
     rec.store["rec.item_bias"].data = np.array([6.0, -6.0, 0.0])
     pair = pl.UserPair(user_u="u", user_v="v",
                        u_entities=hkg.interactions["u"],
@@ -182,7 +178,7 @@ def test_zero_reward_reduces_to_pure_decay():
     state.store["delta_v"].data = 2 * init.copy()
     alpha, lam = 0.05, 0.7
     cf.reinforce_step(state, sim, rec, lam, alpha, rollouts=4,
-                      rng=np.random.default_rng(1),
+                      rng=np.random.default_rng(1), temperature=1.0,
                       reward_fn=lambda realized: 0.0)
     factor = 1.0 - 2.0 * alpha * lam
     assert np.allclose(state.store["delta_u"].data, init * factor,
@@ -218,7 +214,8 @@ def test_sampled_update_matches_enumerated_gradient():
     counts = dict.fromkeys(probs, 0)
     for _ in range(10):
         for flow in flmm.generate_flows_batch(sim.flm, e_u.data, e_v.data,
-                                              schema, rng, count=n // 10):
+                                              schema, rng, count=n // 10,
+                                              temperature=1.0):
             counts[tuple(flow)] += 1
     for name in ("delta_u", "delta_v"):
         sampled = sum((c / n) * rewards[f] * grads[f][name]
@@ -234,7 +231,7 @@ def test_reinforce_step_applies_ascent_update_formula():
     init_u = state.store["delta_u"].data.copy()
     alpha, lam = 0.01, 0.3
     stats = cf.reinforce_step(state, sim, rec, lam, alpha, rollouts=6,
-                              rng=np.random.default_rng(3))
+                              rng=np.random.default_rng(3), temperature=1.0)
     g = stats["gradient"]["delta_u"]
     expected = init_u + alpha * (g - 2 * lam * init_u)
     assert np.allclose(state.store["delta_u"].data, expected, atol=1e-15)
@@ -246,7 +243,7 @@ def test_reinforce_step_is_bit_reproducible():
         sim, rec, pair = tiny_sim()
         state = cf.make_edit_state(pair, 1, 5, np.random.default_rng(0))
         cf.reinforce_step(state, sim, rec, 0.1, 0.05, rollouts=8,
-                          rng=np.random.default_rng(17))
+                          rng=np.random.default_rng(17), temperature=1.0)
         results.append((state.store["delta_u"].data.copy(),
                         state.store["delta_v"].data.copy()))
     assert np.array_equal(results[0][0], results[1][0])
@@ -260,7 +257,7 @@ def test_reinforce_step_never_writes_frozen_parameters():
     flm_sum = sim.flm.store.checksum()
     clf_sum = sim.clf_store.checksum()
     cf.reinforce_step(state, sim, rec, 0.1, 0.05, rollouts=4,
-                      rng=np.random.default_rng(2))
+                      rng=np.random.default_rng(2), temperature=1.0)
     assert rec.store.checksum() == rec_sum
     assert sim.flm.store.checksum() == flm_sum
     assert sim.clf_store.checksum() == clf_sum
@@ -289,7 +286,8 @@ def test_frozen_simulator_gives_the_same_gradient_bytes(monkeypatch):
         init = np.random.default_rng(6).normal(size=(2, state.k, 5)) * 0.3
         state.store["delta_u"].data, state.store["delta_v"].data = init
         stats = cf.reinforce_step(state, sim, rec, 0.1, 0.05, rollouts=4,
-                                  rng=np.random.default_rng(17))
+                                  rng=np.random.default_rng(17),
+                                  temperature=1.0)
         results.append((stats["gradient"], state.store.values_dict(),
                         touched))
         assert all(p.requires_grad for store in (sim.flm.store, sim.clf_store)
@@ -380,7 +378,8 @@ def test_large_lambda_shrinks_edit_norm_monotonically():
     norms = [state.edit_norm()]
     for _ in range(4):
         cf.reinforce_step(state, sim, rec, lam=200.0, alpha=1e-3, rollouts=4,
-                          rng=rng, reward_fn=lambda realized: 1.0)
+                          rng=rng, temperature=1.0,
+                          reward_fn=lambda realized: 1.0)
         norms.append(state.edit_norm())
     assert all(a > b for a, b in zip(norms, norms[1:])), norms
 
@@ -391,7 +390,7 @@ def test_non_finite_update_raises():
     with pytest.raises(NumericError,
                        match="^non-finite edit update for 'delta_u'$"):
         cf.reinforce_step(state, sim, rec, 0.0, np.inf, rollouts=2,
-                          rng=np.random.default_rng(0),
+                          rng=np.random.default_rng(0), temperature=1.0,
                           reward_fn=lambda realized: 1.0)
 
 

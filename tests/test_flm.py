@@ -144,7 +144,8 @@ def test_generate_fully_forced_by_singleton_classes():
     flm = make_flm(hkg)
     rng = np.random.default_rng(0)
     flow, = flmm.generate_flows_batch(flm, *rand_prompts(flm),
-                                      ("genre", "item"), rng, 1)
+                                      ("genre", "item"), rng, 1,
+                                      temperature=1.0)
     kg = hkg.base
     assert flow == [kg.entity_id("g1"), kg.entity_id("m1")]
 
@@ -186,7 +187,8 @@ def test_generated_flows_satisfy_schema_and_connectivity():
     schema = ("genre", "item", "actor")
     seen = set()
     for _ in range(200):
-        flow, = flmm.generate_flows_batch(flm, e_u, e_v, schema, rng, 1)
+        flow, = flmm.generate_flows_batch(flm, e_u, e_v, schema, rng, 1,
+                                          temperature=1.0)
         seen.add(tuple(flow))
         assert kgm.validate_flow(hkg, flow, schema, hop_limit=2)
         assert log_prob(flm, e_u, e_v, schema, flow).item() > -np.inf
@@ -208,7 +210,7 @@ def test_sampled_flow_frequencies_match_model_distribution(full_hkg):
     counts = dict.fromkeys(support, 0)
     for _ in range(50):
         for flow in flmm.generate_flows_batch(flm, e_u, e_v, schema, rng,
-                                              count=1000):
+                                              count=1000, temperature=1.0):
             counts[tuple(flow)] += 1
     for flow in support:
         p = probs[flow]
@@ -344,20 +346,21 @@ def test_sample_pseudo_flow_uses_only_reachable_schemas(full_hkg):
     triples = [("m1", "has_genre", "g1"), ("x1", "rel", "x1")]
     hkg = build_hkg(triples, types)
     catalog = sc.mine_schemas([("genre", "item")] * 3 + [("lone", "item")] * 3,
-                              min_support=1)
+                              min_support=1, max_len=16)
     assert len(catalog) == 2
     rng = np.random.default_rng(7)
     for _ in range(300):
-        ex = flmm.sample_pseudo_flow(hkg, catalog, rng)
+        ex = flmm.sample_pseudo_flow(hkg, catalog, rng, hop_limit=2)
         assert ex.schema == ("genre", "item")
-        assert kgm.validate_flow(hkg, ex.entities, ex.schema)
+        assert kgm.validate_flow(hkg, ex.entities, ex.schema, hop_limit=2)
 
 
 def test_sample_pseudo_flow_splits_entities(full_hkg):
-    catalog = sc.mine_schemas([("genre", "item", "actor")], min_support=1)
+    catalog = sc.mine_schemas([("genre", "item", "actor")], min_support=1,
+                              max_len=16)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        ex = flmm.sample_pseudo_flow(full_hkg, catalog, rng)
+        ex = flmm.sample_pseudo_flow(full_hkg, catalog, rng, hop_limit=2)
         assert len(ex.seeker_entities) >= 1
         assert len(ex.recommender_entities) >= 1
         combined = set(ex.seeker_entities) | set(ex.recommender_entities)
@@ -365,8 +368,9 @@ def test_sample_pseudo_flow_splits_entities(full_hkg):
 
 
 def test_sample_pseudo_flow_single_entity_flow(full_hkg):
-    catalog = sc.mine_schemas([("actor",)], min_support=1)
-    ex = flmm.sample_pseudo_flow(full_hkg, catalog, np.random.default_rng(0))
+    catalog = sc.mine_schemas([("actor",)], min_support=1, max_len=16)
+    ex = flmm.sample_pseudo_flow(full_hkg, catalog, np.random.default_rng(0),
+                                 hop_limit=2)
     assert len(ex.entities) == 1
     assert ex.seeker_entities == ex.entities
     assert ex.recommender_entities == []
@@ -376,10 +380,11 @@ def test_sample_pseudo_flow_all_unreachable():
     types = {"g1": "genre", "m1": "item", "x1": "lone"}
     triples = [("m1", "has_genre", "g1"), ("x1", "rel", "x1")]
     hkg = build_hkg(triples, types)
-    catalog = sc.mine_schemas([("lone", "item")], min_support=1)
+    catalog = sc.mine_schemas([("lone", "item")], min_support=1, max_len=16)
     with pytest.raises(DataError, match="^no schema produced a path in "
                        f"{flmm.MAX_SCHEMA_TRIES} tries$"):
-        flmm.sample_pseudo_flow(hkg, catalog, np.random.default_rng(0))
+        flmm.sample_pseudo_flow(hkg, catalog, np.random.default_rng(0),
+                                hop_limit=2)
 
 
 def test_pretrain_memorizes_single_flow(full_hkg):
@@ -455,7 +460,7 @@ def _fresh_step_mask(flm, type_name, prev_entity=None, target=None):
     # the previous entity
     kg = flm.hkg.base
     ids = kg.entities_of_type(type_name)
-    if flm.cfg.connectivity_mask and prev_entity is not None:
+    if prev_entity is not None:
         near = [e for e in ids if kgm.validate_flow(
             flm.hkg, [prev_entity, e], [kg.type_name_of(prev_entity),
                                         type_name], flm.cfg.hop_limit)]
@@ -468,7 +473,7 @@ def _fresh_step_mask(flm, type_name, prev_entity=None, target=None):
     return mask
 
 
-def two_clusters(connectivity):
+def two_clusters():
     """A model over two clusters, g1-m1-a1 and g2-m2-a2, and three flows of
     one schema; in the second and third a target leaves the hop
     neighbourhood of the previous entity and widens to its type class."""
@@ -476,7 +481,7 @@ def two_clusters(connectivity):
     triples = [("m1", "has_genre", "g1"), ("m2", "has_genre", "g2"),
                ("a1", "acted_in", "m1"), ("a2", "acted_in", "m2")]
     hkg = build_hkg(triples, types)
-    flm = make_flm(hkg, connectivity_mask=connectivity, hop_limit=1)
+    flm = make_flm(hkg, hop_limit=1)
     ids = {name: hkg.base.entity_id(name) for name in types}
     flows = [[ids["g1"], ids["m1"], ids["a1"]],   # stays on the graph
              [ids["g1"], ids["m2"], ids["a2"]],   # m2 is off g1's hood
@@ -484,9 +489,8 @@ def two_clusters(connectivity):
     return flm, ids, ("genre", "item", "actor"), flows
 
 
-@pytest.mark.parametrize("connectivity", [True, False])
-def test_cached_step_masks_equal_fresh_ones_and_are_read_only(connectivity):
-    flm, ids, schema, flows = two_clusters(connectivity)
+def test_cached_step_masks_equal_fresh_ones_and_are_read_only():
+    flm, ids, schema, flows = two_clusters()
     for _ in range(2):  # the second pass reads only the cache
         for flow in flows:
             for j, target in enumerate(flow):
@@ -505,7 +509,7 @@ def test_cached_step_masks_equal_fresh_ones_and_are_read_only(connectivity):
 
 
 def test_step_mask_keeps_a_repeat_and_widens_an_empty_reach():
-    flm, ids, _, _ = two_clusters(connectivity=True)
+    flm, ids, _, _ = two_clusters()
     # the previous entity has the step's type: it stays in the mask beside
     # the entities it reaches, so a generated flow may repeat it
     assert flm.hkg.reach(ids["m1"], "item", 1).tolist() == []
@@ -534,10 +538,8 @@ def assert_rows_are_fresh(flm, masks, schemas, flows, forced=True):
             assert masks[r, j].tobytes() == fresh.tobytes(), (r, j)
 
 
-@pytest.mark.parametrize("connectivity", [True, False])
-def test_mask_blocks_reaching_the_logits_equal_fresh_masks(connectivity,
-                                                           monkeypatch):
-    flm, ids, schema, flows = two_clusters(connectivity)
+def test_mask_blocks_reaching_the_logits_equal_fresh_masks(monkeypatch):
+    flm, ids, schema, flows = two_clusters()
     randomize_head(flm, 31)
     e_u, e_v = rand_prompts(flm, 14)
     picked, built = [], []
@@ -565,7 +567,8 @@ def test_mask_blocks_reaching_the_logits_equal_fresh_masks(connectivity,
 
     built.clear()
     generated = flmm.generate_flows_batch(flm, e_u, e_v, schema,
-                                          np.random.default_rng(5), 16)
+                                          np.random.default_rng(5), 16,
+                                          temperature=1.0)
     assert len(built) == len(schema)
     steps = np.stack([np.broadcast_to(block[:, 0], (16, flm.vocab_size))
                       for block in built], axis=1)
@@ -598,7 +601,8 @@ def test_flows_are_checked_once_in_pretraining(full_hkg, monkeypatch):
     check_flow = flm.check_flow
     monkeypatch.setattr(flm, "check_flow",
                         lambda *a: checked.append(a) or check_flow(*a))
-    flmm.pretrain_flm(flm, examples, emb_table, epochs=3, batch_size=2)
+    flmm.pretrain_flm(flm, examples, emb_table, epochs=3, batch_size=2,
+                      lr=1e-3, seed=0)
     assert len(checked) == len(examples)
     # a scorer whose flows nobody has validated still checks them
     with pytest.raises(DataError, match="^flow position 0: expected type "

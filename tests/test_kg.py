@@ -110,7 +110,7 @@ def test_sample_path_forced_choice():
     g = make_kg(triples, types)
     hkg = kgm.attach_users(g, {})
     rng = np.random.default_rng(0)
-    flow = kgm.sample_path(hkg, ["actor"], rng)
+    flow = kgm.sample_path(hkg, ["actor"], rng, hop_limit=2)
     assert flow == [g.entity_id("a1")]
 
 
@@ -120,7 +120,7 @@ def test_sample_path_unreachable():
     g = make_kg(triples, types)
     hkg = kgm.attach_users(g, {})
     rng = np.random.default_rng(0)
-    assert kgm.sample_path(hkg, ["isolated", "item"], rng) is None
+    assert kgm.sample_path(hkg, ["isolated", "item"], rng, hop_limit=2) is None
 
 
 def test_sample_path_unknown_type():
@@ -131,7 +131,7 @@ def test_sample_path_unknown_type():
     # an unknown type at any position fails before any draw
     for schema in (["nope"], ["genre", "item", "nope"]):
         with pytest.raises(DataError, match="^unknown entity type 'nope'$"):
-            kgm.sample_path(hkg, schema, rng)
+            kgm.sample_path(hkg, schema, rng, hop_limit=2)
         assert rng.bit_generator.state == state
 
 
@@ -146,12 +146,13 @@ def test_sample_path_never_steps_from_an_entity_to_itself():
     a1, a2 = g.entity_id("a1"), g.entity_id("a2")
     assert hkg.reach(g.entity_id("a3"), "actor", 2).tolist() == []
     rng = np.random.default_rng(5)
-    flows = {tuple(kgm.sample_path(hkg, ("actor", "actor"), rng))
+    flows = {tuple(kgm.sample_path(hkg, ("actor", "actor"), rng, hop_limit=2))
              for _ in range(200)}
     assert flows == {(a1, a2), (a2, a1)}
     # the rule is about the previous entity only: a walk may come back
     m1 = g.entity_id("m1")
-    flows = {tuple(kgm.sample_path(hkg, ("actor", "item", "actor"), rng))
+    flows = {tuple(kgm.sample_path(hkg, ("actor", "item", "actor"), rng,
+                                   hop_limit=2))
              for _ in range(200)}
     assert (a1, m1, a1) in flows
     assert all(a != b for f in flows for a, b in zip(f, f[1:]))
@@ -178,7 +179,7 @@ def test_sample_path_matches_uniform_over_valid_set():
     n = 10_000
     counts = {p: 0 for p in valid}
     for _ in range(n):
-        flow = kgm.sample_path(hkg, schema, rng)
+        flow = kgm.sample_path(hkg, schema, rng, hop_limit=2)
         counts[tuple(flow)] += 1
     p = 1.0 / len(valid)
     sigma = (n * p * (1 - p)) ** 0.5
@@ -192,9 +193,9 @@ def test_sampled_flows_always_validate():
     hkg = kgm.attach_users(g, {"u": ["m1"]})
     for schema in (["genre", "item"], ["item", "genre", "item"]):
         for _ in range(200):
-            flow = kgm.sample_path(hkg, schema, rng)
+            flow = kgm.sample_path(hkg, schema, rng, hop_limit=2)
             assert flow is not None
-            assert kgm.validate_flow(hkg, flow, schema)
+            assert kgm.validate_flow(hkg, flow, schema, hop_limit=2)
 
 
 def test_sample_path_seed_reproducible():
@@ -203,7 +204,7 @@ def test_sample_path_seed_reproducible():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(77)
-        runs.append([kgm.sample_path(hkg, ["genre", "item"], rng)
+        runs.append([kgm.sample_path(hkg, ["genre", "item"], rng, hop_limit=2)
                      for _ in range(50)])
     assert runs[0] == runs[1]
 
@@ -212,10 +213,10 @@ def test_validate_flow_rejects_type_mismatch_and_disconnection():
     g = make_kg(TOY_TRIPLES, TOY_TYPES)
     hkg = kgm.attach_users(g, {})
     m1, m3, g1 = g.entity_id("m1"), g.entity_id("m3"), g.entity_id("g1")
-    assert not kgm.validate_flow(hkg, [m1, m3], ["genre", "item"])
+    assert not kgm.validate_flow(hkg, [m1, m3], ["genre", "item"], hop_limit=2)
     # m1 and m3 are 4 hops apart (different genres) -> fails at hop_limit 2
-    assert not kgm.validate_flow(hkg, [g1, m3], ["genre", "item"])
-    assert kgm.validate_flow(hkg, [g1, m1], ["genre", "item"])
+    assert not kgm.validate_flow(hkg, [g1, m3], ["genre", "item"], hop_limit=2)
+    assert kgm.validate_flow(hkg, [g1, m1], ["genre", "item"], hop_limit=2)
 
 
 def test_rgcn_relations_include_inverses_and_user_edges():

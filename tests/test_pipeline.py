@@ -123,8 +123,8 @@ def test_simulator_prompt_is_untaped_and_equals_the_taped_prompt(mini):
 FORMER_FIELDS = {
     pl.SimulatorConfig: (
         ("d_model", "n_layers", "n_heads", "ff_mult", "max_len",
-         "min_support", "hop_limit", "connectivity_mask", "pseudo_ratio",
-         "flm_epochs", "flm_batch", "flm_lr", "clf_steps", "clf_lr", "seed"),
+         "min_support", "hop_limit", "pseudo_ratio", "flm_epochs",
+         "flm_batch", "flm_lr", "clf_steps", "clf_lr", "seed"),
         {"d_model": "flm_d_model", "n_layers": "flm_layers",
          "n_heads": "flm_heads", "ff_mult": "flm_ff_mult"}),
     cf.TrainConfig: (

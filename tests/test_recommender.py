@@ -32,7 +32,7 @@ def small_world():
 
 
 def test_score_items_empty_context_orders_by_bias(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=0)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=0)
     bias = np.array([0.5, -0.2, 0.9, 0.0, 0.1])
     model.store["rec.item_bias"].data = bias.copy()
     ranked = score = rc.score_items(model, [])
@@ -41,7 +41,7 @@ def test_score_items_empty_context_orders_by_bias(small_world):
 
 
 def test_score_items_self_similarity(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=1)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=1)
     table = model.entity_embeddings_array()
     target = int(model.item_ids[2])
     # make the target's embedding strongly aligned with itself and orthogonal
@@ -57,7 +57,7 @@ def test_score_items_self_similarity(small_world):
 
 
 def test_score_items_matches_hand_computed_inner_products(small_world):
-    model = rc.RecModel(small_world, d_e=4, seed=3)
+    model = rc.RecModel(small_world, d_e=4, num_bases=8, seed=3)
     # hand-set: no messages and an identity self-weight make each entity's
     # row tanh of its node row; the context attends over one entity ->
     # itself, so scores are plain inner products of those rows plus bias
@@ -77,7 +77,7 @@ def test_score_items_matches_hand_computed_inner_products(small_world):
 
 
 def test_rec_loss_perfect_model_is_zero(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=0)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=0)
     label = int(model.item_ids[0])
     model.store["rec.item_bias"].data = np.zeros(len(model.item_ids))
     model.store["rec.item_bias"].data[0] = 1e4  # prob ~ 1 for the label
@@ -86,7 +86,7 @@ def test_rec_loss_perfect_model_is_zero(small_world):
 
 
 def test_rec_loss_uniform_is_log_item_count(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=0)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=0)
     # zero bias + empty context -> zero scores -> uniform over items
     samples = [RecSample(context=(), label=int(model.item_ids[2]))]
     loss = rc.rec_loss(model, samples)
@@ -94,7 +94,7 @@ def test_rec_loss_uniform_is_log_item_count(small_world):
 
 
 def test_rec_loss_matches_hand_computation(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=0)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=0)
     bias = np.array([0.3, -0.1, 0.7, 0.2, -0.4])
     model.store["rec.item_bias"].data = bias.copy()
     labels = [0, 2, 4]
@@ -107,7 +107,7 @@ def test_rec_loss_matches_hand_computation(small_world):
 
 
 def test_rec_loss_rejects_non_item_label(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=0)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=0)
     g1 = small_world.base.entity_id("g1")
     with pytest.raises(DataError,
                        match=f"^label entity {g1} is not item-typed$"):
@@ -115,7 +115,7 @@ def test_rec_loss_rejects_non_item_label(small_world):
 
 
 def test_rec_loss_grad_check(small_world):
-    model = rc.RecModel(small_world, d_e=3, seed=7)
+    model = rc.RecModel(small_world, d_e=3, num_bases=8, seed=7)
     g1 = small_world.base.entity_id("g1")
     samples = [RecSample(context=(g1,), label=int(model.item_ids[1])),
                RecSample(context=(), label=int(model.item_ids[3]))]
@@ -134,7 +134,7 @@ def test_rec_loss_computes_only_its_rows_and_matches_the_full_table(
                            num_dialogues=40)
     hkg = world.hkg(world.train)
     samples = pl.samples_from_dialogues(world.train, world.kg)[:24]
-    model = rc.RecModel(hkg, d_e=8, num_layers=num_layers, seed=1)
+    model = rc.RecModel(hkg, d_e=8, num_layers=num_layers, num_bases=8, seed=1)
     asked = []
     forward = emb.rgcn_forward
     monkeypatch.setattr(emb, "rgcn_forward", lambda *a, rows=None, **k:
@@ -181,7 +181,7 @@ def test_packed_and_list_rec_loss_agree_bit_for_bit(world_samples, picks,
     idx = {"mixed": full[:5] + empty[:2] + full[5:9] + empty[2:3],
            "all_empty": empty[:4],  # a padded width of 1
            "repeated": [full[3], full[3], empty[0], full[3], full[0]]}[picks]
-    model = rc.RecModel(hkg, d_e=8, num_layers=num_layers, seed=2)
+    model = rc.RecModel(hkg, d_e=8, num_layers=num_layers, num_bases=8, seed=2)
     value, grads = _loss_and_grads(model, [samples[i] for i in idx])
     batch = rc.pack_samples(model, samples)[np.array(idx)]
     packed_value, packed_grads = _loss_and_grads(model, batch)
@@ -195,13 +195,13 @@ def test_rec_loss_records_seven_tape_nodes(world_samples):
     # the fused R-GCN layer, the pool, the scores, the cross-entropy and
     # the negated mean
     hkg, samples = world_samples
-    model = rc.RecModel(hkg, d_e=8, seed=2)
+    model = rc.RecModel(hkg, d_e=8, num_bases=8, seed=2)
     loss = rc.rec_loss(model, rc.pack_samples(model, samples)[np.arange(16)])
     assert sum(node._vjp is not None for node in ad._topo_order(loss)) == 7
 
 
 def test_packing_a_pool_with_a_non_item_label_raises(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=0)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=0)
     g1 = small_world.base.entity_id("g1")
     pool = [RecSample(context=(g1,), label=int(model.item_ids[0])),
             RecSample(context=(), label=g1)]
@@ -210,7 +210,8 @@ def test_packing_a_pool_with_a_non_item_label_raises(small_world):
         rc.pack_samples(model, pool)
     before = model.store.checksum()
     with pytest.raises(DataError, match=not_item):  # before the first step
-        rc.pretrain_recommender(model, pool, steps=3, batch_size=2, lr=1e-2)
+        rc.pretrain_recommender(model, pool, steps=3, batch_size=2, lr=1e-2,
+                                seed=0)
     assert model.store.checksum() == before
 
 
@@ -219,7 +220,7 @@ def test_train_steps_runs_loss_backward_and_update_once_per_step(
     # looked up as module attributes, in this order: a trace of the step
     # finds it by these three calls in a row under one train_steps call
     hkg, samples = world_samples
-    model = rc.RecModel(hkg, d_e=8, seed=2)
+    model = rc.RecModel(hkg, d_e=8, num_bases=8, seed=2)
     calls = []
 
     def spy(module, name):
@@ -238,7 +239,8 @@ def test_train_steps_runs_loss_backward_and_update_once_per_step(
                          (emb, "rgcn_forward"), (ad, "backward"),
                          (ad, "optimizer_step")):
         spy(module, name)
-    rc.pretrain_recommender(model, samples, steps=3, batch_size=16, lr=1e-3)
+    rc.pretrain_recommender(model, samples, steps=3, batch_size=16, lr=1e-3,
+                            seed=0)
     step = [">rec_loss", ">rgcn_forward", "<rgcn_forward", "<rec_loss",
             ">backward", "<backward", ">optimizer_step", "<optimizer_step"]
     assert calls == ([">pack_samples", "<pack_samples", ">train_steps"]
@@ -248,7 +250,7 @@ def test_train_steps_runs_loss_backward_and_update_once_per_step(
 def test_evaluate_over_many_chunks_equals_a_per_sample_reference(
         world_samples):
     hkg, samples = world_samples
-    model = rc.RecModel(hkg, d_e=8, seed=4)
+    model = rc.RecModel(hkg, d_e=8, num_bases=8, seed=4)
     samples = (samples * (2 * rc.RANK_CHUNK // len(samples) + 1))
     assert len(samples) > 2 * rc.RANK_CHUNK
     assert len({len(s.context) for s in samples}) > 2
@@ -271,7 +273,7 @@ def test_evaluate_over_many_chunks_equals_a_per_sample_reference(
 
 def rank_fixture_model(small_world, label_rank, n_items=5):
     """Bias-only model placing item_ids[0] at the requested rank."""
-    model = rc.RecModel(small_world, d_e=4, seed=0)
+    model = rc.RecModel(small_world, d_e=4, num_bases=8, seed=0)
     bias = -np.arange(n_items, dtype=float)  # item 0 first
     order = np.argsort(model.item_ids)  # ids ascending already
     bias = np.roll(bias, label_rank - 1)
@@ -280,7 +282,7 @@ def rank_fixture_model(small_world, label_rank, n_items=5):
 
 
 def test_evaluate_rank_one_gives_all_ones(small_world):
-    model = rc.RecModel(small_world, d_e=4, seed=0)
+    model = rc.RecModel(small_world, d_e=4, num_bases=8, seed=0)
     model.store["rec.item_bias"].data = np.array([9.0, 1.0, 0.5, 0.2, 0.1])
     samples = [RecSample(context=(), label=int(model.item_ids[0]))]
     rep = rc.evaluate(model, samples, ks=(10, 50))
@@ -290,7 +292,7 @@ def test_evaluate_rank_one_gives_all_ones(small_world):
 
 
 def test_evaluate_rank_three_oracle_values(small_world):
-    model = rc.RecModel(small_world, d_e=4, seed=0)
+    model = rc.RecModel(small_world, d_e=4, num_bases=8, seed=0)
     model.store["rec.item_bias"].data = np.array([1.0, 5.0, 3.0, 0.2, 0.1])
     samples = [RecSample(context=(), label=int(model.item_ids[0]))]
     rep = rc.evaluate(model, samples, ks=(10,))
@@ -305,7 +307,7 @@ def test_evaluate_threshold_behavior():
     types["g"] = "genre"
     triples = [(f"m{i}", "has_genre", "g") for i in range(60)]
     hkg = build_hkg(triples, types)
-    model = rc.RecModel(hkg, d_e=4, seed=0)
+    model = rc.RecModel(hkg, d_e=4, num_bases=8, seed=0)
     bias = -np.arange(60, dtype=float)
     model.store["rec.item_bias"].data = bias
     label = int(model.item_ids[19])  # rank 20
@@ -318,7 +320,7 @@ def test_evaluate_threshold_behavior():
 
 
 def test_evaluate_empty_test_set(small_world):
-    model = rc.RecModel(small_world, d_e=4, seed=0)
+    model = rc.RecModel(small_world, d_e=4, num_bases=8, seed=0)
     with pytest.raises(DataError, match="^no test samples$"):
         rc.evaluate(model, [])
 
@@ -334,7 +336,7 @@ def test_metric_monotonicity_per_sample():
 def test_irrelevant_item_changes_no_metric(small_world):
     # item with score -inf never outranks the label, so metrics match the
     # 4-item hand computation
-    model = rc.RecModel(small_world, d_e=4, seed=0)
+    model = rc.RecModel(small_world, d_e=4, num_bases=8, seed=0)
     bias = np.array([2.0, 1.0, 0.5, 0.1, MASK := -1e30])
     model.store["rec.item_bias"].data = bias
     label = int(model.item_ids[1])
@@ -363,18 +365,18 @@ def test_copy_has_equal_values_and_a_fresh_adam_state(mini):
     assert clone.hkg is mini.rec.hkg and clone.store.step_count == 0
     assert clone.store.checksum() == before
     # zero moments: the copy's first step equals a new model's on its values
-    fresh = rc.RecModel(mini.hkg, d_e=16, seed=1)
+    fresh = rc.RecModel(mini.hkg, d_e=16, num_bases=8, seed=1)
     fresh.store.load_values(mini.rec.store.values_dict())
     for model in (clone, fresh):
         rc.pretrain_recommender(model, mini.train_samples, steps=1,
-                                batch_size=8, lr=1e-2)
+                                batch_size=8, lr=1e-2, seed=0)
     assert clone.store.checksum() == fresh.store.checksum() != before
     # training the copy leaves the original as it was
     assert mini.rec.store.checksum() == before
 
 
 def test_pretrain_memorizes_five_samples(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=2)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=2)
     g1, g2 = (small_world.base.entity_id(x) for x in ("g1", "g2"))
     m = model.item_ids
     samples = [
@@ -391,10 +393,11 @@ def test_pretrain_memorizes_five_samples(small_world):
 
 
 def test_pretrain_zero_steps_keeps_untrained_metrics(small_world):
-    model = rc.RecModel(small_world, d_e=8, seed=2)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=2)
     samples = [RecSample(context=(), label=int(model.item_ids[0]))]
     before = rc.evaluate(model, samples).to_dict()
-    rc.pretrain_recommender(model, samples, steps=0)
+    rc.pretrain_recommender(model, samples, steps=0, batch_size=64, lr=1e-3,
+                            seed=0)
     assert rc.evaluate(model, samples).to_dict() == before
 
 
@@ -406,7 +409,7 @@ def test_pretrain_beats_random_on_separable_world():
     triples = [(f"m{i}", "has_genre", "g1" if i < 5 else "g2")
                for i in range(10)]
     hkg = build_hkg(triples, types)
-    model = rc.RecModel(hkg, d_e=16, seed=4)
+    model = rc.RecModel(hkg, d_e=16, num_bases=8, seed=4)
     kg = hkg.base
     g1, g2 = kg.entity_id("g1"), kg.entity_id("g2")
     items = {e: kg.entity_id(f"m{e}") for e in range(10)}
@@ -427,7 +430,7 @@ def test_pretrain_beats_random_on_separable_world():
 def test_evaluate_matches_score_items_order_with_ties(small_world):
     # empty contexts score every item by its bias alone, so the ties are
     # exact; 600 samples span three ranking chunks
-    model = rc.RecModel(small_world, d_e=8, seed=3)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=3)
     model.store["rec.item_bias"].data = np.array([0.3, 0.1, 0.3, -0.2, 0.1])
     n = len(model.item_ids)
     samples = [RecSample(context=(), label=int(model.item_ids[(7 * i) % n]))
@@ -449,12 +452,12 @@ def test_evaluate_matches_score_items_order_with_ties(small_world):
 
 def test_pretrain_early_stops_and_restores_best(small_world,
                                                 scripted_evaluate):
-    model = rc.RecModel(small_world, d_e=8, seed=2)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=2)
     samples = [RecSample(context=(), label=int(model.item_ids[0]))]
     seen = scripted_evaluate([0.2, 0.5, 0.4, 0.3, 0.9])
     history = rc.pretrain_recommender(model, samples, samples, steps=1000,
-                                      batch_size=1, eval_every=10,
-                                      patience=2)
+                                      batch_size=1, lr=1e-3, eval_every=10,
+                                      patience=2, seed=0)
     assert history["val_recall"] == [0.2, 0.5, 0.4, 0.3]
     assert len(history["loss"]) == 40
     assert model.store.checksum() == seen[1]
@@ -463,11 +466,12 @@ def test_pretrain_early_stops_and_restores_best(small_world,
 
 def test_pretrain_evaluates_after_full_chunks_only(small_world,
                                                    scripted_evaluate):
-    model = rc.RecModel(small_world, d_e=8, seed=2)
+    model = rc.RecModel(small_world, d_e=8, num_bases=8, seed=2)
     samples = [RecSample(context=(), label=int(model.item_ids[0]))]
     seen = scripted_evaluate([0.1, 0.2, 0.3])
     history = rc.pretrain_recommender(model, samples, samples, steps=130,
-                                      batch_size=1, eval_every=50)
+                                      batch_size=1, lr=1e-3, eval_every=50,
+                                      seed=0)
     assert len(seen) == 2
     assert len(history["loss"]) == 130
     # the 30 steps after the last evaluation are rolled back to its best
@@ -475,7 +479,7 @@ def test_pretrain_evaluates_after_full_chunks_only(small_world,
 
 
 def test_report_json_and_table(small_world):
-    model = rc.RecModel(small_world, d_e=4, seed=0)
+    model = rc.RecModel(small_world, d_e=4, num_bases=8, seed=0)
     rep = rc.evaluate(model, [RecSample(context=(),
                                         label=int(model.item_ids[0]))])
     d = rep.to_dict()

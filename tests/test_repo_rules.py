@@ -3,22 +3,25 @@ standard library, every top-level function and class is referenced, every
 public autodiff function has a caller in the package, the only exception
 classes are the three categories of errors.py, one step loop and one
 snapshot schedule serve every trained model, one run frame in cli.main
-serves every command, and the counts of settable values stay within their
-bounds."""
+serves every command, a run setting has its default only in RunConfig, and
+the counts of settable values stay within their bounds."""
 
 import ast
 import builtins
+import inspect
 import pathlib
 import re
 import sys
+
+from recflow import counterfactual, embeddings, flm, kg, recommender, schema
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "recflow"
 
 # parameter defaults and dataclass fields (see test_settable_values_...);
 # a new knob has to replace an old one, so lower these, never raise them
-MAX_PARAM_DEFAULTS = 67
-MAX_DATACLASS_FIELDS = 120
+MAX_PARAM_DEFAULTS = 44
+MAX_DATACLASS_FIELDS = 117
 
 
 def package_modules():
@@ -172,3 +175,38 @@ def test_settable_values_stay_within_their_counts():
         f"{params} parameter defaults, more than {MAX_PARAM_DEFAULTS}")
     assert fields <= MAX_DATACLASS_FIELDS, (
         f"{fields} dataclass fields, more than {MAX_DATACLASS_FIELDS}")
+
+
+def test_run_settings_have_their_default_only_in_runconfig():
+    # these parameters carry a run setting whose default lives in RunConfig;
+    # a default here could drift from it, so callers pass the run's values.
+    # The benchmark's fixed calls rely on three defaults, which stay:
+    # RecModel's num_layers, pretrain_recommender's eval_every and patience,
+    # and SimulatorBundle.simulate's temperature
+    entry_points = {
+        flm.pretrain_flm: ("epochs", "batch_size", "lr", "seed"),
+        schema.train_schema_classifier: ("lr", "steps", "seed"),
+        schema.mine_schemas: ("min_support", "max_len"),
+        kg.sample_path: ("hop_limit",),
+        kg.validate_flow: ("hop_limit",),
+        flm.sample_pseudo_flow: ("hop_limit",),
+        flm.generate_flows_batch: ("temperature",),
+        counterfactual.reinforce_step: ("temperature",),
+        embeddings.init_rgcn_params: ("num_layers", "num_bases"),
+        embeddings.rgcn_forward: ("num_layers",),
+        recommender.RecModel: ("num_bases", "seed"),
+        recommender.pretrain_recommender: ("steps", "batch_size", "lr",
+                                           "seed"),
+    }
+    restated = [f"{fn.__qualname__}({name}={params[name].default!r})"
+                for fn, names in entry_points.items()
+                for params in [inspect.signature(fn).parameters]
+                for name in names
+                if params[name].default is not inspect.Parameter.empty]
+    assert not restated, ("run settings with a default outside RunConfig:\n"
+                          + "\n".join(restated))
+    # the two keyword-only entry points take every run setting by name
+    for fn in (recommender.RecModel, recommender.pretrain_recommender):
+        params = inspect.signature(fn).parameters
+        assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY
+                   for name in entry_points[fn]), fn.__qualname__

@@ -19,13 +19,13 @@ def brute_force_catalog(seqs, min_support, max_len):
 
 
 def test_mine_single_flow():
-    cat = sc.mine_schemas([("genre", "item")], min_support=1)
+    cat = sc.mine_schemas([("genre", "item")], min_support=1, max_len=16)
     assert cat.schemas == [("genre", "item")]
     assert cat.supports == [1]
 
 
 def test_mine_min_support_above_corpus_size():
-    cat = sc.mine_schemas([("genre",)], min_support=2)
+    cat = sc.mine_schemas([("genre",)], min_support=2, max_len=16)
     assert len(cat) == 0
 
 
@@ -51,13 +51,13 @@ def test_mine_is_order_insensitive():
     seqs = [("genre", "item")] * 5 + [("actor",)] * 3 + [("item",)] * 4
     shuffled = list(seqs)
     rng.shuffle(shuffled)
-    a = sc.mine_schemas(seqs, min_support=2)
-    b = sc.mine_schemas(shuffled, min_support=2)
+    a = sc.mine_schemas(seqs, min_support=2, max_len=16)
+    b = sc.mine_schemas(shuffled, min_support=2, max_len=16)
     assert a.schemas == b.schemas and a.supports == b.supports
 
 
 def test_catalog_json_round_trip():
-    cat = sc.mine_schemas([("genre", "item")] * 3, min_support=1)
+    cat = sc.mine_schemas([("genre", "item")] * 3, min_support=1, max_len=16)
     loaded = sc.SchemaCatalog.from_json(cat.to_json())
     assert loaded.schemas == cat.schemas
     assert loaded.supports == cat.supports
@@ -71,7 +71,7 @@ def make_classifier(num_schemas, d_e=4, seed=0):
 
 
 def test_predict_zero_weights_uniform():
-    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1, max_len=16)
     store = make_classifier(len(cat))
     store["schema_clf.ff1"].data = np.zeros_like(store["schema_clf.ff1"].data)
     rng = np.random.default_rng(0)
@@ -82,7 +82,7 @@ def test_predict_zero_weights_uniform():
 
 
 def test_predict_singleton_catalog():
-    cat = sc.mine_schemas([("a",)], min_support=1)
+    cat = sc.mine_schemas([("a",)], min_support=1, max_len=16)
     store = make_classifier(1)
     probs, best = sc.predict_schema(np.ones(4), -np.ones(4), store, cat)
     assert np.allclose(probs, [1.0])
@@ -90,7 +90,7 @@ def test_predict_singleton_catalog():
 
 
 def test_predict_empty_catalog_raises():
-    cat = sc.mine_schemas([], min_support=1)
+    cat = sc.mine_schemas([], min_support=1, max_len=16)
     store = make_classifier(1)
     with pytest.raises(DataError, match="^cannot predict over an empty schema "
                        "catalog$"):
@@ -100,7 +100,7 @@ def test_predict_empty_catalog_raises():
 def test_predict_matches_hand_computed_softmax():
     # 2 schemas, d_e = 1, hand-set weights: hidden = tanh([u, v] @ ff1),
     # logits = hidden @ ff2 + ff2_b
-    cat = sc.mine_schemas([("a",), ("b",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",)], min_support=1, max_len=16)
     store = ad.ParamStore()
     store.add("schema_clf.ff1", np.array([[0.5, 0.25], [-1.0, 0.75]]))
     store.add("schema_clf.ff1_b", np.zeros((1, 2)))
@@ -120,7 +120,7 @@ def test_predict_matches_hand_computed_softmax():
 
 
 def test_predict_returns_an_array_and_records_no_tape(monkeypatch):
-    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1, max_len=16)
     store = make_classifier(len(cat), seed=5)
     assert all(p.requires_grad for _, p in store.items())
     made = []
@@ -143,7 +143,7 @@ def test_predict_returns_an_array_and_records_no_tape(monkeypatch):
 def test_classifier_batch_loss_records_nine_tape_nodes(monkeypatch):
     # the four parameters, ffn, log_softmax_pick, the mean's sum and scale
     # and the negation; the op-by-op MLP recorded 15
-    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1, max_len=16)
     store = make_classifier(len(cat))
     rng = np.random.default_rng(9)
     pairs = [(rng.normal(size=4), rng.normal(size=4), i % 3)
@@ -156,12 +156,12 @@ def test_classifier_batch_loss_records_nine_tape_nodes(monkeypatch):
         return real_backward(loss, params)
 
     monkeypatch.setattr(ad, "backward", recording)
-    sc.train_schema_classifier(pairs, store, cat, steps=1)
+    sc.train_schema_classifier(pairs, store, cat, steps=1, lr=1e-3, seed=0)
     assert sizes == [9]
 
 
 def test_logit_scaling_keeps_argmax():
-    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1, max_len=16)
     store = make_classifier(len(cat), seed=5)
     rng = np.random.default_rng(1)
     store["schema_clf.ff2"].data = rng.normal(
@@ -177,18 +177,19 @@ def test_logit_scaling_keeps_argmax():
 
 
 def test_train_memorizes_single_pair():
-    cat = sc.mine_schemas([("a",), ("b",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",)], min_support=1, max_len=16)
     store = make_classifier(len(cat))
     rng = np.random.default_rng(2)
     pairs = [(rng.normal(size=4), rng.normal(size=4), 1)]
-    sc.train_schema_classifier(pairs, store, cat, steps=200, lr=0.05)
+    sc.train_schema_classifier(pairs, store, cat, steps=200, lr=0.05, seed=0)
     probs, best = sc.predict_schema(pairs[0][0], pairs[0][1], store, cat)
     assert best == 1
     assert probs[1] > 0.99
 
 
 def test_untrained_outputs_uniform():
-    cat = sc.mine_schemas([("a",), ("b",), ("c",), ("d",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",), ("c",), ("d",)], min_support=1,
+                          max_len=16)
     store = make_classifier(len(cat))
     probs, _ = sc.predict_schema(np.ones(4) * 2.0, -np.ones(4), store, cat)
     assert np.allclose(probs, 0.25)
@@ -197,7 +198,7 @@ def test_untrained_outputs_uniform():
 def test_train_separable_two_class(monkeypatch):
     # every pair trains, none is held out
     monkeypatch.setattr(sc, "VAL_FRACTION", 0.0)
-    cat = sc.mine_schemas([("a",), ("b",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",)], min_support=1, max_len=16)
     store = make_classifier(len(cat), d_e=2)
     rng = np.random.default_rng(4)
     pairs = []
@@ -205,7 +206,7 @@ def test_train_separable_two_class(monkeypatch):
         offset = rng.normal(size=2) * 0.1
         pairs.append((np.array([2.0, 0.0]) + offset, offset, 0))
         pairs.append((np.array([-2.0, 0.0]) + offset, offset, 1))
-    sc.train_schema_classifier(pairs, store, cat, steps=400, lr=0.05)
+    sc.train_schema_classifier(pairs, store, cat, steps=400, lr=0.05, seed=0)
     correct = 0
     for u, v, gold in pairs:
         _, best = sc.predict_schema(u, v, store, cat)
@@ -217,7 +218,7 @@ def test_classifier_keeps_the_better_of_the_full_chunk_checks(monkeypatch):
     # 50 steps score the held-out loss after steps 20 and 40 only, never
     # after the partial last chunk; on random labels the loss rises, so the
     # classifier ends holding step 20's values
-    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1)
+    cat = sc.mine_schemas([("a",), ("b",), ("c",)], min_support=1, max_len=16)
     store = make_classifier(len(cat))
     rng = np.random.default_rng(0)
     pairs = [(rng.normal(size=4), rng.normal(size=4), int(rng.integers(3)))
@@ -240,7 +241,7 @@ def test_classifier_keeps_the_better_of_the_full_chunk_checks(monkeypatch):
 
     monkeypatch.setattr(ad, "optimizer_step", counting_step)
     monkeypatch.setattr(ad, "log_softmax_pick", recording_pick)
-    sc.train_schema_classifier(pairs, store, cat, lr=0.05, steps=50)
+    sc.train_schema_classifier(pairs, store, cat, lr=0.05, steps=50, seed=0)
     assert len(steps) == 50
     assert [step for step, _, _ in checks] == [20, 40]
     (_, loss20, values20), (_, loss40, values40) = checks
@@ -252,20 +253,21 @@ def test_classifier_keeps_the_better_of_the_full_chunk_checks(monkeypatch):
 
 
 def test_train_rejects_bad_gold_index():
-    cat = sc.mine_schemas([("a",)], min_support=1)
+    cat = sc.mine_schemas([("a",)], min_support=1, max_len=16)
     store = make_classifier(1)
     with pytest.raises(DataError,
                        match="^gold index 3 outside catalog of size 1$"):
-        sc.train_schema_classifier([(np.ones(4), np.ones(4), 3)], store, cat)
+        sc.train_schema_classifier([(np.ones(4), np.ones(4), 3)], store, cat,
+                                   lr=1e-3, steps=200, seed=0)
 
 
 def test_train_without_pairs_is_a_data_error():
-    cat = sc.mine_schemas([("a",)], min_support=1)
+    cat = sc.mine_schemas([("a",)], min_support=1, max_len=16)
     store = make_classifier(1)
     before = store.values_dict()
     with pytest.raises(DataError,
                        match="^no schema-classifier training pairs$"):
-        sc.train_schema_classifier([], store, cat)
+        sc.train_schema_classifier([], store, cat, lr=1e-3, steps=200, seed=0)
     after = store.values_dict()
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
